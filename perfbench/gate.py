@@ -27,7 +27,7 @@ import json
 import random
 from fractions import Fraction
 
-from jobs import canonical_grid_size
+from jobs import canonical_grid_size, functor_maps
 
 PASSING = ("minimum", "interval-collapse")
 ONE, ZERO = Fraction(1), Fraction(0)
@@ -172,8 +172,8 @@ def _check_ccc(job, verdicts, report, problems: _Problems) -> None:
     if passing:
         k = len(job.expect["grid"]) if "grid" in job.expect else \
             canonical_grid_size(spec, job.expect["resolution"])
-        # every size-2 fill is transitive, so size <= 2 gives 1 + k**2 categories
-        cats = 1 + k * k if job.expect["max_size"] == 2 else None
+        # every size-2 fill is transitive, so max-size 2 gives 1 + k**2 categories
+        cats = 1 + k * k
         problems.expect(result["categories"] == cats, f"categories {result['categories']} != {cats}")
         problems.expect(result["triples_checked"] == cats ** 3, "not every triple was checked")
         problems.expect(result["bundle"] is None and result["witness"] is None,
@@ -192,14 +192,8 @@ def _check_exp(job, verdicts, report, problems: _Problems) -> None:
         return
     problems.expect(verdicts["power-validates"]["ok"], "the power does not validate")
     power = verdicts["power"]["result"]
-    blabels, bh = _hom(base)
     flabels, fh = _hom(fiber)
-    n = len(blabels)
-    maps = {
-        tuple(flabels[k] for k in images)
-        for images in itertools.product(range(len(flabels)), repeat=n)
-        if all(bh[i][j] <= fh[images[i]][images[j]] for i in range(n) for j in range(n))
-    }
+    maps = {tuple(flabels[k] for k in images) for images in functor_maps(_hom(base)[1], fh)}
     functors = [tuple(f) for f in power["functors"]]
     if not problems.expect(len(functors) == len(maps) and set(functors) == maps,
                            "the power does not list exactly the functors"):

@@ -118,8 +118,7 @@ def build_ccc_sweep(b: _JobList, smoke: bool) -> None:
         path = b.tnorm_file(f"ccc{k:02d}", spec)
         b.add(
             ["ccc-suite", path, "--values", ",".join(map(str, grid)), "--max-size", "2"],
-            {"kind": "ccc-suite", "tnorm": spec, "grid": [str(v) for v in grid],
-             "max_size": 2},
+            {"kind": "ccc-suite", "tnorm": spec, "grid": [str(v) for v in grid]},
             warmup=k == families.index("minimum"),
         )
 
@@ -167,8 +166,7 @@ def build_tnorm_conditions(b: _JobList, smoke: bool) -> None:
               warmup=smallest and spec["family"] == "minimum")
         if spec["family"] in FAILING:
             b.add(["ccc-suite", path, "--grid", str(res), "--max-size", "2"],
-                  {"kind": "ccc-suite", "tnorm": spec, "resolution": res,
-                   "max_size": 2},
+                  {"kind": "ccc-suite", "tnorm": spec, "resolution": res},
                   warmup=smallest and spec["family"] == "product")
 
 
@@ -193,7 +191,7 @@ def _closure(levels):
 
 
 def functor_maps(base, fiber) -> list:
-    """Index tuples of every hom-nonexpanding map base -> fiber."""
+    """Index tuples of every hom-nonexpanding map between two hom matrices."""
     n = len(base)
     return [
         images for images in itertools.product(range(len(fiber)), repeat=n)
