@@ -13,6 +13,10 @@ t-norm: per-object exponentiability, a currying/adjunction check on concrete
 triples, an explicit counterexample builder for t-norms violating the
 interchange law, and a composite cartesian-closedness verdict.
 
+For every t-norm, evaluation is a functor and currying is a bijection once
+the power is a category (``check_currying``), so the verdict turns on whether
+each power validates; the currying sweep only corroborates it.
+
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.  The triple sweep inside ``check_ccc`` maps
 hom values to integer ranks (comparisons only ever involve values from one
@@ -29,7 +33,7 @@ from functools import cached_property
 
 from .errors import BudgetError, InputError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
-from .tnorms import ConditionReport, TNorm, Witness, apply, check_c1, residuum
+from .tnorms import ConditionReport, TNorm, Witness, _sorted_grid, apply, check_c1, residuum
 
 DEFAULT_BUDGET = 10**6
 
@@ -330,11 +334,7 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
     condition is recorded, not searched: [0,1] with pointwise minimum
     distributes over arbitrary joins.
     """
-    pts = sorted({Fraction(g) for g in grid})
-    if not pts:
-        raise InputError("grid must be nonempty")
-    for v in pts:
-        check_unit(v, "grid point")
+    pts = _sorted_grid(grid)
     order = cat._sorted_indices
     n = len(cat.elements)
     for p in pts:
@@ -376,100 +376,47 @@ class _PowerContext:
     """Per-(base, fiber) state shared by every triple of the currying sweep."""
 
     def __init__(self, t: TNorm, x: RCat, y: RCat, budget: int, rank: dict):
-        self.x = x
-        self.y = y
         self.power = exponential(t, x, y, budget)
-        self.pcat = self.power.as_rcat()
-        self.invalid = validate(self.pcat, t)
+        pcat = self.power.as_rcat()
+        self.invalid = validate(pcat, t)
         if self.invalid is not None:
             return
-        self.x_m = _int_matrix(x.hom, rank)
         self.y_m = _int_matrix(y.hom, rank)
-        self.pcat_m = _int_matrix(self.pcat.hom, rank)
-        # functor labels as tuples of fiber element indices
-        self.pcat_maps = [
-            tuple(y.index(lbl) for lbl in mapping) for mapping in self.power.labels
-        ]
-        self.map_to_pcat = {m: k for k, m in enumerate(self.pcat_maps)}
-        self.ev_failure = self._check_evaluation()
-
-    def _check_evaluation(self) -> Witness | None:
-        """Evaluation (a, f) -> f(a) must be a functor x × power -> y."""
-        nx = len(self.x_m)
-        np_ = len(self.pcat_m)
-        for a1 in range(nx):
-            for f1 in range(np_):
-                img1 = self.pcat_maps[f1][a1]
-                for a2 in range(nx):
-                    ha = self.x_m[a1][a2]
-                    for f2 in range(np_):
-                        lhs = min(ha, self.pcat_m[f1][f2])
-                        if lhs > self.y_m[img1][self.pcat_maps[f2][a2]]:
-                            return Witness(
-                                (
-                                    (self.x.elements[a1], self.power.labels[f1]),
-                                    (self.x.elements[a2], self.power.labels[f2]),
-                                ),
-                                note="evaluation map is not a functor",
-                            )
-        return None
+        self.pcat_m = _int_matrix(pcat.hom, rank)
+        # power element index of each functor, keyed by its fiber image indices
+        self.map_to_pcat = {
+            tuple(y.index(lbl) for lbl in mapping): k
+            for k, mapping in enumerate(self.power.labels)
+        }
 
 
 def _currying_core(
-    ctx: _PowerContext, z: RCat, z_m, prod: RCat, prod_m, budget: int
+    ctx: _PowerContext, z_m, prod: RCat, prod_m, budget: int
 ) -> Witness | None:
-    """Bijection/uncurrying checks for one (x, y, z) triple on rank matrices."""
-    nx = len(ctx.x_m)
-    nz = len(z_m)
-    hs = _int_functors(prod_m, ctx.y_m, budget)
-    phis = _int_functors(z_m, ctx.pcat_m, budget)
-    phi_set = set(phis)
+    """Bijection test for one (x, y, z) triple on rank matrices.
 
-    transposed = set()
-    for h in hs:
-        phi = []
-        for ci in range(nz):
-            piece = h[ci * nx:(ci + 1) * nx]
-            k = ctx.map_to_pcat.get(piece)
-            if k is None:
-                return Witness(
-                    (tuple(ctx.y.elements[v] for v in h), z.elements[ci]),
-                    note="transpose slice is not a functor into the fiber",
-                )
-            if ctx.pcat_maps[k] != piece:  # pragma: no cover - dict invariant
-                raise RuntimeError("evaluation equation broken")
-            phi.append(k)
-        phi = tuple(phi)
-        for i in range(nz):
-            zi = z_m[i]
-            di = ctx.pcat_m[phi[i]]
-            for j in range(nz):
-                if zi[j] > di[phi[j]]:
-                    return Witness(
-                        (
-                            tuple(ctx.y.elements[v] for v in h),
-                            z.elements[i],
-                            z.elements[j],
-                        ),
-                        note="transpose is not a functor into the power",
-                    )
-        transposed.add(phi)
-
-    if len(transposed) != len(hs):  # pragma: no cover - slicing is injective
-        return Witness((), note="transpose is not injective")
-    if transposed != phi_set:
-        leftover = min(phi_set - transposed)
-        h_back = tuple(
-            ctx.y.elements[ctx.pcat_maps[k][ai]] for k in leftover for ai in range(nx)
-        )
-        w = is_functor(h_back, prod, ctx.y)
-        return Witness(
-            (tuple(ctx.power.labels[k] for k in leftover),) + (w.values if w else ()),
-            w.lhs if w else None,
-            w.rhs if w else None,
-            note="uncurried map is not a functor out of the product",
-        )
-    return None
+    The transposes c ↦ h(c,-) of the functors h: z×x -> y must be exactly the
+    functors z -> y^x.  Transposes always land among those (``check_currying``),
+    so on a mismatch the witness is the uncurried map of a leftover one.
+    """
+    nx = len(ctx.power.base)
+    phis = set(_int_functors(z_m, ctx.pcat_m, budget))
+    transposed = {
+        tuple(ctx.map_to_pcat[h[ci * nx:(ci + 1) * nx]] for ci in range(len(z_m)))
+        for h in _int_functors(prod_m, ctx.y_m, budget)
+    }
+    if transposed == phis:
+        return None
+    labels = ctx.power.labels
+    leftover = min(phis - transposed)
+    h_back = tuple(lbl for k in leftover for lbl in labels[k])
+    w = is_functor(h_back, prod, ctx.power.fiber)
+    return Witness(
+        (tuple(labels[k] for k in leftover),) + (w.values if w else ()),
+        w.lhs if w else None,
+        w.rhs if w else None,
+        note="uncurried map is not a functor out of the product",
+    )
 
 
 def check_currying(
@@ -477,10 +424,24 @@ def check_currying(
 ) -> Witness | None:
     """Adjunction check: functors z×x -> y correspond exactly to z -> y^x.
 
-    Verifies that the power object is itself a category, that evaluation is a
-    functor, that transposing is a bijection whose transposes are functors
-    into the power, and that every functor into the power uncurries to a
-    functor out of the product.
+    Fails when the power y^x is not a category under ``t``; otherwise tests
+    that transposing h ↦ (c ↦ h(c,-)) maps the functors z×x -> y onto the
+    functors z -> y^x.  Nothing else needs checking, for every t-norm:
+
+    * The sup defining d(f,g) is attained (``_power_hom``), so for all maps
+      f, g: x -> y and every q,  q <= d(f,g)  iff
+      q ∧ hom(a,a') <= hom(f(a), g(a')) for all a, a'.
+    * Evaluation x × y^x -> y, (a, f) ↦ f(a), is a functor: take
+      q = d(f,g) above, and the product hom is min(hom(a,a'), d(f,g)).
+    * A map h: z×x -> y is a functor exactly when each slice h(c,-) is a
+      functor and c ↦ h(c,-) does not shrink homs into (y^x, d): the functor
+      condition min(hom(c,c'), hom(a,a')) <= hom(h(c,a), h(c',a')) at c = c'
+      (hom(c,c) = 1) is functoriality of the slice, and for fixed c, c' it is
+      hom(c,c') <= d(h(c,-), h(c',-)) by the first point.
+
+    Slicing is injective, so transposing is a bijection whenever y^x is a
+    category; the test corroborates that (Clementino & Hofmann,
+    "Exponentiation in V-categories", 2006, give the general criterion).
     """
     prod = product(z, x)
     # the power hom only takes fiber hom values or 1, so rank those too
@@ -492,10 +453,8 @@ def check_currying(
             w.values, w.lhs, w.rhs,
             note=f"power object fails category axioms ({w.note})",
         )
-    if ctx.ev_failure is not None:
-        return ctx.ev_failure
     return _currying_core(
-        ctx, z, _int_matrix(z.hom, rank), prod, _int_matrix(prod.hom, rank), budget
+        ctx, _int_matrix(z.hom, rank), prod, _int_matrix(prod.hom, rank), budget
     )
 
 
@@ -594,9 +553,7 @@ def enumerate_categories(
     t: TNorm, grid, size: int, budget: int = DEFAULT_BUDGET
 ) -> list[RCat]:
     """All valid categories on {e0..e(size-1)} with off-diagonal homs from grid."""
-    pts = sorted({Fraction(g) for g in grid})
-    for v in pts:
-        check_unit(v, "grid point")
+    pts = _sorted_grid(grid)
     labels = tuple(f"e{i}" for i in range(size))
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
     count = len(pts) ** len(slots)
@@ -653,9 +610,14 @@ def check_ccc(
 ) -> CccReport:
     """Decide cartesian closedness and back the verdict with evidence.
 
-    A C1 failure is upgraded to a full counterexample bundle.  A C1 pass is
-    corroborated by running the currying check over every triple of generated
+    A C1 failure is upgraded to a full counterexample bundle.  After a C1
+    pass the decision rests on ``validate(y^x)`` for every pair of generated
     categories with at most ``max_size`` elements and hom values in ``grid``.
+    The currying bijection test over every triple (``categories**3`` on a
+    pass) only corroborates it: for every t-norm, evaluation x × y^x -> y is
+    nonexpanding by the definition of d, and h: z×x -> y is a functor exactly
+    when each slice is one and c ↦ h(c,-) is nonexpanding into (y^x, d)
+    (proofs in ``check_currying``).
     """
     c1 = check_c1(t, grid)
     if not c1.verdict:
@@ -687,12 +649,6 @@ def check_ccc(
                              f"category axioms ({w.note})",
                     ),
                 )
-            if ctx.ev_failure is not None:
-                w = ctx.ev_failure
-                return CccReport(
-                    False, c1, None, n, checked,
-                    Witness((xi, yi) + w.values, note=w.note),
-                )
             for zi, zc in enumerate(cats):
                 cached = products_cache.get((zi, xi))
                 if cached is None:
@@ -700,7 +656,7 @@ def check_ccc(
                     cached = (prod, _int_matrix(prod.hom, rank))
                     products_cache[(zi, xi)] = cached
                 prod, prod_m = cached
-                w = _currying_core(ctx, zc, z_ms[zi], prod, prod_m, budget)
+                w = _currying_core(ctx, z_ms[zi], prod, prod_m, budget)
                 checked += 1
                 if w is not None:
                     return CccReport(

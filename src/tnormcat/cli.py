@@ -113,10 +113,6 @@ def cmd_check_tnorm(args) -> RunReport:
         {"C1": c1.verdict, "C2": c2.verdict, "C3-form": extraction.ok},
         agree,
     )
-    # the axioms check and a bundle-worthy failure are different animals: only
-    # condition failures and disagreement count as violations for exit code 2
-    report.violation = (not c1.verdict) or (not c2.verdict) or (not extraction.ok) \
-        or (not axioms.verdict) or not agree
     return report
 
 
@@ -319,7 +315,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     s = subs.add_parser("ccc-suite", help="cartesian-closedness verdict")
     s.add_argument("tnorm")
     _add_common(s, budget_default)
-    s.set_defaults(handler=cmd_ccc_suite, max_size_default=2)
+    s.set_defaults(handler=cmd_ccc_suite)
 
     s = subs.add_parser("counterexample", help="build a transitivity counterexample")
     s.add_argument("tnorm")

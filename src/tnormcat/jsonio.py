@@ -22,7 +22,6 @@ from .errors import InputError
 from .rationals import format_rational, parse_rational
 from .tnorms import INTERVAL_COLLAPSE, TNorm
 from .categories import (
-    CccReport,
     CounterexampleBundle,
     PowerObject,
     RCat,
@@ -201,10 +200,6 @@ def to_jsonable(obj):
         return power_to_dict(obj)
     if isinstance(obj, CounterexampleBundle):
         return bundle_to_dict(obj)
-    if isinstance(obj, CccReport):
-        out = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
-        out["verdict"] = "pass" if obj.verdict else "fail"
-        return out
     if is_dataclass(obj) and not isinstance(obj, type):
         out = {}
         for f in fields(obj):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tnormcat import (
+    InputError,
     PreconditionError,
     RCat,
     apply,
@@ -145,6 +146,10 @@ class TestCheckCcc:
         cats3 = enumerate_categories(minimum(), (F(0), F(1)), 3)
         for cat in cats3:
             assert validate(cat, minimum()) is None
+
+    def test_category_generation_rejects_empty_grid(self):
+        with pytest.raises(InputError, match="grid must be nonempty"):
+            enumerate_categories(minimum(), [], 2)
 
 
 class TestPowerHomAgainstResiduum:

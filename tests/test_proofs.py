@@ -1,0 +1,129 @@
+"""Brute-force checks of the facts that make three checks redundant.
+
+For every t-norm, with d the sup-hom of the power y^x:
+
+(a) evaluation x × y^x -> y, (a, f) ↦ f(a), is a functor;
+(b) h ↦ (c ↦ h(c,-)) is a bijection from the functors z×x -> y onto the maps
+    z -> y^x that do not shrink homs under d;
+(c) every element of a Cauchy cycle is a bilimit of that cycle, so
+    ``is_cauchy_complete`` cannot fail on a power.
+
+None of these needs y^x to be a category, so they are also checked on the
+counterexample powers of the C1-failing families.  Maps are enumerated with
+itertools and d comes from the oracle, not from ``_int_functors`` or
+``exponential``.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from tnormcat import (
+    RCat,
+    TailSeq,
+    apply,
+    counterexample,
+    is_cauchy_complete,
+    product,
+)
+from tnormcat.completeness import FROM_SEQ, TO_SEQ
+from tnormcat.tnorms import FAMILIES
+
+from oracles import power_hom_bruteforce, tail_value_bruteforce
+
+F = Fraction
+
+GRID3 = (F(0), F(1, 2), F(1))
+
+# a C1-violating triple (p, q, u) for each family that fails C1
+C1_VIOLATIONS = {
+    "product": (F(1, 2), F(1, 2), F(1, 4)),
+    "lukasiewicz": (F(3, 4), F(3, 4), F(1, 2)),
+    "nilpotent-minimum": (F(1, 2), F(3, 4), F(1, 4)),
+}
+
+# every reflexive matrix on at most two elements is transitive for every
+# t-norm: each composite in it has a factor hom(v, v) = 1
+SMALL = [RCat(("a",), ((1,),))] + [
+    RCat(("a", "b"), ((1, u), (v, 1))) for u, v in itertools.product(GRID3, repeat=2)
+]
+
+
+def _is_functor(src: RCat, dst: RCat, images) -> bool:
+    n = len(src)
+    return all(
+        src.hom[i][j] <= dst.hom_of(images[i], images[j])
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def _functors(src: RCat, dst: RCat) -> list:
+    return [
+        m
+        for m in itertools.product(dst.elements, repeat=len(src))
+        if _is_functor(src, dst, m)
+    ]
+
+
+def _power(x: RCat, y: RCat) -> RCat:
+    maps = _functors(x, y)
+    d = tuple(tuple(power_hom_bruteforce(x, y, f, g) for g in maps) for f in maps)
+    return RCat(tuple(maps), d)
+
+
+def _is_category(cat: RCat, t) -> bool:
+    n = len(cat)
+    return all(
+        apply(t, cat.hom[j][k], cat.hom[i][j]) <= cat.hom[i][k]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def _check_facts(x: RCat, y: RCat, max_cycle: int) -> RCat:
+    """Assert facts (a)-(c) for the power y^x and return it."""
+    power = _power(x, y)
+    nx = len(x)
+
+    ev = product(x, power)
+    assert _is_functor(ev, y, tuple(f[x.index(a)] for a, f in ev.elements))
+
+    for z in SMALL:
+        hs = _functors(product(z, x), y)
+        transposes = {
+            tuple(h[ci * nx:(ci + 1) * nx] for ci in range(len(z))) for h in hs
+        }
+        assert len(transposes) == len(hs)
+        assert transposes == set(_functors(z, power))
+
+    for cycle in itertools.chain.from_iterable(
+        itertools.product(power.elements, repeat=k) for k in range(1, max_cycle + 1)
+    ):
+        if any(power.hom_of(c, c2) != 1 for c in cycle for c2 in cycle):
+            continue
+        seq = TailSeq(power, (), cycle)
+        for a in cycle:
+            assert tail_value_bruteforce(seq, a, TO_SEQ) == 1
+            assert tail_value_bruteforce(seq, a, FROM_SEQ) == 1
+    assert is_cauchy_complete(power, max_cycle) is None
+    return power
+
+
+@pytest.fixture(scope="module")
+def small_powers():
+    """Facts (a)-(c) on every pair from SMALL; none of them involves the t-norm."""
+    return [_check_facts(x, y, 3) for x, y in itertools.product(SMALL, repeat=2)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_evaluation_currying_and_cauchy_facts(all_families, small_powers, family):
+    t = all_families[family]
+    assert all(_is_category(power, t) for power in small_powers)
+
+    if family in C1_VIOLATIONS:
+        bundle = counterexample(t, *C1_VIOLATIONS[family])
+        power = _check_facts(bundle.base, bundle.fiber, 2)
+        assert not _is_category(power, t)
