@@ -8,6 +8,8 @@ verifies Cauchy/Yoneda-style completeness of finite categories and their
 function spaces at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import BudgetError, InputError, PreconditionError
 from .rationals import ONE, ZERO, format_rational, parse_rational
 from .tnorms import (
@@ -75,5 +77,6 @@ from .completeness import (
     tail_value,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ interchange law, and a composite cartesian-closedness verdict.
 
 For every t-norm, evaluation is a functor and currying is a bijection once
 the power is a category (``check_currying``), so the verdict turns on whether
-each power validates; the currying sweep only corroborates it.
+each power validates; the currying sweep only corroborates it, by testing
+that every functor z -> y^x uncurries to a functor out of z×x.
 
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.  The triple sweep inside ``check_ccc`` maps
@@ -256,6 +257,16 @@ def _int_functors(src_m, dst_m, budget: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _nonexpanding(src_m, dst_m, images) -> bool:
+    """Whether the map i ↦ images[i] never shrinks a rank-matrix entry."""
+    for row, hi in zip(src_m, images):
+        di = dst_m[hi]
+        for v, hj in zip(row, images):
+            if v > di[hj]:
+                return False
+    return True
+
+
 def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """Label tuples (in source element order) of all functors src -> dst."""
     rank = _value_rank([src.hom, dst.hom])
@@ -383,40 +394,29 @@ class _PowerContext:
             return
         self.y_m = _int_matrix(y.hom, rank)
         self.pcat_m = _int_matrix(pcat.hom, rank)
-        # power element index of each functor, keyed by its fiber image indices
-        self.map_to_pcat = {
-            tuple(y.index(lbl) for lbl in mapping): k
-            for k, mapping in enumerate(self.power.labels)
-        }
+        # fiber image indices of each power element
+        self.images = [tuple(y.index(lbl) for lbl in m) for m in self.power.labels]
 
 
 def _currying_core(
     ctx: _PowerContext, z_m, prod: RCat, prod_m, budget: int
 ) -> Witness | None:
-    """Bijection test for one (x, y, z) triple on rank matrices.
+    """Uncurrying test for one (x, y, z) triple on rank matrices.
 
-    The transposes c ↦ h(c,-) of the functors h: z×x -> y must be exactly the
-    functors z -> y^x.  Transposes always land among those (``check_currying``),
-    so on a mismatch the witness is the uncurried map of a leftover one.
+    Every functor phi: z -> y^x must uncurry to a functor (c, a) ↦ phi(c)(a)
+    out of z×x (``check_currying``); the witness is the first phi that does
+    not, in enumeration order.
     """
-    nx = len(ctx.power.base)
-    phis = set(_int_functors(z_m, ctx.pcat_m, budget))
-    transposed = {
-        tuple(ctx.map_to_pcat[h[ci * nx:(ci + 1) * nx]] for ci in range(len(z_m)))
-        for h in _int_functors(prod_m, ctx.y_m, budget)
-    }
-    if transposed == phis:
-        return None
-    labels = ctx.power.labels
-    leftover = min(phis - transposed)
-    h_back = tuple(lbl for k in leftover for lbl in labels[k])
-    w = is_functor(h_back, prod, ctx.power.fiber)
-    return Witness(
-        (tuple(labels[k] for k in leftover),) + (w.values if w else ()),
-        w.lhs if w else None,
-        w.rhs if w else None,
-        note="uncurried map is not a functor out of the product",
-    )
+    for phi in _int_functors(z_m, ctx.pcat_m, budget):
+        if _nonexpanding(prod_m, ctx.y_m, [i for k in phi for i in ctx.images[k]]):
+            continue
+        labels = ctx.power.labels
+        w = is_functor(tuple(lbl for k in phi for lbl in labels[k]), prod, ctx.power.fiber)
+        return Witness(
+            (tuple(labels[k] for k in phi),) + w.values, w.lhs, w.rhs,
+            note="uncurried map is not a functor out of the product",
+        )
+    return None
 
 
 def check_currying(
@@ -425,8 +425,9 @@ def check_currying(
     """Adjunction check: functors z×x -> y correspond exactly to z -> y^x.
 
     Fails when the power y^x is not a category under ``t``; otherwise tests
-    that transposing h ↦ (c ↦ h(c,-)) maps the functors z×x -> y onto the
-    functors z -> y^x.  Nothing else needs checking, for every t-norm:
+    that every functor phi: z -> y^x uncurries to a functor
+    (c, a) ↦ phi(c)(a) out of z×x.  Nothing else needs checking, for every
+    t-norm:
 
     * The sup defining d(f,g) is attained (``_power_hom``), so for all maps
       f, g: x -> y and every q,  q <= d(f,g)  iff
@@ -439,9 +440,11 @@ def check_currying(
       (hom(c,c) = 1) is functoriality of the slice, and for fixed c, c' it is
       hom(c,c') <= d(h(c,-), h(c',-)) by the first point.
 
-    Slicing is injective, so transposing is a bijection whenever y^x is a
-    category; the test corroborates that (Clementino & Hofmann,
-    "Exponentiation in V-categories", 2006, give the general criterion).
+    So transposing h ↦ (c ↦ h(c,-)) is injective and sends the functors
+    z×x -> y into the functors z -> y^x; it is onto them exactly when every
+    such phi uncurries to a functor, which the test corroborates
+    (Clementino & Hofmann, "Exponentiation in V-categories", 2006, give the
+    general criterion).
     """
     prod = product(z, x)
     # the power hom only takes fiber hom values or 1, so rank those too
@@ -613,12 +616,14 @@ def check_ccc(
     A C1 failure is upgraded to a full counterexample bundle.  After a C1
     pass the decision rests on ``validate(y^x)`` for every pair of generated
     categories with at most ``max_size`` elements and hom values in ``grid``.
-    The currying bijection test over every triple (``categories**3`` on a
-    pass) only corroborates it: for every t-norm, evaluation x × y^x -> y is
-    nonexpanding by the definition of d, and h: z×x -> y is a functor exactly
-    when each slice is one and c ↦ h(c,-) is nonexpanding into (y^x, d)
-    (proofs in ``check_currying``).
+    The currying test over every triple (``categories**3`` on a pass) only
+    corroborates it: for every t-norm, transposing h ↦ (c ↦ h(c,-)) is
+    injective and sends the functors z×x -> y into the functors z -> y^x, so
+    the sweep tests that each of those uncurries to a functor (proofs in
+    ``check_currying``).  ``max_size`` must be at least 1.
     """
+    if max_size < 1:
+        raise InputError(f"max size must be >= 1, got {max_size}")
     c1 = check_c1(t, grid)
     if not c1.verdict:
         bundle = counterexample(t, *c1.witness.values)

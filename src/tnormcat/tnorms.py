@@ -35,7 +35,6 @@ INTERVAL_COLLAPSE = "interval-collapse"
 FAMILIES = (MINIMUM, PRODUCT, LUKASIEWICZ, NILPOTENT_MINIMUM, INTERVAL_COLLAPSE)
 
 DEFAULT_GRID_N = 40
-DEFAULT_CONTINUITY_DEPTH = 64
 
 Interval = tuple[Fraction, Fraction]
 
@@ -360,17 +359,12 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
     return IntervalExtraction(None, report.witness)
 
 
-def verify_tnorm_axioms(
-    t: TNorm, grid, depth: int = DEFAULT_CONTINUITY_DEPTH
-) -> ConditionReport:
-    """Grid evidence for the t-norm axioms plus a left-continuity probe.
+def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
+    """Grid evidence for the t-norm axioms plus exact left continuity.
 
-    Checks commutativity, associativity, monotonicity in each argument, the
-    unit law, and left continuity at every family breakpoint.  The continuity
-    probe samples b - 1/n for n up to ``depth``; because every supported
-    family is piecewise affine in each argument, the exact left limit is the
-    affine extrapolation of the deepest samples, which the probe verifies is
-    stable before comparing it with the value at b.
+    Checks commutativity, associativity, monotonicity in each argument and
+    the unit law on the grid, and decides left continuity in p exactly at
+    every family breakpoint b, for every grid value q (``_left_limit``).
     """
     pts = _sorted_grid(grid)
     for i, p in enumerate(pts):
@@ -413,36 +407,30 @@ def verify_tnorm_axioms(
         if b == ZERO:
             continue
         for q in pts:
-            bad = _left_continuity_probe(t, b, q, depth)
-            if bad is not None:
-                return ConditionReport("axioms", False, bad, certified=False)
+            limit, value = _left_limit(t, b, q), apply(t, b, q)
+            if limit != value:
+                return ConditionReport(
+                    "axioms", False,
+                    Witness((b, q), limit, value, note="left continuity"),
+                    certified=True,
+                )
     return ConditionReport(
         "axioms", True,
-        notes=("grid evidence; left continuity probed at breakpoints "
-               f"with harmonic depth {depth}",),
+        notes=("grid evidence; left continuity decided exactly at breakpoints",),
     )
 
 
-def _left_continuity_probe(
-    t: TNorm, b: Fraction, q: Fraction, depth: int
-) -> Witness | None:
-    """Return a witness if sup_{p<b} p & q provably differs from b & q."""
-    samples = []
-    for n in range(depth - 3, depth + 1):
-        p = b - Fraction(1, n)
-        if p > ZERO:
-            samples.append((p, apply(t, p, q)))
-    if len(samples) < 2:
-        return None  # breakpoint too close to 0 to sample; nothing to decide
-    for (x1, y1), (x2, y2), (x3, y3) in zip(samples, samples[1:], samples[2:]):
-        if (y2 - y1) * (x3 - x2) != (y3 - y2) * (x2 - x1):
-            return Witness(
-                (b, q), samples[-1][1], apply(t, b, q),
-                note="left-continuity probe did not stabilize; deepen depth",
-            )
-    (x1, y1), (x2, y2) = samples[-2], samples[-1]
-    limit = y2 + (y2 - y1) / (x2 - x1) * (b - x2)
-    value = apply(t, b, q)
-    if limit != value:
-        return Witness((b, q), limit, value, note="left continuity")
-    return None
+def _left_limit(t: TNorm, b: Fraction, q: Fraction) -> Fraction:
+    """sup_{p<b} p & q for b > 0, exactly.
+
+    For fixed q every family is affine in p between consecutive points of
+    breakpoints(t) ∪ {q, 1-q}: the case split of ``apply`` changes only
+    there.  So on (c, b), with c the last such point below b, p & q is affine
+    and its limit at b extrapolates two samples.  Samples at a third and two
+    thirds of the way from c to b are spaced like b itself, so the limit is
+    2 y2 - y1.
+    """
+    c = max(v for v in breakpoints(t) + (q, ONE - q) if v < b)
+    y1 = apply(t, (2 * c + b) / 3, q)
+    y2 = apply(t, (c + 2 * b) / 3, q)
+    return 2 * y2 - y1

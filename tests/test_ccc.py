@@ -151,6 +151,11 @@ class TestCheckCcc:
         with pytest.raises(InputError, match="grid must be nonempty"):
             enumerate_categories(minimum(), [], 2)
 
+    @pytest.mark.parametrize("tnorm", [minimum(), lukasiewicz()], ids=lambda t: t.family)
+    def test_rejects_empty_sweep(self, tnorm):
+        with pytest.raises(InputError, match="max size must be >= 1"):
+            check_ccc(tnorm, (F(0), F(1, 2), F(1)), 0)
+
 
 class TestPowerHomAgainstResiduum:
     def test_two_singletons(self, all_families):

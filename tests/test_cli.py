@@ -157,6 +157,15 @@ class TestOtherCommands:
         assert code == 0
         assert parse_report(out)["verdicts"][0]["ok"]
 
+    def test_empty_sweeps_exit_1(self, files, capsys):
+        code, out, err = run(capsys, "ccc-suite", files["collapse"],
+                             "--values", "0,1/4,1/2,1", "--max-size", "0")
+        assert (code, out) == (1, "") and "max size must be >= 1" in err
+        code, out, err = run(capsys, "power-completeness", "--tnorm", files["collapse"],
+                             "--base", files["chain"], "--fiber", files["chain"],
+                             "--max-size", "-1")
+        assert (code, out) == (1, "") and "cycle budget must be >= 1" in err
+
     def test_budget_exit_code(self, files, capsys):
         code, _, err = run(capsys, "ccc-suite", files["minimum"],
                            "--values", "0,1/8,1/4,3/8,1/2,5/8,3/4,7/8,1",

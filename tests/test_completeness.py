@@ -245,6 +245,10 @@ class TestPowerCompleteness:
         with pytest.raises(PreconditionError):
             check_power_completeness(lukasiewicz(), two_chain, two_chain)
 
+    def test_rejects_empty_cycle_budget(self, two_chain):
+        with pytest.raises(InputError, match="cycle budget must be >= 1"):
+            check_power_completeness(minimum(), two_chain, two_chain, cycle_budget=0)
+
 
 class TestYonedaContinuity:
     def test_identity_functor(self, iso_pair_cat):

@@ -259,6 +259,19 @@ class TestAxioms:
         t = interval_collapse([(F(1, 4), F(1, 2))])
         assert breakpoints(t) == (F(0), F(1, 4), F(1, 2), F(1))
 
+    def test_left_continuity_exact_near_a_kink(self):
+        # p & 3/14 has a kink at p = 3/14, just below the breakpoint 2/9, so
+        # extrapolating from samples below that kink misreads the limit
+        t = interval_collapse([(F(2, 9), F(3, 10))])
+        report = verify_tnorm_axioms(t, [F(0), F(3, 14), F(2, 9), F(3, 10), F(1)])
+        assert report.verdict, report.witness
+        assert report.notes == ("grid evidence; left continuity decided exactly at breakpoints",)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=family_strategy, q=units)
+    def test_left_continuity_at_every_value(self, t, q):
+        assert verify_tnorm_axioms(t, sorted({F(0), q, F(1) - q, F(1)})).verdict
+
 
 class TestCanonicalGrid:
     def test_contains_uniform_sweep_and_breakpoints(self):
