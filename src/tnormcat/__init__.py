@@ -10,7 +10,7 @@ function spaces at desk scale.
 
 from types import ModuleType as _ModuleType
 
-from .errors import BudgetError, InputError, PreconditionError
+from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, format_rational, parse_rational
 from .tnorms import (
     ConditionReport,

@@ -19,20 +19,29 @@ each power validates; the currying sweep only corroborates it, by testing
 that every functor z -> y^x uncurries to a functor out of z×x.
 
 All witness searches scan elements in lexicographic label order, so verdicts
-are reproducible byte for byte.  The triple sweep inside ``check_ccc`` maps
-hom values to integer ranks (comparisons only ever involve values from one
-finite set), which keeps the exhaustive enumeration fast without leaving
-exact arithmetic.
+are reproducible byte for byte.  ``check_ccc`` and ``check_currying`` run on
+integer ranks end to end: every hom value of the categories involved gets its
+position in one sorted value list (``_RankTable``), and the functor tests,
+products (pointwise minimum) and the power hom d (a minimum of fiber hom
+values, or 1) only compare and take minima of those values, so on ranks they
+compute the ranks of the exact results.  Transitivity of a power also needs
+v & w, which may leave the list; one table per call holds the code of v & w
+for every pair of ranked values, even when it is a listed value and odd when
+it falls between two, and every test compares a code with a ranked hom value,
+so it decides exactly what ``validate`` decides (proof in ``_RankTable``).
+Each category of the sweep is ranked and validated once.  Fractions are
+built, through the public functions, only when a witness is reported.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BudgetError, InputError, PreconditionError
+from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
 from .tnorms import ConditionReport, TNorm, Witness, _sorted_grid, apply, check_c1, residuum
 
@@ -176,19 +185,22 @@ def terminal() -> RCat:
     return RCat(("*",), ((ONE,),))
 
 
+def _product_hom(a_hom, b_hom) -> tuple[tuple, ...]:
+    """Pointwise minimum, rows and columns in (a index, b index) order.
+
+    Only compares values, so it works on Fractions and on rank matrices alike.
+    """
+    return tuple(
+        tuple(min(u, v) for u in a_row for v in b_row)
+        for a_row in a_hom
+        for b_row in b_hom
+    )
+
+
 def product(a: RCat, b: RCat) -> RCat:
     """Carrier product with pointwise-minimum hom."""
     elements = tuple((x, y) for x in a.elements for y in b.elements)
-    hom = tuple(
-        tuple(
-            min(a.hom[i1][i2], b.hom[j1][j2])
-            for i2 in range(len(a.elements))
-            for j2 in range(len(b.elements))
-        )
-        for i1 in range(len(a.elements))
-        for j1 in range(len(b.elements))
-    )
-    return RCat(elements, hom)
+    return RCat(elements, _product_hom(a.hom, b.hom))
 
 
 def projections(a: RCat, b: RCat, prod: RCat) -> tuple[RFunctor, RFunctor]:
@@ -233,6 +245,49 @@ def _int_matrix(hom, rank) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rank[v] for v in row) for row in hom)
 
 
+class _RankTable:
+    """The hom values of some categories, ranked, and the codes of their & products.
+
+    ``values`` is the sorted set of hom values (with 1) and ``rank`` maps each
+    to its index.  ``codes[w][v]`` is the code of values[v] & values[w]: 2i
+    when it equals values[i], and 2i+1 when it lies strictly between
+    values[i] and values[i+1] (-1 below values[0]).  For every rank j,
+
+        code(r) > 2j  iff  r > values[j]:
+
+    if r = values[i] both sides say i > j; if values[i] < r < values[i+1],
+    then 2i+1 > 2j iff j <= i iff values[j] <= values[i] < r, while j >= i+1
+    gives values[j] >= values[i+1] > r.  ``is_category`` only compares a code
+    with twice the rank of a hom value, so on a rank matrix it decides
+    exactly what ``validate`` decides on the matrix of values.
+    """
+
+    def __init__(self, t: TNorm, matrices):
+        self.t = t
+        self.rank = _value_rank(list(matrices) + [((ONE,),)])
+        self.values = list(self.rank)
+        self.top = self.rank[ONE]
+        self.codes = [[self._code(apply(t, v, w)) for v in self.values] for w in self.values]
+
+    def _code(self, r: Fraction) -> int:
+        i = bisect_left(self.values, r)
+        return 2 * i if i < len(self.values) and self.values[i] == r else 2 * i - 1
+
+    def is_category(self, m) -> bool:
+        """Reflexivity and transitivity of a rank matrix (``validate``'s test)."""
+        if any(row[i] != self.top for i, row in enumerate(m)):
+            return False
+        codes = self.codes
+        for row_i in m:
+            bounds = [2 * v for v in row_i]
+            for rij, row_j in zip(row_i, m):
+                composed = codes[rij]
+                for rjk, bound in zip(row_j, bounds):
+                    if composed[rjk] > bound:
+                        return False
+        return True
+
+
 def _int_functors(src_m, dst_m, budget: int) -> list[tuple[int, ...]]:
     """Index tuples of all hom-nonexpanding maps between rank matrices."""
     n = len(src_m)
@@ -274,22 +329,21 @@ def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> li
     return [tuple(dst.elements[k] for k in images) for images in found]
 
 
-def _power_hom(base: RCat, fiber: RCat, f_images, g_images) -> Fraction:
-    """d(f,g): min fiber-hom over pairs where the base hom exceeds it, else 1.
+def _power_hom(base_hom, fiber_hom, f_images, g_images, top):
+    """d(f,g): min fiber-hom over pairs where the base hom exceeds it, else top.
 
     This realizes the supremum in the defining formula exactly: for each base
     pair the constraint on q is vacuous when hom(x,y) <= hom(f(x),g(y)) and
-    caps q at hom(f(x),g(y)) otherwise.
+    caps q at hom(f(x),g(y)) otherwise.  Only comparisons are used, so with
+    ``top`` the value (or rank) of 1 it works on Fractions and on rank
+    matrices alike.
     """
-    d = ONE
-    n = len(base.elements)
-    bhom, fhom = base.hom, fiber.hom
-    for i in range(n):
-        row = fhom[f_images[i]]
-        bi = bhom[i]
-        for j in range(n):
-            s = row[g_images[j]]
-            if bi[j] > s and s < d:
+    d = top
+    for b_row, fi in zip(base_hom, f_images):
+        row = fiber_hom[fi]
+        for b, gj in zip(b_row, g_images):
+            s = row[gj]
+            if b > s and s < d:
                 d = s
     return d
 
@@ -321,16 +375,20 @@ class PowerObject:
         return len(self.functors)
 
 
-def exponential(t: TNorm, base: RCat, fiber: RCat, budget: int = DEFAULT_BUDGET) -> PowerObject:
-    """Enumerate the functor space and compute its hom matrix in closed form."""
+def _require_valid(t: TNorm, base: RCat, fiber: RCat) -> None:
     for cat, name in ((base, "base"), (fiber, "fiber")):
         w = validate(cat, t)
         if w is not None:
             raise PreconditionError(f"{name} category is invalid at {w.values}: {w.note}")
+
+
+def exponential(t: TNorm, base: RCat, fiber: RCat, budget: int = DEFAULT_BUDGET) -> PowerObject:
+    """Enumerate the functor space and compute its hom matrix in closed form."""
+    _require_valid(t, base, fiber)
     mappings = enumerate_functors(base, fiber, budget)
     image_tuples = [tuple(fiber.index(lbl) for lbl in m) for m in mappings]
     hom = tuple(
-        tuple(_power_hom(base, fiber, fi, gi) for gi in image_tuples)
+        tuple(_power_hom(base.hom, fiber.hom, fi, gi, ONE) for gi in image_tuples)
         for fi in image_tuples
     )
     functors = tuple(RFunctor(base, fiber, m) for m in mappings)
@@ -384,39 +442,46 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
 
 
 class _PowerContext:
-    """Per-(base, fiber) state shared by every triple of the currying sweep."""
+    """The power y^x on ranks, shared by every triple of the currying sweep.
 
-    def __init__(self, t: TNorm, x: RCat, y: RCat, budget: int, rank: dict):
-        self.power = exponential(t, x, y, budget)
-        pcat = self.power.as_rcat()
-        self.invalid = validate(pcat, t)
-        if self.invalid is not None:
-            return
-        self.y_m = _int_matrix(y.hom, rank)
-        self.pcat_m = _int_matrix(pcat.hom, rank)
-        # fiber image indices of each power element
-        self.images = [tuple(y.index(lbl) for lbl in m) for m in self.power.labels]
-
-
-def _currying_core(
-    ctx: _PowerContext, z_m, prod: RCat, prod_m, budget: int
-) -> Witness | None:
-    """Uncurrying test for one (x, y, z) triple on rank matrices.
-
-    Every functor phi: z -> y^x must uncurry to a functor (c, a) ↦ phi(c)(a)
-    out of z×x (``check_currying``); the witness is the first phi that does
-    not, in enumeration order.
+    ``images`` lists the functors x -> y as fiber index tuples, in
+    ``exponential``'s order (the same comparisons, so the same enumeration);
+    ``pcat_m`` is the rank matrix of d.  ``invalid`` is None when y^x is a
+    category, else ``validate``'s witness on ``exponential(t, x, y)``, which
+    is built only then.  x and y are assumed valid.
     """
-    for phi in _int_functors(z_m, ctx.pcat_m, budget):
-        if _nonexpanding(prod_m, ctx.y_m, [i for k in phi for i in ctx.images[k]]):
-            continue
-        labels = ctx.power.labels
-        w = is_functor(tuple(lbl for k in phi for lbl in labels[k]), prod, ctx.power.fiber)
+
+    def __init__(self, table: _RankTable, x: RCat, y: RCat, x_m, y_m, budget: int):
+        self.x, self.y, self.y_m = x, y, y_m
+        self.images = _int_functors(x_m, y_m, budget)
+        self.pcat_m = tuple(
+            tuple(_power_hom(x_m, y_m, f, g, table.top) for g in self.images)
+            for f in self.images
+        )
+        self.invalid = None
+        if not table.is_category(self.pcat_m):
+            self.invalid = validate(exponential(table.t, x, y, budget).as_rcat(), table.t)
+
+    def first_failure(self, phis, prod_m):
+        """Uncurrying test for one (x, y, z) triple on rank matrices.
+
+        Every functor phi: z -> y^x must uncurry to a functor
+        (c, a) ↦ phi(c)(a) out of z×x (``check_currying``); ``phis`` lists
+        them and ``prod_m`` is the rank matrix of z×x.  Returns the first phi
+        that does not, in enumeration order, or None.
+        """
+        for phi in phis:
+            if not _nonexpanding(prod_m, self.y_m, [i for k in phi for i in self.images[k]]):
+                return phi
+        return None
+
+    def uncurry_witness(self, z: RCat, phi) -> Witness:
+        labels = [tuple(self.y.elements[i] for i in img) for img in self.images]
+        w = is_functor(tuple(lbl for k in phi for lbl in labels[k]), product(z, self.x), self.y)
         return Witness(
             (tuple(labels[k] for k in phi),) + w.values, w.lhs, w.rhs,
             note="uncurried map is not a functor out of the product",
         )
-    return None
 
 
 def check_currying(
@@ -446,19 +511,18 @@ def check_currying(
     (Clementino & Hofmann, "Exponentiation in V-categories", 2006, give the
     general criterion).
     """
-    prod = product(z, x)
-    # the power hom only takes fiber hom values or 1, so rank those too
-    rank = _value_rank([x.hom, y.hom, z.hom, prod.hom, ((ONE,),)])
-    ctx = _PowerContext(t, x, y, budget, rank)
+    _require_valid(t, x, y)
+    table = _RankTable(t, [x.hom, y.hom, z.hom])
+    x_m, z_m = _int_matrix(x.hom, table.rank), _int_matrix(z.hom, table.rank)
+    ctx = _PowerContext(table, x, y, x_m, _int_matrix(y.hom, table.rank), budget)
     if ctx.invalid is not None:
         w = ctx.invalid
         return Witness(
             w.values, w.lhs, w.rhs,
             note=f"power object fails category axioms ({w.note})",
         )
-    return _currying_core(
-        ctx, _int_matrix(z.hom, rank), prod, _int_matrix(prod.hom, rank), budget
-    )
+    phi = ctx.first_failure(_int_functors(z_m, ctx.pcat_m, budget), _product_hom(z_m, x_m))
+    return None if phi is None else ctx.uncurry_witness(z, phi)
 
 
 @dataclass(frozen=True)
@@ -518,7 +582,8 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
         )
         for w in base.elements
     )
-    assert h_vals[1] == c1_rhs
+    if h_vals[1] != c1_rhs:
+        raise InvariantError(f"h(y) = {h_vals[1]} differs from the C1 right side {c1_rhs}")
     points = sorted(set(f_vals) | set(g_vals) | set(h_vals))
     fiber = unit_interval_category(t, points)
 
@@ -527,24 +592,24 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
         fct = RFunctor(base, fiber, vals)
         w = is_functor(fct)
         if w is not None:  # pragma: no cover - holds for every t-norm
-            raise RuntimeError(f"map {name} unexpectedly fails functoriality at {w.values}")
+            raise InvariantError(f"map {name} unexpectedly fails functoriality at {w.values}")
         fs.append(fct)
     f, g, h = fs
 
     idx = {name: tuple(fiber.index(v) for v in vals)
            for name, vals in (("f", f_vals), ("g", g_vals), ("h", h_vals))}
-    d_fg = _power_hom(base, fiber, idx["f"], idx["g"])
-    d_gh = _power_hom(base, fiber, idx["g"], idx["h"])
-    d_fh = _power_hom(base, fiber, idx["f"], idx["h"])
+    d_fg = _power_hom(base.hom, fiber.hom, idx["f"], idx["g"], ONE)
+    d_gh = _power_hom(base.hom, fiber.hom, idx["g"], idx["h"], ONE)
+    d_fh = _power_hom(base.hom, fiber.hom, idx["f"], idx["h"], ONE)
     if d_fg < p or d_gh < q:  # pragma: no cover - guaranteed by construction
-        raise RuntimeError("bundle lost the lower bounds d(f,g) >= p, d(g,h) >= q")
+        raise InvariantError("bundle lost the lower bounds d(f,g) >= p, d(g,h) >= q")
 
     trans_lhs = apply(t, d_fg, d_gh)
     trans_rhs = d_fh
     capped_lhs = min(trans_lhs, u)
     capped_rhs = min(trans_rhs, u)
     if capped_lhs <= capped_rhs:  # pragma: no cover - guaranteed by construction
-        raise RuntimeError("bundle failed to certify the transitivity violation")
+        raise InvariantError("bundle failed to certify the transitivity violation")
     return CounterexampleBundle(
         t, p, q, u, base, fiber, f, g, h,
         d_fg, d_gh, d_fh, c1_lhs, c1_rhs,
@@ -621,6 +686,15 @@ def check_ccc(
     injective and sends the functors z×x -> y into the functors z -> y^x, so
     the sweep tests that each of those uncurries to a functor (proofs in
     ``check_currying``).  ``max_size`` must be at least 1.
+
+    The sweep runs on ranks.  Each category is validated once, by
+    ``enumerate_categories``, and ranked once; the powers and the products
+    z×x are built once per pair as rank matrices, and the functors z -> y^x
+    once per z and distinct power matrix.  Whether y^x is a category is
+    decided from one table of & codes (even for a ranked value, odd between
+    two), which is exact because every test compares a code with a ranked
+    hom value (``_RankTable``).  Fractions appear again only in a witness,
+    built by ``exponential``, ``validate``, ``product`` and ``is_functor``.
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
@@ -637,13 +711,16 @@ def check_ccc(
     if triples > budget:
         raise BudgetError(triples, budget, "category triple sweep")
 
-    rank = _value_rank([cat.hom for cat in cats] + [((ZERO, ONE),)])
-    z_ms = [_int_matrix(cat.hom, rank) for cat in cats]
-    products_cache: dict[tuple[int, int], tuple[RCat, tuple]] = {}
+    table = _RankTable(t, [cat.hom for cat in cats])
+    ms = [_int_matrix(cat.hom, table.rank) for cat in cats]
+    # functors z -> y^x depend only on z and the power's rank matrix, which
+    # many pairs (x, y) share
+    phis_cache: dict[tuple, dict[int, list]] = {}
     checked = 0
     for xi, x in enumerate(cats):
+        prod_ms = [_product_hom(z_m, ms[xi]) for z_m in ms]
         for yi, y in enumerate(cats):
-            ctx = _PowerContext(t, x, y, budget, rank)
+            ctx = _PowerContext(table, x, y, ms[xi], ms[yi], budget)
             if ctx.invalid is not None:
                 w = ctx.invalid
                 return CccReport(
@@ -654,16 +731,15 @@ def check_ccc(
                              f"category axioms ({w.note})",
                     ),
                 )
+            phis_by_z = phis_cache.setdefault(ctx.pcat_m, {})
             for zi, zc in enumerate(cats):
-                cached = products_cache.get((zi, xi))
-                if cached is None:
-                    prod = product(zc, x)
-                    cached = (prod, _int_matrix(prod.hom, rank))
-                    products_cache[(zi, xi)] = cached
-                prod, prod_m = cached
-                w = _currying_core(ctx, z_ms[zi], prod, prod_m, budget)
+                phis = phis_by_z.get(zi)
+                if phis is None:
+                    phis = phis_by_z[zi] = _int_functors(ms[zi], ctx.pcat_m, budget)
+                phi = ctx.first_failure(phis, prod_ms[zi])
                 checked += 1
-                if w is not None:
+                if phi is not None:
+                    w = ctx.uncurry_witness(zc, phi)
                     return CccReport(
                         False, c1, None, n, checked,
                         Witness(

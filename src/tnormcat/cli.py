@@ -5,7 +5,8 @@ power-completeness.  Reports are JSON by default (deterministic modulo the
 timing field) with a text renderer behind --format text.
 
 Exit codes: 0 clean run, 1 input/precondition error, 2 violation found while
---fail-on-violation is set, 3 enumeration budget exceeded.  The env var
+--fail-on-violation is set, 3 enumeration budget exceeded, 4 internal fault
+(a failed certificate or invariant, or any other RuntimeError).  The env var
 TNORMCAT_BUDGET overrides the default enumeration budget.
 """
 
@@ -360,6 +361,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:  # InvariantError and other internal faults
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     report.timing_ms = int((time.perf_counter() - start) * 1000)
     _emit(report, args)
     if args.fail_on_violation and report.violation:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE
 from .tnorms import ConditionReport, TNorm, Witness, canonical_grid, check_c1
 from .categories import DEFAULT_BUDGET, RCat, RFunctor, exponential, product
@@ -120,7 +120,7 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
 
     A returned witness also satisfies the defining equalities
     hom(a,x) = tail-from(x) and hom(x,a) = tail-to(x) for every x, which the
-    certificate records and asserts.
+    certificate records and checks.
     """
     cat = seq.carrier
     for a in cat.elements:
@@ -134,8 +134,9 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
                     cat.hom_of(x, a),
                     tail_value(seq, x, TO_SEQ),
                 )
-                assert row.hom_from_witness == row.tail_from_seq
-                assert row.hom_to_witness == row.tail_to_seq
+                if (row.hom_from_witness != row.tail_from_seq
+                        or row.hom_to_witness != row.tail_to_seq):
+                    raise InvariantError(f"bilimit {a!r} fails its certificate at {x!r}")
                 rows.append(row)
             return LimitVerdict("bilimit", a, tuple(rows))
     return LimitVerdict("none", None)
@@ -291,7 +292,8 @@ def check_yoneda_continuity(f: RFunctor, seqs) -> Witness | None:
             tuple(f(lbl) for lbl in seq.prefix),
             tuple(f(lbl) for lbl in seq.cycle),
         )
-        assert is_forward_cauchy(image) is None
+        if is_forward_cauchy(image) is not None:
+            raise InvariantError(f"image of forward-Cauchy sequence {i} is not forward Cauchy")
         img_limit = find_yoneda_limit(image)
         if img_limit.kind == "none":
             return Witness(

@@ -19,3 +19,11 @@ class BudgetError(RuntimeError):
         super().__init__(
             f"{what} needs {required} candidates but the budget is {budget}"
         )
+
+
+class InvariantError(RuntimeError):
+    """A certificate or internal invariant failed: a fault in this package.
+
+    Raised explicitly, unlike ``assert``, so the checks also run under
+    ``python -O``.
+    """

@@ -6,6 +6,7 @@ from tnormcat import (
     InputError,
     PreconditionError,
     RCat,
+    Witness,
     apply,
     canonical_grid,
     check_c1,
@@ -24,6 +25,7 @@ from tnormcat import (
     terminal,
     validate,
 )
+from tnormcat.categories import _int_matrix, _PowerContext, _product_hom, _RankTable
 
 from oracles import c1_sides, power_hom_bruteforce
 
@@ -66,8 +68,29 @@ class TestCheckCurrying:
         t = lukasiewicz()
         bundle = counterexample(t, F(9, 10), F(9, 10), F(1, 2))
         w = check_currying(t, bundle.base, bundle.fiber, bundle.base)
-        assert w is not None
-        assert "power object fails category axioms" in w.note
+        assert w == Witness(
+            ((F(1), F(1, 2)), (F(4, 5), F(1, 2)), (F(1, 2), F(2, 5))),
+            F(1, 2),
+            F(2, 5),
+            note="power object fails category axioms (transitivity)",
+        )
+
+    def test_uncurry_witness(self, two_chain):
+        # phi swaps the elements of y^1 ≅ y, so it shrinks hom(x,y) = 1/2 to 0;
+        # no functor z -> y^x does that, so the sweep never reaches this branch
+        table = _RankTable(minimum(), [two_chain.hom])
+        one_m = _int_matrix(terminal().hom, table.rank)
+        chain_m = _int_matrix(two_chain.hom, table.rank)
+        ctx = _PowerContext(table, terminal(), two_chain, one_m, chain_m, 10)
+        assert ctx.invalid is None and ctx.images == [(0,), (1,)]
+        phi = ctx.first_failure([(0, 1), (1, 0)], _product_hom(chain_m, one_m))
+        assert phi == (1, 0)
+        assert ctx.uncurry_witness(two_chain, phi) == Witness(
+            ((("y",), ("x",)), ("x", "*"), ("y", "*")),
+            F(1, 2),
+            F(0),
+            note="uncurried map is not a functor out of the product",
+        )
 
 
 class TestCounterexample:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tnormcat import InvariantError, cli
 from tnormcat.cli import main
 
 
@@ -177,6 +178,20 @@ class TestOtherCommands:
         code, _, err = run(capsys, "exp", "--tnorm", files["minimum"],
                            "--base", files["chain"], "--fiber", files["chain"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "fault", [InvariantError("broken certificate"), RuntimeError("boom")],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_internal_fault_exit_4(self, files, capsys, monkeypatch, fault):
+        def broken(*args):
+            raise fault
+
+        monkeypatch.setattr(cli, "counterexample", broken)
+        code, out, err = run(capsys, "counterexample", files["lukasiewicz"],
+                             "9/10", "9/10", "1/2")
+        assert (code, out) == (4, "")
+        assert f"internal error: {type(fault).__name__}: {fault}" in err
 
     def test_output_file(self, files, capsys, tmp_path):
         out_path = tmp_path / "report.json"

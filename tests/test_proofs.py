@@ -15,21 +15,36 @@ None of these needs y^x to be a category, so they are also checked on the
 counterexample powers of the C1-failing families.  Maps are enumerated with
 itertools and d comes from the oracle, not from ``_int_functors`` or
 ``exponential``.
+
+The rank power that ``check_ccc`` and ``check_currying`` sweep is checked
+against ``exponential`` and ``validate`` on the same pairs and on random
+categories: the same functors in the same order, the ranks of the same d
+matrix, and the same verdict and witness, including for norms whose & leaves
+the ranked values (odd codes).
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnormcat import (
     RCat,
     TailSeq,
     apply,
+    check_c1,
     counterexample,
+    exponential,
+    interval_collapse,
     is_cauchy_complete,
+    min_transitive_closure,
     product,
+    product_tnorm,
+    validate,
 )
+from tnormcat.categories import DEFAULT_BUDGET, _int_matrix, _PowerContext, _RankTable
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
@@ -148,3 +163,74 @@ def test_evaluation_currying_and_cauchy_facts(all_families, small_powers, family
         bundle = counterexample(t, *C1_VIOLATIONS[family])
         power = _check_facts(bundle.base, bundle.fiber, 2)
         assert not _is_category(power, t)
+
+
+def _check_rank_power(t, x: RCat, y: RCat):
+    """Assert the rank power agrees with ``exponential``; return its witness."""
+    table = _RankTable(t, [x.hom, y.hom])
+    x_m, y_m = _int_matrix(x.hom, table.rank), _int_matrix(y.hom, table.rank)
+    ctx = _PowerContext(table, x, y, x_m, y_m, DEFAULT_BUDGET)
+    power = exponential(t, x, y)
+    assert [tuple(y.elements[i] for i in f) for f in ctx.images] == list(power.labels)
+    assert ctx.pcat_m == _int_matrix(power.hom, table.rank)
+    w = validate(power.as_rcat(), t)
+    assert table.is_category(ctx.pcat_m) == (w is None)
+    assert ctx.invalid == w
+    return w
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rank_power_matches_exponential(all_families, family):
+    t = all_families[family]
+    for x, y in itertools.product(SMALL, repeat=2):
+        assert _check_rank_power(t, x, y) is None
+    if family in C1_VIOLATIONS:
+        bundle = counterexample(t, *C1_VIOLATIONS[family])
+        assert _check_rank_power(t, bundle.base, bundle.fiber) is not None
+
+
+@pytest.mark.parametrize(
+    "t", [product_tnorm(), interval_collapse([(F(1, 5), F(1, 2))])], ids=lambda t: t.family
+)
+def test_and_codes_off_the_ranked_values(t):
+    # 1/2 & 1/2 is 1/4 or 1/5: between 0 and 1/2, or below 1/2 when 0 is absent
+    half = F(1, 2)
+    assert _RankTable(t, [((1, half), (0, 1))]).codes[1][1] == 1
+    assert _RankTable(t, [((1, half), (half, 1))]).codes[0][0] == -1
+
+
+grids = st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def matrices(draw, grid, max_n=3):
+    n = draw(st.integers(1, max_n))
+    return [[draw(st.sampled_from(grid)) for _ in range(n)] for _ in range(n)]
+
+
+def _cat(hom) -> RCat:
+    return RCat(tuple(f"v{i}" for i in range(len(hom))), hom)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(FAMILIES), data=st.data())
+def test_rank_power_matches_exponential_on_random_categories(all_families, family, data):
+    t = all_families[family]
+    grid = data.draw(grids)
+    x, y = (_cat(min_transitive_closure(data.draw(matrices(grid)))) for _ in range(2))
+    _check_rank_power(t, x, y)
+    # powers of min-transitive categories are categories; failing ones come
+    # from the counterexample of a C1-violating triple of the grid
+    c1 = check_c1(t, grid)
+    if not c1.verdict:
+        bundle = counterexample(t, *c1.witness.values)
+        assert _check_rank_power(t, bundle.base, bundle.fiber) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), data=st.data())
+def test_rank_validation_matches_validate(all_families, family, data):
+    t = all_families[family]
+    cat = _cat(data.draw(matrices(data.draw(grids), max_n=4)))
+    table = _RankTable(t, [cat.hom])
+    assert table.is_category(_int_matrix(cat.hom, table.rank)) == (validate(cat, t) is None)
