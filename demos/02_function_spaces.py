@@ -1,8 +1,9 @@
 """Building products and function spaces, and testing the currying adjunction.
 
 Under a collapsing t-norm the space of functors with the sup-hom d really is
-a category and currying is a bijection; the demo verifies this exhaustively
-for every triple of two-element categories over a small value grid.
+a category, and currying is a bijection for every t-norm; the demo validates
+the power of every pair of categories with at most two elements over a small
+value grid.
 """
 
 from fractions import Fraction as F

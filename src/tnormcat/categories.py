@@ -13,24 +13,25 @@ t-norm: per-object exponentiability, a currying/adjunction check on concrete
 triples, an explicit counterexample builder for t-norms violating the
 interchange law, and a composite cartesian-closedness verdict.
 
-For every t-norm, evaluation is a functor and currying is a bijection once
-the power is a category (``check_currying``), so the verdict turns on whether
-each power validates; the currying sweep only corroborates it, by testing
-that every functor z -> y^x uncurries to a functor out of z×x.
+For every t-norm, evaluation is a functor and currying is a bijection from
+the functors z×x -> y onto the functors z -> y^x, whether or not the power
+y^x is a category (proof in ``check_currying``).  So the verdict turns on
+whether each power validates, and ``check_ccc`` decides it with one sweep
+over the pairs (x, y).
 
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.  ``check_ccc`` and ``check_currying`` run on
 integer ranks end to end: every hom value of the categories involved gets its
-position in one sorted value list (``_RankTable``), and the functor tests,
-products (pointwise minimum) and the power hom d (a minimum of fiber hom
-values, or 1) only compare and take minima of those values, so on ranks they
-compute the ranks of the exact results.  Transitivity of a power also needs
-v & w, which may leave the list; one table per call holds the code of v & w
-for every pair of ranked values, even when it is a listed value and odd when
-it falls between two, and every test compares a code with a ranked hom value,
-so it decides exactly what ``validate`` decides (proof in ``_RankTable``).
-Each category of the sweep is ranked and validated once.  Fractions are
-built, through the public functions, only when a witness is reported.
+position in one sorted value list (``_RankTable``), and the functor tests and
+the power hom d (a minimum of fiber hom values, or 1) only compare and take
+minima of those values, so on ranks they compute the ranks of the exact
+results.  Transitivity of a power also needs v & w, which may leave the list;
+one table per call holds the code of v & w for every pair of ranked values,
+even when it is a listed value and odd when it falls between two, and every
+test compares a code with a ranked hom value, so it decides exactly what
+``validate`` decides (proof in ``_RankTable``).  Each category of the sweep
+is ranked and validated once.  Fractions are built, through the public
+functions, only when a witness is reported.
 """
 
 from __future__ import annotations
@@ -185,22 +186,15 @@ def terminal() -> RCat:
     return RCat(("*",), ((ONE,),))
 
 
-def _product_hom(a_hom, b_hom) -> tuple[tuple, ...]:
-    """Pointwise minimum, rows and columns in (a index, b index) order.
-
-    Only compares values, so it works on Fractions and on rank matrices alike.
-    """
-    return tuple(
-        tuple(min(u, v) for u in a_row for v in b_row)
-        for a_row in a_hom
-        for b_row in b_hom
-    )
-
-
 def product(a: RCat, b: RCat) -> RCat:
     """Carrier product with pointwise-minimum hom."""
     elements = tuple((x, y) for x in a.elements for y in b.elements)
-    return RCat(elements, _product_hom(a.hom, b.hom))
+    hom = tuple(
+        tuple(min(u, v) for u in a_row for v in b_row)
+        for a_row in a.hom
+        for b_row in b.hom
+    )
+    return RCat(elements, hom)
 
 
 def projections(a: RCat, b: RCat, prod: RCat) -> tuple[RFunctor, RFunctor]:
@@ -310,16 +304,6 @@ def _int_functors(src_m, dst_m, budget: int) -> list[tuple[int, ...]]:
         if ok:
             out.append(images)
     return out
-
-
-def _nonexpanding(src_m, dst_m, images) -> bool:
-    """Whether the map i ↦ images[i] never shrinks a rank-matrix entry."""
-    for row, hi in zip(src_m, images):
-        di = dst_m[hi]
-        for v, hj in zip(row, images):
-            if v > di[hj]:
-                return False
-    return True
 
 
 def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> list[tuple]:
@@ -441,8 +425,8 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
     )
 
 
-class _PowerContext:
-    """The power y^x on ranks, shared by every triple of the currying sweep.
+def _rank_power(table: _RankTable, x: RCat, y: RCat, x_m, y_m, budget: int):
+    """The power y^x on ranks: ``(images, pcat_m, invalid)``.
 
     ``images`` lists the functors x -> y as fiber index tuples, in
     ``exponential``'s order (the same comparisons, so the same enumeration);
@@ -450,38 +434,25 @@ class _PowerContext:
     category, else ``validate``'s witness on ``exponential(t, x, y)``, which
     is built only then.  x and y are assumed valid.
     """
+    images = _int_functors(x_m, y_m, budget)
+    pcat_m = tuple(
+        tuple(_power_hom(x_m, y_m, f, g, table.top) for g in images) for f in images
+    )
+    invalid = None
+    if not table.is_category(pcat_m):
+        invalid = validate(exponential(table.t, x, y, budget).as_rcat(), table.t)
+    return images, pcat_m, invalid
 
-    def __init__(self, table: _RankTable, x: RCat, y: RCat, x_m, y_m, budget: int):
-        self.x, self.y, self.y_m = x, y, y_m
-        self.images = _int_functors(x_m, y_m, budget)
-        self.pcat_m = tuple(
-            tuple(_power_hom(x_m, y_m, f, g, table.top) for g in self.images)
-            for f in self.images
-        )
-        self.invalid = None
-        if not table.is_category(self.pcat_m):
-            self.invalid = validate(exponential(table.t, x, y, budget).as_rcat(), table.t)
 
-    def first_failure(self, phis, prod_m):
-        """Uncurrying test for one (x, y, z) triple on rank matrices.
+def _check_map_budget(power_size: int, z_sizes, budget: int) -> None:
+    """Raise where enumerating the functors z -> y^x would exceed ``budget``.
 
-        Every functor phi: z -> y^x must uncurry to a functor
-        (c, a) ↦ phi(c)(a) out of z×x (``check_currying``); ``phis`` lists
-        them and ``prod_m`` is the rank matrix of z×x.  Returns the first phi
-        that does not, in enumeration order, or None.
-        """
-        for phi in phis:
-            if not _nonexpanding(prod_m, self.y_m, [i for k in phi for i in self.images[k]]):
-                return phi
-        return None
-
-    def uncurry_witness(self, z: RCat, phi) -> Witness:
-        labels = [tuple(self.y.elements[i] for i in img) for img in self.images]
-        w = is_functor(tuple(lbl for k in phi for lbl in labels[k]), product(z, self.x), self.y)
-        return Witness(
-            (tuple(labels[k] for k in phi),) + w.values, w.lhs, w.rhs,
-            note="uncurried map is not a functor out of the product",
-        )
+    That enumeration needs power_size**len(z) candidates; the first z size in
+    ``z_sizes`` whose count is over budget is reported.
+    """
+    for size in z_sizes:
+        if power_size**size > budget:
+            raise BudgetError(power_size**size, budget, "map enumeration")
 
 
 def check_currying(
@@ -489,9 +460,8 @@ def check_currying(
 ) -> Witness | None:
     """Adjunction check: functors z×x -> y correspond exactly to z -> y^x.
 
-    Fails when the power y^x is not a category under ``t``; otherwise tests
-    that every functor phi: z -> y^x uncurries to a functor
-    (c, a) ↦ phi(c)(a) out of z×x.  Nothing else needs checking, for every
+    Returns None when the power y^x is a category under ``t``, else the first
+    violation of its category axioms.  Nothing else can fail, for every
     t-norm:
 
     * The sup defining d(f,g) is attained (``_power_hom``), so for all maps
@@ -499,30 +469,36 @@ def check_currying(
       q ∧ hom(a,a') <= hom(f(a), g(a')) for all a, a'.
     * Evaluation x × y^x -> y, (a, f) ↦ f(a), is a functor: take
       q = d(f,g) above, and the product hom is min(hom(a,a'), d(f,g)).
-    * A map h: z×x -> y is a functor exactly when each slice h(c,-) is a
+    * A map h: z×x -> y is a functor if and only if each slice h(c,-) is a
       functor and c ↦ h(c,-) does not shrink homs into (y^x, d): the functor
       condition min(hom(c,c'), hom(a,a')) <= hom(h(c,a), h(c',a')) at c = c'
       (hom(c,c) = 1) is functoriality of the slice, and for fixed c, c' it is
       hom(c,c') <= d(h(c,-), h(c',-)) by the first point.
 
-    So transposing h ↦ (c ↦ h(c,-)) is injective and sends the functors
-    z×x -> y into the functors z -> y^x; it is onto them exactly when every
-    such phi uncurries to a functor, which the test corroborates
-    (Clementino & Hofmann, "Exponentiation in V-categories", 2006, give the
-    general criterion).
+    So transposing h ↦ (c ↦ h(c,-)) is a bijection from the functors
+    z×x -> y onto the functors z -> y^x, whether or not y^x is a category:
+    it is injective, the third point read left to right sends functors to
+    functors, and read right to left it uncurries every functor phi: z -> y^x
+    to the functor (c, a) ↦ phi(c)(a) (Clementino & Hofmann, "Exponentiation
+    in V-categories", 2006, give the general criterion).
+    ``tests/test_proofs.py`` checks the bijection by brute force.
+
+    ``z`` is only counted: enumerating the functors z -> y^x needs
+    len(y^x)**len(z) candidates, and ``BudgetError`` is raised when that
+    exceeds ``budget`` on a valid power.
     """
     _require_valid(t, x, y)
-    table = _RankTable(t, [x.hom, y.hom, z.hom])
-    x_m, z_m = _int_matrix(x.hom, table.rank), _int_matrix(z.hom, table.rank)
-    ctx = _PowerContext(table, x, y, x_m, _int_matrix(y.hom, table.rank), budget)
-    if ctx.invalid is not None:
-        w = ctx.invalid
+    table = _RankTable(t, [x.hom, y.hom])
+    images, _, w = _rank_power(
+        table, x, y, _int_matrix(x.hom, table.rank), _int_matrix(y.hom, table.rank), budget
+    )
+    if w is not None:
         return Witness(
             w.values, w.lhs, w.rhs,
             note=f"power object fails category axioms ({w.note})",
         )
-    phi = ctx.first_failure(_int_functors(z_m, ctx.pcat_m, budget), _product_hom(z_m, x_m))
-    return None if phi is None else ctx.uncurry_witness(z, phi)
+    _check_map_budget(len(images), (len(z),), budget)
+    return None
 
 
 @dataclass(frozen=True)
@@ -663,7 +639,13 @@ def min_transitive_closure(hom) -> tuple[tuple[Fraction, ...], ...]:
 
 @dataclass(frozen=True)
 class CccReport:
-    """Composite cartesian-closedness verdict for one t-norm."""
+    """Composite cartesian-closedness verdict for one t-norm.
+
+    ``triples_checked`` is the number of triples (x, y, z) of generated
+    categories that the theorem settles: currying is a bijection for every
+    triple whose power y^x validated (``check_currying``), so it counts
+    ``categories`` triples per pair swept before any failure.
+    """
 
     verdict: bool
     c1: ConditionReport
@@ -679,22 +661,27 @@ def check_ccc(
     """Decide cartesian closedness and back the verdict with evidence.
 
     A C1 failure is upgraded to a full counterexample bundle.  After a C1
-    pass the decision rests on ``validate(y^x)`` for every pair of generated
-    categories with at most ``max_size`` elements and hom values in ``grid``.
-    The currying test over every triple (``categories**3`` on a pass) only
-    corroborates it: for every t-norm, transposing h ↦ (c ↦ h(c,-)) is
-    injective and sends the functors z×x -> y into the functors z -> y^x, so
-    the sweep tests that each of those uncurries to a functor (proofs in
-    ``check_currying``).  ``max_size`` must be at least 1.
+    pass the verdict is whether y^x validates for every pair (x, y) of
+    generated categories with at most ``max_size`` elements and hom values
+    in ``grid``; the first pair whose power fails is the witness.  Nothing
+    else is tested: for every t-norm, evaluation is a functor and currying
+    is a bijection from the functors z×x -> y onto the functors z -> y^x,
+    whether or not y^x is a category (proofs in ``check_currying``).  So
+    every triple of a pair is settled with its power, and
+    ``triples_checked`` is ``categories**3`` on a pass.  ``max_size`` must
+    be at least 1.
 
     The sweep runs on ranks.  Each category is validated once, by
-    ``enumerate_categories``, and ranked once; the powers and the products
-    z×x are built once per pair as rank matrices, and the functors z -> y^x
-    once per z and distinct power matrix.  Whether y^x is a category is
-    decided from one table of & codes (even for a ranked value, odd between
-    two), which is exact because every test compares a code with a ranked
-    hom value (``_RankTable``).  Fractions appear again only in a witness,
-    built by ``exponential``, ``validate``, ``product`` and ``is_functor``.
+    ``enumerate_categories``, and ranked once; each power is built once per
+    pair as a rank matrix, and whether it is a category is decided from one
+    table of & codes (even for a ranked value, odd between two), which is
+    exact because every test compares a code with a ranked hom value
+    (``_RankTable``).  Fractions appear again only in a witness, built by
+    ``exponential`` and ``validate``.
+
+    The budget bounds the categories of each size, the ``categories**3``
+    triples, the maps x -> y of each pair and, for each valid power, the
+    maps z -> y^x that currying relates (``check_currying``).
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
@@ -713,38 +700,18 @@ def check_ccc(
 
     table = _RankTable(t, [cat.hom for cat in cats])
     ms = [_int_matrix(cat.hom, table.rank) for cat in cats]
-    # functors z -> y^x depend only on z and the power's rank matrix, which
-    # many pairs (x, y) share
-    phis_cache: dict[tuple, dict[int, list]] = {}
-    checked = 0
+    z_sizes = sorted({len(z) for z in cats})
     for xi, x in enumerate(cats):
-        prod_ms = [_product_hom(z_m, ms[xi]) for z_m in ms]
         for yi, y in enumerate(cats):
-            ctx = _PowerContext(table, x, y, ms[xi], ms[yi], budget)
-            if ctx.invalid is not None:
-                w = ctx.invalid
+            images, _, w = _rank_power(table, x, y, ms[xi], ms[yi], budget)
+            if w is not None:
                 return CccReport(
-                    False, c1, None, n, checked,
+                    False, c1, None, n, (xi * n + yi) * n,
                     Witness(
                         (xi, yi) + w.values, w.lhs, w.rhs,
                         note=f"power object for pair ({xi},{yi}) fails "
                              f"category axioms ({w.note})",
                     ),
                 )
-            phis_by_z = phis_cache.setdefault(ctx.pcat_m, {})
-            for zi, zc in enumerate(cats):
-                phis = phis_by_z.get(zi)
-                if phis is None:
-                    phis = phis_by_z[zi] = _int_functors(ms[zi], ctx.pcat_m, budget)
-                phi = ctx.first_failure(phis, prod_ms[zi])
-                checked += 1
-                if phi is not None:
-                    w = ctx.uncurry_witness(zc, phi)
-                    return CccReport(
-                        False, c1, None, n, checked,
-                        Witness(
-                            (xi, yi, zi) + w.values, w.lhs, w.rhs,
-                            note=f"currying failed on triple ({xi},{yi},{zi}): {w.note}",
-                        ),
-                    )
-    return CccReport(True, c1, None, n, checked)
+            _check_map_budget(len(images), z_sizes, budget)
+    return CccReport(True, c1, None, n, triples)

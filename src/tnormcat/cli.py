@@ -75,16 +75,16 @@ def _default_budget() -> int:
 
 
 def _parse_values(raw: str) -> list:
+    if not raw.strip():
+        raise InputError("--values must list at least one rational")
     vals = []
     for k, chunk in enumerate(raw.split(",")):
         vals.append(parse_rational(chunk, f"--values[{k}]"))
-    if not vals:
-        raise InputError("--values must list at least one rational")
     return vals
 
 
 def _grid_for(args, t):
-    if getattr(args, "values", None):
+    if getattr(args, "values", None) is not None:
         return _parse_values(args.values)
     return canonical_grid(t, args.grid)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tnormcat import (
+    BudgetError,
     InputError,
     PreconditionError,
     RCat,
@@ -25,7 +26,6 @@ from tnormcat import (
     terminal,
     validate,
 )
-from tnormcat.categories import _int_matrix, _PowerContext, _product_hom, _RankTable
 
 from oracles import c1_sides, power_hom_bruteforce
 
@@ -64,6 +64,12 @@ class TestCheckCurrying:
     def test_minimum_two_chains(self, two_chain):
         assert check_currying(minimum(), two_chain, two_chain, two_chain) is None
 
+    def test_budget_counts_maps_into_the_power(self, two_chain):
+        # y^1 has 2 elements, so there are 2**2 maps from z = two_chain
+        with pytest.raises(BudgetError) as exc:
+            check_currying(minimum(), terminal(), two_chain, two_chain, budget=3)
+        assert str(exc.value) == "map enumeration needs 4 candidates but the budget is 3"
+
     def test_counterexample_categories_fail(self):
         t = lukasiewicz()
         bundle = counterexample(t, F(9, 10), F(9, 10), F(1, 2))
@@ -73,23 +79,6 @@ class TestCheckCurrying:
             F(1, 2),
             F(2, 5),
             note="power object fails category axioms (transitivity)",
-        )
-
-    def test_uncurry_witness(self, two_chain):
-        # phi swaps the elements of y^1 ≅ y, so it shrinks hom(x,y) = 1/2 to 0;
-        # no functor z -> y^x does that, so the sweep never reaches this branch
-        table = _RankTable(minimum(), [two_chain.hom])
-        one_m = _int_matrix(terminal().hom, table.rank)
-        chain_m = _int_matrix(two_chain.hom, table.rank)
-        ctx = _PowerContext(table, terminal(), two_chain, one_m, chain_m, 10)
-        assert ctx.invalid is None and ctx.images == [(0,), (1,)]
-        phi = ctx.first_failure([(0, 1), (1, 0)], _product_hom(chain_m, one_m))
-        assert phi == (1, 0)
-        assert ctx.uncurry_witness(two_chain, phi) == Witness(
-            ((("y",), ("x",)), ("x", "*"), ("y", "*")),
-            F(1, 2),
-            F(0),
-            note="uncurried map is not a functor out of the product",
         )
 
 
@@ -178,6 +167,22 @@ class TestCheckCcc:
     def test_rejects_empty_sweep(self, tnorm):
         with pytest.raises(InputError, match="max size must be >= 1"):
             check_ccc(tnorm, (F(0), F(1, 2), F(1)), 0)
+
+    @pytest.mark.parametrize("budget, message", [
+        (7, "category triple sweep needs 8 candidates but the budget is 7"),
+        (8, "map enumeration needs 16 candidates but the budget is 8"),
+        (15, "map enumeration needs 16 candidates but the budget is 15"),
+    ])
+    def test_sweep_budget(self, budget, message):
+        # the discrete categories of sizes 1 and 2; the power of the
+        # 2-element one over itself has 4 elements, so 4**2 maps from z = it
+        with pytest.raises(BudgetError) as exc:
+            check_ccc(minimum(), [F(0)], 2, budget)
+        assert str(exc.value) == message
+
+    def test_sweep_fits_budget(self):
+        report = check_ccc(minimum(), [F(0)], 2, 16)
+        assert report.verdict and report.triples_checked == 8
 
 
 class TestPowerHomAgainstResiduum:

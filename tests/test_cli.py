@@ -167,6 +167,10 @@ class TestOtherCommands:
                              "--max-size", "-1")
         assert (code, out) == (1, "") and "cycle budget must be >= 1" in err
 
+    def test_blank_values_exit_1(self, files, capsys):
+        code, out, err = run(capsys, "ccc-suite", files["minimum"], "--values", "")
+        assert (code, out) == (1, "") and "--values must list at least one rational" in err
+
     def test_budget_exit_code(self, files, capsys):
         code, _, err = run(capsys, "ccc-suite", files["minimum"],
                            "--values", "0,1/8,1/4,3/8,1/2,5/8,3/4,7/8,1",

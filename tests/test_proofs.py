@@ -4,7 +4,9 @@ For every t-norm, with d the sup-hom of the power y^x:
 
 (a) evaluation x × y^x -> y, (a, f) ↦ f(a), is a functor;
 (b) h ↦ (c ↦ h(c,-)) is a bijection from the functors z×x -> y onto the maps
-    z -> y^x that do not shrink homs under d;
+    z -> y^x that do not shrink homs under d, so ``check_ccc`` and
+    ``check_currying`` run no per-triple uncurry test (that every functor
+    z -> y^x uncurries to a functor out of z×x) and test only the powers;
 (c) every element of a Cauchy cycle is a bilimit of that cycle, so
     ``is_cauchy_complete`` cannot fail on a power;
 (d) a Cauchy cycle has the same first bilimit, and the same first bilimits
@@ -12,9 +14,9 @@ For every t-norm, with d the sup-hom of the power y^x:
     ``check_power_completeness`` need only check length-1 cycles.
 
 None of these needs y^x to be a category, so they are also checked on the
-counterexample powers of the C1-failing families.  Maps are enumerated with
-itertools and d comes from the oracle, not from ``_int_functors`` or
-``exponential``.
+counterexample powers of the C1-failing families, and (b) also on random
+categories.  Maps are enumerated with itertools and d comes from the oracle,
+not from ``_int_functors`` or ``exponential``.
 
 The rank power that ``check_ccc`` and ``check_currying`` sweep is checked
 against ``exponential`` and ``validate`` on the same pairs and on random
@@ -44,7 +46,7 @@ from tnormcat import (
     product_tnorm,
     validate,
 )
-from tnormcat.categories import DEFAULT_BUDGET, _int_matrix, _PowerContext, _RankTable
+from tnormcat.categories import DEFAULT_BUDGET, _int_matrix, _rank_power, _RankTable
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
@@ -118,21 +120,24 @@ def _bilimits(power: RCat, y: RCat, cycle) -> tuple:
     return _first_bilimit(power, cycle), pointwise
 
 
+def _check_transposing(x: RCat, y: RCat, power: RCat, z: RCat) -> None:
+    """Assert fact (b): transposing is a bijection onto the functors z -> y^x."""
+    nx = len(x)
+    hs = _functors(product(z, x), y)
+    transposes = {tuple(h[ci * nx:(ci + 1) * nx] for ci in range(len(z))) for h in hs}
+    assert len(transposes) == len(hs)
+    assert transposes == set(_functors(z, power))
+
+
 def _check_facts(x: RCat, y: RCat, max_cycle: int) -> RCat:
     """Assert facts (a)-(d) for the power y^x and return it."""
     power = _power(x, y)
-    nx = len(x)
 
     ev = product(x, power)
     assert _is_functor(ev, y, tuple(f[x.index(a)] for a, f in ev.elements))
 
     for z in SMALL:
-        hs = _functors(product(z, x), y)
-        transposes = {
-            tuple(h[ci * nx:(ci + 1) * nx] for ci in range(len(z))) for h in hs
-        }
-        assert len(transposes) == len(hs)
-        assert transposes == set(_functors(z, power))
+        _check_transposing(x, y, power, z)
 
     for cycle in itertools.chain.from_iterable(
         itertools.product(power.elements, repeat=k) for k in range(1, max_cycle + 1)
@@ -169,13 +174,13 @@ def _check_rank_power(t, x: RCat, y: RCat):
     """Assert the rank power agrees with ``exponential``; return its witness."""
     table = _RankTable(t, [x.hom, y.hom])
     x_m, y_m = _int_matrix(x.hom, table.rank), _int_matrix(y.hom, table.rank)
-    ctx = _PowerContext(table, x, y, x_m, y_m, DEFAULT_BUDGET)
+    images, pcat_m, invalid = _rank_power(table, x, y, x_m, y_m, DEFAULT_BUDGET)
     power = exponential(t, x, y)
-    assert [tuple(y.elements[i] for i in f) for f in ctx.images] == list(power.labels)
-    assert ctx.pcat_m == _int_matrix(power.hom, table.rank)
+    assert [tuple(y.elements[i] for i in f) for f in images] == list(power.labels)
+    assert pcat_m == _int_matrix(power.hom, table.rank)
     w = validate(power.as_rcat(), t)
-    assert table.is_category(ctx.pcat_m) == (w is None)
-    assert ctx.invalid == w
+    assert table.is_category(pcat_m) == (w is None)
+    assert invalid == w
     return w
 
 
@@ -225,6 +230,23 @@ def test_rank_power_matches_exponential_on_random_categories(all_families, famil
     if not c1.verdict:
         bundle = counterexample(t, *c1.witness.values)
         assert _check_rank_power(t, bundle.base, bundle.fiber) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), data=st.data())
+def test_transposing_is_a_bijection_on_random_categories(all_families, family, data):
+    t = all_families[family]
+    grid = data.draw(grids)
+    x, y = (_cat(min_transitive_closure(data.draw(matrices(grid)))) for _ in range(2))
+    z = _cat(min_transitive_closure(data.draw(matrices(grid, max_n=2))))
+    _check_transposing(x, y, _power(x, y), z)
+    # a power that is not a category: the counterexample of a C1-violating
+    # triple of the grid
+    c1 = check_c1(t, grid)
+    if not c1.verdict:
+        bundle = counterexample(t, *c1.witness.values)
+        base, fiber = bundle.base, bundle.fiber
+        _check_transposing(base, fiber, _power(base, fiber), z)
 
 
 @settings(max_examples=150, deadline=None)
