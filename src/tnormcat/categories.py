@@ -16,28 +16,17 @@ interchange law, and a composite cartesian-closedness verdict.
 For every t-norm, evaluation is a functor and currying is a bijection from
 the functors z×x -> y onto the functors z -> y^x, whether or not the power
 y^x is a category (proof in ``check_currying``).  So the verdict turns on
-whether each power validates, and ``check_ccc`` decides it with one sweep
-over the pairs (x, y).
+whether each power validates, and C1 on the grid decides that for every
+pair of categories with hom values in the grid (proof in ``check_ccc``):
+the sweep builds no power, it only counts the maps its budget bounds.
 
 All witness searches scan elements in lexicographic label order, so verdicts
-are reproducible byte for byte.  ``check_ccc`` and ``check_currying`` run on
-integer ranks end to end: every hom value of the categories involved gets its
-position in one sorted value list (``_RankTable``), and the functor tests and
-the power hom d (a minimum of fiber hom values, or 1) only compare and take
-minima of those values, so on ranks they compute the ranks of the exact
-results.  Transitivity of a power also needs v & w, which may leave the list;
-one table per call holds the code of v & w for every pair of ranked values,
-even when it is a listed value and odd when it falls between two, and every
-test compares a code with a ranked hom value, so it decides exactly what
-``validate`` decides (proof in ``_RankTable``).  Each category of the sweep
-is ranked and validated once.  Fractions are built, through the public
-functions, only when a witness is reported.
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -239,49 +228,6 @@ def _int_matrix(hom, rank) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rank[v] for v in row) for row in hom)
 
 
-class _RankTable:
-    """The hom values of some categories, ranked, and the codes of their & products.
-
-    ``values`` is the sorted set of hom values (with 1) and ``rank`` maps each
-    to its index.  ``codes[w][v]`` is the code of values[v] & values[w]: 2i
-    when it equals values[i], and 2i+1 when it lies strictly between
-    values[i] and values[i+1] (-1 below values[0]).  For every rank j,
-
-        code(r) > 2j  iff  r > values[j]:
-
-    if r = values[i] both sides say i > j; if values[i] < r < values[i+1],
-    then 2i+1 > 2j iff j <= i iff values[j] <= values[i] < r, while j >= i+1
-    gives values[j] >= values[i+1] > r.  ``is_category`` only compares a code
-    with twice the rank of a hom value, so on a rank matrix it decides
-    exactly what ``validate`` decides on the matrix of values.
-    """
-
-    def __init__(self, t: TNorm, matrices):
-        self.t = t
-        self.rank = _value_rank(list(matrices) + [((ONE,),)])
-        self.values = list(self.rank)
-        self.top = self.rank[ONE]
-        self.codes = [[self._code(apply(t, v, w)) for v in self.values] for w in self.values]
-
-    def _code(self, r: Fraction) -> int:
-        i = bisect_left(self.values, r)
-        return 2 * i if i < len(self.values) and self.values[i] == r else 2 * i - 1
-
-    def is_category(self, m) -> bool:
-        """Reflexivity and transitivity of a rank matrix (``validate``'s test)."""
-        if any(row[i] != self.top for i, row in enumerate(m)):
-            return False
-        codes = self.codes
-        for row_i in m:
-            bounds = [2 * v for v in row_i]
-            for rij, row_j in zip(row_i, m):
-                composed = codes[rij]
-                for rjk, bound in zip(row_j, bounds):
-                    if composed[rjk] > bound:
-                        return False
-        return True
-
-
 def _int_functors(src_m, dst_m, budget: int) -> list[tuple[int, ...]]:
     """Index tuples of all hom-nonexpanding maps between rank matrices."""
     n = len(src_m)
@@ -313,16 +259,14 @@ def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> li
     return [tuple(dst.elements[k] for k in images) for images in found]
 
 
-def _power_hom(base_hom, fiber_hom, f_images, g_images, top):
-    """d(f,g): min fiber-hom over pairs where the base hom exceeds it, else top.
+def _power_hom(base_hom, fiber_hom, f_images, g_images):
+    """d(f,g): min fiber-hom over pairs where the base hom exceeds it, else 1.
 
     This realizes the supremum in the defining formula exactly: for each base
     pair the constraint on q is vacuous when hom(x,y) <= hom(f(x),g(y)) and
-    caps q at hom(f(x),g(y)) otherwise.  Only comparisons are used, so with
-    ``top`` the value (or rank) of 1 it works on Fractions and on rank
-    matrices alike.
+    caps q at hom(f(x),g(y)) otherwise.
     """
-    d = top
+    d = ONE
     for b_row, fi in zip(base_hom, f_images):
         row = fiber_hom[fi]
         for b, gj in zip(b_row, g_images):
@@ -372,7 +316,7 @@ def exponential(t: TNorm, base: RCat, fiber: RCat, budget: int = DEFAULT_BUDGET)
     mappings = enumerate_functors(base, fiber, budget)
     image_tuples = [tuple(fiber.index(lbl) for lbl in m) for m in mappings]
     hom = tuple(
-        tuple(_power_hom(base.hom, fiber.hom, fi, gi, ONE) for gi in image_tuples)
+        tuple(_power_hom(base.hom, fiber.hom, fi, gi) for gi in image_tuples)
         for fi in image_tuples
     )
     functors = tuple(RFunctor(base, fiber, m) for m in mappings)
@@ -425,25 +369,6 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
     )
 
 
-def _rank_power(table: _RankTable, x: RCat, y: RCat, x_m, y_m, budget: int):
-    """The power y^x on ranks: ``(images, pcat_m, invalid)``.
-
-    ``images`` lists the functors x -> y as fiber index tuples, in
-    ``exponential``'s order (the same comparisons, so the same enumeration);
-    ``pcat_m`` is the rank matrix of d.  ``invalid`` is None when y^x is a
-    category, else ``validate``'s witness on ``exponential(t, x, y)``, which
-    is built only then.  x and y are assumed valid.
-    """
-    images = _int_functors(x_m, y_m, budget)
-    pcat_m = tuple(
-        tuple(_power_hom(x_m, y_m, f, g, table.top) for g in images) for f in images
-    )
-    invalid = None
-    if not table.is_category(pcat_m):
-        invalid = validate(exponential(table.t, x, y, budget).as_rcat(), table.t)
-    return images, pcat_m, invalid
-
-
 def _check_map_budget(power_size: int, z_sizes, budget: int) -> None:
     """Raise where enumerating the functors z -> y^x would exceed ``budget``.
 
@@ -487,17 +412,14 @@ def check_currying(
     len(y^x)**len(z) candidates, and ``BudgetError`` is raised when that
     exceeds ``budget`` on a valid power.
     """
-    _require_valid(t, x, y)
-    table = _RankTable(t, [x.hom, y.hom])
-    images, _, w = _rank_power(
-        table, x, y, _int_matrix(x.hom, table.rank), _int_matrix(y.hom, table.rank), budget
-    )
+    power = exponential(t, x, y, budget)
+    w = validate(power.as_rcat(), t)
     if w is not None:
         return Witness(
             w.values, w.lhs, w.rhs,
             note=f"power object fails category axioms ({w.note})",
         )
-    _check_map_budget(len(images), (len(z),), budget)
+    _check_map_budget(len(power), (len(z),), budget)
     return None
 
 
@@ -574,9 +496,9 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
 
     idx = {name: tuple(fiber.index(v) for v in vals)
            for name, vals in (("f", f_vals), ("g", g_vals), ("h", h_vals))}
-    d_fg = _power_hom(base.hom, fiber.hom, idx["f"], idx["g"], ONE)
-    d_gh = _power_hom(base.hom, fiber.hom, idx["g"], idx["h"], ONE)
-    d_fh = _power_hom(base.hom, fiber.hom, idx["f"], idx["h"], ONE)
+    d_fg = _power_hom(base.hom, fiber.hom, idx["f"], idx["g"])
+    d_gh = _power_hom(base.hom, fiber.hom, idx["g"], idx["h"])
+    d_fh = _power_hom(base.hom, fiber.hom, idx["f"], idx["h"])
     if d_fg < p or d_gh < q:  # pragma: no cover - guaranteed by construction
         raise InvariantError("bundle lost the lower bounds d(f,g) >= p, d(g,h) >= q")
 
@@ -642,9 +564,10 @@ class CccReport:
     """Composite cartesian-closedness verdict for one t-norm.
 
     ``triples_checked`` is the number of triples (x, y, z) of generated
-    categories that the theorem settles: currying is a bijection for every
-    triple whose power y^x validated (``check_currying``), so it counts
-    ``categories`` triples per pair swept before any failure.
+    categories that the theorem settles: ``categories**3`` after a C1 pass,
+    0 after a C1 failure.  ``witness`` is kept for the report key; it is
+    None after a C1 pass, since then every power validates (``check_ccc``),
+    and a C1 failure is witnessed by ``bundle``.
     """
 
     verdict: bool
@@ -660,28 +583,38 @@ def check_ccc(
 ) -> CccReport:
     """Decide cartesian closedness and back the verdict with evidence.
 
-    A C1 failure is upgraded to a full counterexample bundle.  After a C1
-    pass the verdict is whether y^x validates for every pair (x, y) of
-    generated categories with at most ``max_size`` elements and hom values
-    in ``grid``; the first pair whose power fails is the witness.  Nothing
-    else is tested: for every t-norm, evaluation is a functor and currying
-    is a bijection from the functors z×x -> y onto the functors z -> y^x,
-    whether or not y^x is a category (proofs in ``check_currying``).  So
-    every triple of a pair is settled with its power, and
+    A C1 failure on ``grid`` is upgraded to a full counterexample bundle.  A
+    C1 pass decides the verdict: for every pair (x, y) of generated
+    categories (at most ``max_size`` elements, hom values in ``grid`` or 1)
+    the power y^x is a category.  Reflexivity holds since every functor f
+    has d(f,f) = 1.  For transitivity take functors f, g, h: x -> y and set
+    p = d(g,h), q = d(f,g) and u = hom(a,a').  The sup defining d is
+    attained (``check_currying``), so hom(f a, g a') >= q ∧ u and
+    hom(g a', h a') >= p.  Transitivity of y gives
+
+        hom(f a, h a') >= p & (q ∧ u),
+
+    and going through g a instead gives hom(f a, h a') >= (p ∧ u) & q.  So
+    hom(f a, h a') is at least the right side of C1, which equals
+    (p & q) ∧ u, and d(f,h) >= d(g,h) & d(f,g).  Here p and q are hom
+    values of y or 1, and u is a hom value of x, so C1 is used only on
+    grid ∪ {1}; C1 with an argument equal to 1 holds for every t-norm
+    (for p = 1 both sides are q ∧ u, since u & q <= q ∧ u).  Clementino &
+    Hofmann, "Exponentiation in V-categories" (2006), prove the general
+    criterion; ``tests/test_proofs.py`` checks this finite form by brute
+    force.
+
+    Nothing else can fail: for every t-norm, evaluation is a functor and
+    currying is a bijection from the functors z×x -> y onto the functors
+    z -> y^x (proofs in ``check_currying``).  So no power is built, and
     ``triples_checked`` is ``categories**3`` on a pass.  ``max_size`` must
     be at least 1.
 
-    The sweep runs on ranks.  Each category is validated once, by
-    ``enumerate_categories``, and ranked once; each power is built once per
-    pair as a rank matrix, and whether it is a category is decided from one
-    table of & codes (even for a ranked value, odd between two), which is
-    exact because every test compares a code with a ranked hom value
-    (``_RankTable``).  Fractions appear again only in a witness, built by
-    ``exponential`` and ``validate``.
-
     The budget bounds the categories of each size, the ``categories**3``
-    triples, the maps x -> y of each pair and, for each valid power, the
-    maps z -> y^x that currying relates (``check_currying``).
+    triples, the maps x -> y of each pair and the maps z -> y^x that
+    currying relates (``check_currying``).  The maps x -> y are counted on
+    rank matrices: the functor test only compares hom values, so it runs
+    on their ranks in one sorted value list.
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
@@ -698,20 +631,10 @@ def check_ccc(
     if triples > budget:
         raise BudgetError(triples, budget, "category triple sweep")
 
-    table = _RankTable(t, [cat.hom for cat in cats])
-    ms = [_int_matrix(cat.hom, table.rank) for cat in cats]
+    rank = _value_rank([cat.hom for cat in cats])
+    ms = [_int_matrix(cat.hom, rank) for cat in cats]
     z_sizes = sorted({len(z) for z in cats})
-    for xi, x in enumerate(cats):
-        for yi, y in enumerate(cats):
-            images, _, w = _rank_power(table, x, y, ms[xi], ms[yi], budget)
-            if w is not None:
-                return CccReport(
-                    False, c1, None, n, (xi * n + yi) * n,
-                    Witness(
-                        (xi, yi) + w.values, w.lhs, w.rhs,
-                        note=f"power object for pair ({xi},{yi}) fails "
-                             f"category axioms ({w.note})",
-                    ),
-                )
-            _check_map_budget(len(images), z_sizes, budget)
+    for x_m in ms:
+        for y_m in ms:
+            _check_map_budget(len(_int_functors(x_m, y_m, budget)), z_sizes, budget)
     return CccReport(True, c1, None, n, triples)

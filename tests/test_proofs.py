@@ -1,4 +1,4 @@
-"""Brute-force checks of the facts that make three checks redundant.
+"""Brute-force checks of the facts that make checks of the program redundant.
 
 For every t-norm, with d the sup-hom of the power y^x:
 
@@ -10,26 +10,34 @@ For every t-norm, with d the sup-hom of the power y^x:
 (c) every element of a Cauchy cycle is a bilimit of that cycle, so
     ``is_cauchy_complete`` cannot fail on a power;
 (d) a Cauchy cycle has the same first bilimit, and the same first bilimits
-    of its pointwise value cycles in the fiber, as the cycle (cycle[0],), so
-    ``check_power_completeness`` need only check length-1 cycles.
+    of its pointwise value cycles in the fiber, as the cycle (cycle[0],);
+(f) for every power element f, the map g sending a to the first fiber
+    element isomorphic to f(a) is a functor with d(f,g) = d(g,f) = 1, so
+    with (c) and (d) ``check_power_completeness`` has nothing to check once
+    the power is built.
 
 None of these needs y^x to be a category, so they are also checked on the
 counterexample powers of the C1-failing families, and (b) also on random
-categories.  Maps are enumerated with itertools and d comes from the oracle,
-not from ``_int_functors`` or ``exponential``.
+categories.  One fact does depend on the t-norm:
 
-The rank power that ``check_ccc`` and ``check_currying`` sweep is checked
-against ``exponential`` and ``validate`` on the same pairs and on random
-categories: the same functors in the same order, the ranks of the same d
-matrix, and the same verdict and witness, including for norms whose & leaves
-the ranked values (odd codes).
+(e) if C1 holds on a grid, the power of any two categories with hom values
+    in that grid is a category, so ``check_ccc`` builds no power after a C1
+    pass.
+
+Powers of categories with at most two elements, and of min-transitive ones,
+are categories under every t-norm, so (e) is checked on fibers that are
+transitive but not min-transitive, on C1-passing grids of Łukasiewicz and
+nilpotent minimum, together with (f).  The counterexample powers, which are
+not categories, are its negative control.  Maps are enumerated with
+itertools and d comes from the oracle, not from ``_int_functors`` or
+``exponential``.
 """
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tnormcat import (
@@ -37,16 +45,12 @@ from tnormcat import (
     TailSeq,
     apply,
     check_c1,
+    check_ccc,
     counterexample,
-    exponential,
-    interval_collapse,
     is_cauchy_complete,
     min_transitive_closure,
     product,
-    product_tnorm,
-    validate,
 )
-from tnormcat.categories import DEFAULT_BUDGET, _int_matrix, _rank_power, _RankTable
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
@@ -129,6 +133,16 @@ def _check_transposing(x: RCat, y: RCat, power: RCat, z: RCat) -> None:
     assert transposes == set(_functors(z, power))
 
 
+def _check_pointwise_iso(x: RCat, y: RCat, power: RCat) -> None:
+    """Assert fact (f): the pointwise map g is a functor isomorphic to f."""
+    for f in power.elements:
+        g = tuple(
+            next(b for b in y.elements if y.hom_of(b, v) == 1 == y.hom_of(v, b)) for v in f
+        )
+        assert _is_functor(x, y, g)
+        assert power_hom_bruteforce(x, y, f, g) == 1 == power_hom_bruteforce(x, y, g, f)
+
+
 def _check_facts(x: RCat, y: RCat, max_cycle: int) -> RCat:
     """Assert facts (a)-(d) for the power y^x and return it."""
     power = _power(x, y)
@@ -159,6 +173,17 @@ def small_powers():
     return [_check_facts(x, y, 3) for x, y in itertools.product(SMALL, repeat=2)]
 
 
+def test_pointwise_limit_map_is_isomorphic():
+    for x, y in itertools.product(SMALL, repeat=2):
+        _check_pointwise_iso(x, y, _power(x, y))
+
+
+@pytest.mark.parametrize("family", sorted(C1_VIOLATIONS))
+def test_pointwise_limit_map_is_isomorphic_on_counterexamples(all_families, family):
+    bundle = counterexample(all_families[family], *C1_VIOLATIONS[family])
+    _check_pointwise_iso(bundle.base, bundle.fiber, _power(bundle.base, bundle.fiber))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_evaluation_currying_and_cauchy_facts(all_families, small_powers, family):
     t = all_families[family]
@@ -168,40 +193,6 @@ def test_evaluation_currying_and_cauchy_facts(all_families, small_powers, family
         bundle = counterexample(t, *C1_VIOLATIONS[family])
         power = _check_facts(bundle.base, bundle.fiber, 2)
         assert not _is_category(power, t)
-
-
-def _check_rank_power(t, x: RCat, y: RCat):
-    """Assert the rank power agrees with ``exponential``; return its witness."""
-    table = _RankTable(t, [x.hom, y.hom])
-    x_m, y_m = _int_matrix(x.hom, table.rank), _int_matrix(y.hom, table.rank)
-    images, pcat_m, invalid = _rank_power(table, x, y, x_m, y_m, DEFAULT_BUDGET)
-    power = exponential(t, x, y)
-    assert [tuple(y.elements[i] for i in f) for f in images] == list(power.labels)
-    assert pcat_m == _int_matrix(power.hom, table.rank)
-    w = validate(power.as_rcat(), t)
-    assert table.is_category(pcat_m) == (w is None)
-    assert invalid == w
-    return w
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_rank_power_matches_exponential(all_families, family):
-    t = all_families[family]
-    for x, y in itertools.product(SMALL, repeat=2):
-        assert _check_rank_power(t, x, y) is None
-    if family in C1_VIOLATIONS:
-        bundle = counterexample(t, *C1_VIOLATIONS[family])
-        assert _check_rank_power(t, bundle.base, bundle.fiber) is not None
-
-
-@pytest.mark.parametrize(
-    "t", [product_tnorm(), interval_collapse([(F(1, 5), F(1, 2))])], ids=lambda t: t.family
-)
-def test_and_codes_off_the_ranked_values(t):
-    # 1/2 & 1/2 is 1/4 or 1/5: between 0 and 1/2, or below 1/2 when 0 is absent
-    half = F(1, 2)
-    assert _RankTable(t, [((1, half), (0, 1))]).codes[1][1] == 1
-    assert _RankTable(t, [((1, half), (half, 1))]).codes[0][0] == -1
 
 
 grids = st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=4, unique=True)
@@ -215,21 +206,6 @@ def matrices(draw, grid, max_n=3):
 
 def _cat(hom) -> RCat:
     return RCat(tuple(f"v{i}" for i in range(len(hom))), hom)
-
-
-@settings(max_examples=80, deadline=None)
-@given(family=st.sampled_from(FAMILIES), data=st.data())
-def test_rank_power_matches_exponential_on_random_categories(all_families, family, data):
-    t = all_families[family]
-    grid = data.draw(grids)
-    x, y = (_cat(min_transitive_closure(data.draw(matrices(grid)))) for _ in range(2))
-    _check_rank_power(t, x, y)
-    # powers of min-transitive categories are categories; failing ones come
-    # from the counterexample of a C1-violating triple of the grid
-    c1 = check_c1(t, grid)
-    if not c1.verdict:
-        bundle = counterexample(t, *c1.witness.values)
-        assert _check_rank_power(t, bundle.base, bundle.fiber) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,10 +225,54 @@ def test_transposing_is_a_bijection_on_random_categories(all_families, family, d
         _check_transposing(base, fiber, _power(base, fiber), z)
 
 
-@settings(max_examples=150, deadline=None)
-@given(family=st.sampled_from(FAMILIES), data=st.data())
-def test_rank_validation_matches_validate(all_families, family, data):
+# 4-point grids on which C1 holds.  On each, & of two values below 1 is 0,
+# so t-transitive closures stay on the grid; they reach all 1,723 categories
+# of size 3, and 993 of them are not min-transitive.
+C1_GRIDS = [
+    (family, (F(0), F(1, 4), c, F(1)))
+    for family in ("lukasiewicz", "nilpotent-minimum")
+    for c in (F(1, 3), F(1, 2))
+]
+
+
+def _t_closure(t, hom) -> RCat:
+    """The smallest pointwise enlargement of a reflexive matrix that is t-transitive."""
+    m = [list(row) for row in hom]
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in itertools.product(range(len(m)), repeat=3):
+            composed = apply(t, m[j][k], m[i][j])
+            if composed > m[i][k]:
+                m[i][k], changed = composed, True
+    return _cat(m)
+
+
+@st.composite
+def grid_categories(draw, t, grid, sizes):
+    n = draw(st.sampled_from(sizes))
+    cat = _t_closure(t, [[F(1) if i == j else draw(st.sampled_from(grid)) for j in range(n)]
+                         for i in range(n)])
+    assert all(v in grid for row in cat.hom for v in row)
+    return cat
+
+
+def test_c1_grids_pass_ccc(all_families):
+    for family, grid in C1_GRIDS:
+        assert check_ccc(all_families[family], grid, 2).verdict
+
+
+@pytest.mark.parametrize(
+    "family, grid", C1_GRIDS, ids=[f"{family}-{grid[2]}" for family, grid in C1_GRIDS]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_powers_on_c1_grids_are_categories(all_families, family, grid, data):
     t = all_families[family]
-    cat = _cat(data.draw(matrices(data.draw(grids), max_n=4)))
-    table = _RankTable(t, [cat.hom])
-    assert table.is_category(_int_matrix(cat.hom, table.rank)) == (validate(cat, t) is None)
+    assert check_c1(t, grid).verdict
+    x = data.draw(grid_categories(t, grid, (2, 3)))
+    y = data.draw(grid_categories(t, grid, (3,)))
+    assume(min_transitive_closure(y.hom) != y.hom)
+    power = _power(x, y)
+    assert _is_category(power, t)
+    _check_pointwise_iso(x, y, power)
