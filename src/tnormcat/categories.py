@@ -296,9 +296,6 @@ class PowerObject:
     def as_rcat(self) -> RCat:
         return self._rcat
 
-    def index_of(self, mapping: tuple) -> int:
-        return self.labels.index(mapping)
-
     def __len__(self):
         return len(self.functors)
 

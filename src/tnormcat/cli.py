@@ -4,7 +4,8 @@ Subcommands: check-tnorm, exp, product, ccc-suite, counterexample, limits,
 power-completeness.  Reports are JSON by default (deterministic modulo the
 timing field) with a text renderer behind --format text.
 
-Exit codes: 0 clean run, 1 input/precondition error, 2 violation found while
+Exit codes: 0 clean run (or -h), 1 malformed command line, input or
+precondition error, or an unwritable -o path, 2 violation found while
 --fail-on-violation is set, 3 enumeration budget exceeded, 4 internal fault
 (a failed certificate or invariant, or any other RuntimeError).  The env var
 TNORMCAT_BUDGET overrides the default enumeration budget.
@@ -84,7 +85,7 @@ def _parse_values(raw: str) -> list:
 
 
 def _grid_for(args, t):
-    if getattr(args, "values", None) is not None:
+    if args.values is not None:
         return _parse_values(args.values)
     return canonical_grid(t, args.grid)
 
@@ -270,7 +271,7 @@ def _emit(report: RunReport, args) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(sub, budget_default):
+def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("-o", "--output", default=None, help="write the report here")
     sub.add_argument(
@@ -278,13 +279,14 @@ def _add_common(sub, budget_default):
         action="store_true",
         help="exit 2 when any verdict fails",
     )
-    sub.add_argument("--budget", type=int, default=budget_default,
-                     help="enumeration budget")
-    sub.add_argument("--grid", type=int, default=DEFAULT_GRID_N,
-                     help="uniform resolution of the canonical grid")
-    sub.add_argument("--values", default=None,
-                     help="comma-separated rationals overriding the canonical grid")
-    sub.add_argument("--max-size", type=int, default=None)
+
+
+def _add_grid(sub):
+    grid = sub.add_mutually_exclusive_group()
+    grid.add_argument("--grid", type=int, default=DEFAULT_GRID_N,
+                      help="uniform resolution of the canonical grid")
+    grid.add_argument("--values", default=None,
+                      help="comma-separated rationals used instead of the canonical grid")
 
 
 def build_parser(budget_default: int) -> argparse.ArgumentParser:
@@ -296,26 +298,34 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
 
     s = subs.add_parser("check-tnorm", help="condition suite for one t-norm")
     s.add_argument("tnorm")
-    _add_common(s, budget_default)
+    _add_grid(s)
+    _add_common(s)
     s.set_defaults(handler=cmd_check_tnorm)
 
     s = subs.add_parser("product", help="product of two categories")
     s.add_argument("left")
     s.add_argument("right")
     s.add_argument("--tnorm", default=None, help="validate against this t-norm")
-    _add_common(s, budget_default)
+    _add_common(s)
     s.set_defaults(handler=cmd_product)
 
     s = subs.add_parser("exp", help="function-space object")
     s.add_argument("--tnorm", required=True)
     s.add_argument("--base", required=True)
     s.add_argument("--fiber", required=True)
-    _add_common(s, budget_default)
+    s.add_argument("--budget", type=int, default=budget_default,
+                   help="enumeration budget")
+    _add_common(s)
     s.set_defaults(handler=cmd_exp)
 
     s = subs.add_parser("ccc-suite", help="cartesian-closedness verdict")
     s.add_argument("tnorm")
-    _add_common(s, budget_default)
+    _add_grid(s)
+    s.add_argument("--max-size", type=int, default=2,
+                   help="largest category size swept")
+    s.add_argument("--budget", type=int, default=budget_default,
+                   help="enumeration budget")
+    _add_common(s)
     s.set_defaults(handler=cmd_ccc_suite)
 
     s = subs.add_parser("counterexample", help="build a transitivity counterexample")
@@ -323,20 +333,25 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     s.add_argument("p")
     s.add_argument("q")
     s.add_argument("u")
-    _add_common(s, budget_default)
+    _add_common(s)
     s.set_defaults(handler=cmd_counterexample)
 
     s = subs.add_parser("limits", help="limit verdicts for a sequence")
     s.add_argument("--seq", required=True)
     s.add_argument("--tnorm", default=None, help="validate the carrier first")
-    _add_common(s, budget_default)
+    _add_common(s)
     s.set_defaults(handler=cmd_limits)
 
     s = subs.add_parser("power-completeness", help="Cauchy completeness of a power")
     s.add_argument("--tnorm", required=True)
     s.add_argument("--base", required=True)
     s.add_argument("--fiber", required=True)
-    _add_common(s, budget_default)
+    s.add_argument("--max-size", type=int, default=3,
+                   help="cycle budget: recorded in the report; the verdict "
+                        "does not depend on it")
+    s.add_argument("--budget", type=int, default=budget_default,
+                   help="enumeration budget")
+    _add_common(s)
     s.set_defaults(handler=cmd_power_completeness)
 
     return parser
@@ -348,10 +363,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser = build_parser(budget_default)
-    args = parser.parse_args(argv)
-    if args.max_size is None:
-        args.max_size = 2 if args.command == "ccc-suite" else 3
+    try:
+        args = build_parser(budget_default).parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 0 if exc.code == 0 else 1
     start = time.perf_counter()
     try:
         report = args.handler(args)
@@ -365,7 +380,12 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     report.timing_ms = int((time.perf_counter() - start) * 1000)
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        target = args.output or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     if args.fail_on_violation and report.violation:
         return 2
     return 0

@@ -23,7 +23,14 @@ from functools import lru_cache
 from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE
 from .tnorms import ConditionReport, TNorm, Witness, canonical_grid, check_c1
-from .categories import DEFAULT_BUDGET, RCat, RFunctor, exponential, product
+from .categories import (
+    DEFAULT_BUDGET,
+    RCat,
+    RFunctor,
+    _require_valid,
+    enumerate_functors,
+    product,
+)
 
 FROM_SEQ = "from-seq"
 TO_SEQ = "to-seq"
@@ -227,8 +234,9 @@ def check_power_completeness(
     Every Cauchy functor cycle has a bilimit in the power, and taking the
     bilimit of f_n(a) in the fiber for each a yields a functor isomorphic
     (mutual hom 1) to it.  That holds for every t-norm once base and fiber
-    are categories, so after building the power (which validates both and
-    counts the functors against ``budget``) nothing is left to check:
+    are categories, so after validating both and counting the functors
+    base -> fiber against ``budget`` nothing is left to check, and the power
+    itself is never built:
 
     * A cycle is Cauchy exactly when its elements are pairwise isomorphic
       (hom 1 both ways), and then each of them is a bilimit.  Isomorphism is
@@ -259,7 +267,8 @@ def check_power_completeness(
         raise PreconditionError(
             f"t-norm {t.describe()} fails C1 at {c1.witness.values}"
         )
-    exponential(t, base, fiber, budget)
+    _require_valid(t, base, fiber)
+    enumerate_functors(base, fiber, budget)
     return None
 
 

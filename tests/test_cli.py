@@ -214,3 +214,78 @@ class TestOtherCommands:
         code, _, err = run(capsys, "counterexample", files["lukasiewicz"],
                            "nine/ten", "9/10", "1/2")
         assert code == 1 and "cannot parse rational" in err
+
+
+def base_argv(files, command):
+    pair = ["--tnorm", files["collapse"], "--base", files["chain"],
+            "--fiber", files["chain"]]
+    return {
+        "check-tnorm": ["check-tnorm", files["minimum"]],
+        "product": ["product", files["chain"], files["chain"]],
+        "exp": ["exp"] + pair,
+        "ccc-suite": ["ccc-suite", files["collapse"]],
+        "counterexample": ["counterexample", files["lukasiewicz"], "9/10", "9/10", "1/2"],
+        "limits": ["limits", "--seq", files["seq"]],
+        "power-completeness": ["power-completeness"] + pair,
+    }[command]
+
+
+FLAG_VALUES = {"--budget": "5", "--grid": "3", "--values": "0,1/2,1", "--max-size": "2"}
+# (subcommand, flag) pairs whose handler does not read the flag
+UNREAD_FLAGS = (
+    [(c, "--budget") for c in ("check-tnorm", "product", "counterexample", "limits")]
+    + [(c, f) for f in ("--grid", "--values")
+       for c in ("product", "exp", "counterexample", "limits", "power-completeness")]
+    + [(c, "--max-size")
+       for c in ("check-tnorm", "product", "exp", "counterexample", "limits")]
+)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                             ids=[f"{c}{f}" for c, f in UNREAD_FLAGS])
+    def test_unread_flag_exits_1(self, files, capsys, command, flag):
+        argv = base_argv(files, command) + [flag, FLAG_VALUES[flag]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", ["check-tnorm", "ccc-suite"])
+    def test_grid_and_values_exclusive(self, files, capsys, command):
+        argv = base_argv(files, command) + ["--grid", "4", "--values", "0,1/4,1/2,1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ccc-suite", "{collapse}", "--max-size", "abc"],
+        ["check-tnorm", "{minimum}", "--no-such-flag"],
+        ["no-such-command"],
+        ["exp", "--tnorm", "{minimum}"],
+        [],
+    ], ids=["bad-int", "unknown-flag", "unknown-command", "missing-required", "empty"])
+    def test_usage_error_exits_1(self, files, capsys, argv):
+        code, out, err = run(capsys, *[a.format(**files) for a in argv])
+        assert (code, out) == (1, "")
+        assert "usage: tnormcat" in err
+
+    def test_help_exits_0_and_lists_only_read_flags(self, capsys):
+        code, out, _ = run(capsys, "power-completeness", "-h")
+        assert code == 0
+        assert "--max-size" in out and "--budget" in out
+        assert "--grid" not in out and "--values" not in out
+        code, out, _ = run(capsys, "-h")
+        assert code == 0 and "ccc-suite" in out
+
+    def test_max_size_defaults(self, files, capsys):
+        code, out, _ = run(capsys, *base_argv(files, "ccc-suite"), "--values", "0,1/4,1/2,1")
+        assert code == 0 and parse_report(out)["inputs"]["max_size"] == 2
+        code, out, _ = run(capsys, *base_argv(files, "power-completeness"))
+        assert code == 0 and parse_report(out)["inputs"]["cycle_budget"] == 3
+
+    def test_unwritable_output_exits_1(self, files, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "r.json"
+        code, out, err = run(capsys, *base_argv(files, "counterexample"),
+                             "-o", str(target))
+        assert (code, out) == (1, "")
+        assert f"error: cannot write {target}: No such file or directory" in err
