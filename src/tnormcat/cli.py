@@ -14,6 +14,7 @@ TNORMCAT_BUDGET overrides the default enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -289,6 +290,7 @@ def _add_grid(sub):
                       help="comma-separated rationals used instead of the canonical grid")
 
 
+@functools.cache
 def build_parser(budget_default: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnormcat",

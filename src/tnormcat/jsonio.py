@@ -190,22 +190,14 @@ def to_jsonable(obj):
     """Recursively render report values: fractions as strings, dataclasses as dicts."""
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, TNorm):
-        return tnorm_to_dict(obj)
     if isinstance(obj, RCat):
         return category_to_dict(obj)
-    if isinstance(obj, RFunctor):
-        return functor_to_list(obj)
     if isinstance(obj, PowerObject):
         return power_to_dict(obj)
     if isinstance(obj, CounterexampleBundle):
         return bundle_to_dict(obj)
     if is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in fields(obj):
-            if not f.repr and not f.compare:
-                continue
-            out[f.name] = to_jsonable(getattr(obj, f.name))
+        out = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
         if "verdict" in out and isinstance(obj.verdict, bool):
             out["verdict"] = "pass" if obj.verdict else "fail"
         return out

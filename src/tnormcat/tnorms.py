@@ -283,15 +283,26 @@ def canonical_grid(t: TNorm, n: int = DEFAULT_GRID_N) -> tuple[Fraction, ...]:
 
 
 def check_c1(t: TNorm, grid) -> ConditionReport:
-    """Interchange law: (p & q) ∧ u == ((p ∧ u) & q) ∨ (p & (q ∧ u)) on grid³."""
+    """Interchange law: (p & q) ∧ u == ((p ∧ u) & q) ∨ (p & (q ∧ u)) on grid³.
+
+    Lemma: for every t-norm, C1 holds at (p, q, u) whenever u >= p or
+    u >= q.  If u >= p, then p & q <= p <= u, so the left side is p & q;
+    on the right, (p ∧ u) & q = p & q and p & (q ∧ u) <= p & q by
+    monotonicity, so the right side is p & q too.  The case u >= q is
+    symmetric.  So only the triples with u < p ∧ q are swept; on the sorted
+    grid these are the u before both p and q, and there p ∧ u = q ∧ u = u.
+    Every operand of & is then a grid point, so all products are read from
+    one table of p & q over grid².  The sweep keeps (p, q, u) order, so the
+    witness is the first failing triple of the full grid³ sweep.
+    """
     pts = _sorted_grid(grid)
-    for p in pts:
-        for q in pts:
-            pq = apply(t, p, q)
-            for u in pts:
+    table = [[apply(t, p, q) for q in pts] for p in pts]
+    for i, (p, row) in enumerate(zip(pts, table)):
+        for j, (q, pq) in enumerate(zip(pts, row)):
+            for k in range(min(i, j)):
+                u = pts[k]
                 lhs = pq if pq <= u else u
-                left = apply(t, p if p <= u else u, q)
-                right = apply(t, p, q if q <= u else u)
+                left, right = table[k][j], row[k]
                 rhs = left if left >= right else right
                 if lhs != rhs:
                     return ConditionReport(
@@ -304,20 +315,25 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
 
 
 def check_c2(t: TNorm, grid) -> ConditionReport:
-    """Dominance law: u <= p & p implies u & p = u, on grid²."""
+    """Dominance law: u <= p & p implies u & p = u, on grid².
+
+    Only the pairs with u <= p & p are swept: the grid is sorted, so the u
+    loop ends at the first u > p & p.
+    """
     pts = _sorted_grid(grid)
     for p in pts:
         pp = apply(t, p, p)
         for u in pts:
-            if u <= pp:
-                up = apply(t, u, p)
-                if up != u:
-                    return ConditionReport(
-                        "C2",
-                        False,
-                        Witness((p, u), up, u),
-                        certified=True,
-                    )
+            if u > pp:
+                break
+            up = apply(t, u, p)
+            if up != u:
+                return ConditionReport(
+                    "C2",
+                    False,
+                    Witness((p, u), up, u),
+                    certified=True,
+                )
     return ConditionReport("C2", True, certified=_pass_is_certified(t))
 
 
@@ -348,10 +364,9 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
     pair found on the canonical grid is returned instead.
     """
     fam = t.family
-    if fam == MINIMUM:
-        return IntervalExtraction(())
-    if fam == INTERVAL_COLLAPSE:
-        # x & x = a exactly for x in [a_i, b_i] when a = a_i, so â = b_i.
+    if fam in (MINIMUM, INTERVAL_COLLAPSE):
+        # x & x = a exactly for x in [a_i, b_i] when a = a_i, so â = b_i;
+        # minimum has no intervals.
         return IntervalExtraction(t.intervals)
     report = check_c2(t, canonical_grid(t))
     if report.verdict:  # pragma: no cover - the three other families always fail
@@ -362,41 +377,50 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
 def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     """Grid evidence for the t-norm axioms plus exact left continuity.
 
-    Checks commutativity, associativity, monotonicity in each argument and
-    the unit law on the grid, and decides left continuity in p exactly at
-    every family breakpoint b, for every grid value q (``_left_limit``).
+    p & q for grid points p, q is computed once, into a table over grid².
+    The sweeps, in order:
+
+    * unit: 1 & p = p for every grid p (1 need not lie on the grid);
+    * commutativity: p & q = q & p for the pairs p <= q, which covers every
+      pair since the law is symmetric;
+    * monotonicity: p & q <= p2 & q for consecutive grid points p < p2 and
+      every q; this gives every pair p < p2 by transitivity along the grid,
+      and monotonicity in q by commutativity;
+    * associativity: (p & q) & u = p & (q & u) on grid³; p & q and q & u
+      come from the table, the outer & is computed since its argument may
+      lie off the grid;
+    * left continuity in p, decided exactly at every family breakpoint b
+      for every grid value q (``_left_limit``).
     """
     pts = _sorted_grid(grid)
-    for i, p in enumerate(pts):
+    table = [[apply(t, p, q) for q in pts] for p in pts]
+    for i, (p, row) in enumerate(zip(pts, table)):
         if apply(t, ONE, p) != p:
             return ConditionReport(
                 "axioms", False,
                 Witness((ONE, p), apply(t, ONE, p), p, note="unit"),
                 certified=True,
             )
-        for q in pts[i:]:
-            if apply(t, p, q) != apply(t, q, p):
+        for j in range(i, len(pts)):
+            if row[j] != table[j][i]:
                 return ConditionReport(
                     "axioms", False,
-                    Witness((p, q), apply(t, p, q), apply(t, q, p),
-                            note="commutativity"),
+                    Witness((p, pts[j]), row[j], table[j][i], note="commutativity"),
                     certified=True,
                 )
-    for p, p2 in zip(pts, pts[1:]):
-        for q in pts:
-            lo, hi = apply(t, p, q), apply(t, p2, q)
+    for p, p2, row, row2 in zip(pts, pts[1:], table, table[1:]):
+        for q, lo, hi in zip(pts, row, row2):
             if lo > hi:
                 return ConditionReport(
                     "axioms", False,
                     Witness((p, p2, q), lo, hi, note="monotonicity"),
                     certified=True,
                 )
-    for p in pts:
-        for q in pts:
-            pq = apply(t, p, q)
-            for u in pts:
+    for p, row in zip(pts, table):
+        for q, pq, q_row in zip(pts, row, table):
+            for u, qu in zip(pts, q_row):
                 lhs = apply(t, pq, u)
-                rhs = apply(t, p, apply(t, q, u))
+                rhs = apply(t, p, qu)
                 if lhs != rhs:
                     return ConditionReport(
                         "axioms", False,

@@ -105,6 +105,23 @@ class TestCheckTnorm:
         assert normalized() == normalized()
 
 
+    def test_degenerate_interval_recorded_as_normalized_away(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({"family": "interval-collapse",
+                                    "intervals": [["1/4", "1/4"], ["1/2", "3/4"]]}))
+        code, out, _ = run(capsys, "check-tnorm", str(path), "--grid", "4")
+        assert code == 0
+        inputs = parse_report(out)["inputs"]
+        assert inputs["normalized_away"] == [["1/4", "1/4"]]
+        assert inputs["tnorm"]["intervals"] == [["1/2", "3/4"]]
+
+    def test_text_format_prints_witness(self, files, capsys):
+        code, out, _ = run(capsys, "check-tnorm", files["lukasiewicz"],
+                           "--values", "1/2,9/10", "--format", "text")
+        assert code == 0
+        assert ('  C1: FAIL\n    witness: {"values": ["9/10", "9/10", "1/2"], '
+                '"lhs": "1/2", "rhs": "2/5", "note": ""}\n') in out
+
 class TestOtherCommands:
     def test_counterexample_bundle(self, files, capsys):
         code, out, _ = run(capsys, "counterexample", files["lukasiewicz"],
@@ -182,6 +199,25 @@ class TestOtherCommands:
         code, _, err = run(capsys, "exp", "--tnorm", files["minimum"],
                            "--base", files["chain"], "--fiber", files["chain"])
         assert code == 3
+
+    def test_non_integer_env_budget_exit_1(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("TNORMCAT_BUDGET", "lots")
+        code, out, err = run(capsys, "check-tnorm", files["minimum"], "--grid", "4")
+        assert (code, out) == (1, "")
+        assert "TNORMCAT_BUDGET must be an integer, got 'lots'" in err
+
+    def test_limits_invalid_carrier_exit_1(self, files, capsys, tmp_path):
+        # hom(x,y) & hom(y,z) = 1 > hom(x,z) under every t-norm
+        seq = tmp_path / "bad_seq.json"
+        seq.write_text(json.dumps({
+            "carrier": {"elements": ["x", "y", "z"],
+                        "hom": [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]},
+            "cycle": ["x"],
+        }))
+        code, out, err = run(capsys, "limits", "--seq", str(seq),
+                             "--tnorm", files["minimum"])
+        assert (code, out) == (1, "")
+        assert "carrier is not a valid category" in err
 
     @pytest.mark.parametrize(
         "fault", [InvariantError("broken certificate"), RuntimeError("boom")],

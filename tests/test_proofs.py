@@ -31,6 +31,15 @@ nilpotent minimum, together with (f).  The counterexample powers, which are
 not categories, are its negative control.  Maps are enumerated with
 itertools and d comes from the oracle, not from ``_int_functors`` or
 ``exponential``.
+
+One fact concerns the t-norm alone and holds for every t-norm:
+
+(g) C1 holds at every triple (p, q, u) with u >= p ∧ q, so ``check_c1``
+    sweeps only the triples with u < p ∧ q.
+
+It is checked with ``oracles.c1_sides`` at every such triple of small
+canonical grids of the five families and of the three-interval norm of
+acceptance criterion 1.
 """
 
 import itertools
@@ -44,9 +53,11 @@ from tnormcat import (
     RCat,
     TailSeq,
     apply,
+    canonical_grid,
     check_c1,
     check_ccc,
     counterexample,
+    interval_collapse,
     is_cauchy_complete,
     min_transitive_closure,
     product,
@@ -54,7 +65,7 @@ from tnormcat import (
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
-from oracles import power_hom_bruteforce, tail_value_bruteforce
+from oracles import c1_sides, power_hom_bruteforce, tail_value_bruteforce
 
 F = Fraction
 
@@ -276,3 +287,14 @@ def test_powers_on_c1_grids_are_categories(all_families, family, grid, data):
     power = _power(x, y)
     assert _is_category(power, t)
     _check_pointwise_iso(x, y, power)
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("interval-collapse-multi",))
+def test_c1_holds_unless_u_is_below_both(all_families, family):
+    t = all_families.get(family) or interval_collapse(
+        [(F(0), F(1, 8)), (F(1, 4), F(1, 2)), (F(3, 4), F(9, 10))]
+    )
+    for p, q, u in itertools.product(canonical_grid(t, 10), repeat=3):
+        if u >= min(p, q):
+            lhs, rhs = c1_sides(t, p, q, u)
+            assert lhs == rhs, (p, q, u)

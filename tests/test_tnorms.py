@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from tnormcat import (
     InputError,
     TNorm,
+    Witness,
     apply,
     breakpoints,
     canonical_grid,
@@ -22,6 +24,7 @@ from tnormcat import (
     residuum,
     verify_tnorm_axioms,
 )
+from tnormcat import tnorms
 
 from oracles import c1_sides, c2_holds, interval_collapse_apply, residuum_bruteforce
 
@@ -182,6 +185,22 @@ class TestConditions:
             assert not c2_holds(t, *c2.witness.values)
             assert extraction.witness is not None
 
+    @settings(max_examples=100, deadline=None)
+    @given(t=family_strategy, grid=st.lists(units, min_size=1, max_size=6, unique=True))
+    def test_c1_witness_is_first_failure_of_full_sweep(self, t, grid):
+        first = None
+        for p, q, u in itertools.product(sorted(grid), repeat=3):
+            lhs, rhs = c1_sides(t, p, q, u)
+            if lhs != rhs:
+                first = ((p, q, u), lhs, rhs)
+                break
+        report = check_c1(t, grid)
+        if first is None:
+            assert report.verdict
+        else:
+            assert not report.verdict
+            assert (report.witness.values, report.witness.lhs, report.witness.rhs) == first
+
     def test_idempotent_square_closure(self, all_families):
         for name in ("minimum", "interval-collapse"):
             t = all_families[name]
@@ -271,6 +290,61 @@ class TestAxioms:
     @given(t=family_strategy, q=units)
     def test_left_continuity_at_every_value(self, t, q):
         assert verify_tnorm_axioms(t, sorted({F(0), q, F(1) - q, F(1)})).verdict
+
+
+class TestAxiomFailures:
+    """Each failing return of ``verify_tnorm_axioms``, driven by a broken &."""
+
+    def test_unit(self, monkeypatch):
+        monkeypatch.setattr(tnorms, "apply", lambda t, p, q: p * q / 2)
+        report = verify_tnorm_axioms(minimum(), [F(0), F(1, 2), F(1)])
+        assert not report.verdict and report.certified
+        assert report.witness == Witness((F(1), F(1, 2)), F(1, 4), F(1, 2), "unit")
+
+    def test_commutativity(self, monkeypatch):
+        monkeypatch.setattr(tnorms, "apply", lambda t, p, q: q if p == 1 else p * p * q)
+        report = verify_tnorm_axioms(minimum(), [F(0), F(1, 4), F(1, 2), F(1)])
+        assert not report.verdict and report.certified
+        assert report.witness == Witness(
+            (F(1, 4), F(1, 2)), F(1, 32), F(1, 16), "commutativity"
+        )
+
+    def test_monotonicity(self, monkeypatch):
+        real = tnorms.apply
+        monkeypatch.setattr(
+            tnorms, "apply",
+            lambda t, p, q: F(1, 8) if p == q == F(1, 2) else real(t, p, q),
+        )
+        report = verify_tnorm_axioms(minimum(), [F(0), F(1, 4), F(1, 2), F(1)])
+        assert not report.verdict and report.certified
+        assert report.witness == Witness(
+            (F(1, 4), F(1, 2), F(1, 2)), F(1, 4), F(1, 8), "monotonicity"
+        )
+
+    def test_associativity(self, monkeypatch):
+        # product, except that 1/4 & 1/2 (off the grid) is 0
+        real = tnorms.apply
+        monkeypatch.setattr(
+            tnorms, "apply",
+            lambda t, p, q: F(0) if (p, q) == (F(1, 4), F(1, 2)) else real(t, p, q),
+        )
+        report = verify_tnorm_axioms(product_tnorm(), [F(0), F(1, 2), F(1)])
+        assert not report.verdict and report.certified
+        assert report.witness == Witness(
+            (F(1, 2), F(1, 2), F(1, 2)), F(0), F(1, 8), "associativity"
+        )
+
+    def test_left_continuity(self, monkeypatch):
+        # nilpotent minimum with p + q >= 1: on {0, 1/2, 1} it agrees with
+        # minimum, but it jumps at p = 1/2 for q = 1/2
+        monkeypatch.setattr(
+            tnorms, "apply", lambda t, p, q: min(p, q) if p + q >= 1 else F(0)
+        )
+        report = verify_tnorm_axioms(nilpotent_minimum(), [F(0), F(1, 2), F(1)])
+        assert not report.verdict and report.certified
+        assert report.witness == Witness(
+            (F(1, 2), F(1, 2)), F(0), F(1, 2), "left continuity"
+        )
 
 
 class TestCanonicalGrid:
