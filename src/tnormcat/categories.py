@@ -18,7 +18,8 @@ the functors z×x -> y onto the functors z -> y^x, whether or not the power
 y^x is a category (proof in ``check_currying``).  So the verdict turns on
 whether each power validates, and C1 on the grid decides that for every
 pair of categories with hom values in the grid (proof in ``check_ccc``):
-the sweep builds no power, it only counts the maps its budget bounds.
+the sweep builds no power, and it counts the maps its budget bounds only
+where the category sizes cannot settle that bound.
 
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.
@@ -95,25 +96,35 @@ class RCat:
 
 
 def validate(cat: RCat, t: TNorm) -> Witness | None:
-    """None if reflexivity and transitivity hold; else the first violation."""
+    """None if reflexivity and transitivity hold; else the first violation.
+
+    Transitivity hom(j,k) & hom(i,j) <= hom(i,k) is composed only for
+    triples of distinct elements.  Once reflexivity holds, every triple with
+    a repeated index holds for every t-norm:
+
+    * i = j:  hom(i,k) & 1 = hom(i,k);
+    * j = k:  1 & hom(i,j) = hom(i,j);
+    * i = k:  hom(j,i) & hom(i,j) <= 1 = hom(i,i).
+
+    ``itertools.permutations`` keeps the lexicographic order of the sorted
+    labels, so the witness is the first failing triple of the full sweep.
+    ``tests/test_proofs.py`` checks both facts by brute force.
+    """
     order = cat._sorted_indices
     for i in order:
         if cat.hom[i][i] != ONE:
             return Witness(
                 (cat.elements[i],), cat.hom[i][i], ONE, note="reflexivity"
             )
-    for i in order:
-        for j in order:
-            rij = cat.hom[i][j]
-            for k in order:
-                composed = apply(t, cat.hom[j][k], rij)
-                if composed > cat.hom[i][k]:
-                    return Witness(
-                        (cat.elements[i], cat.elements[j], cat.elements[k]),
-                        composed,
-                        cat.hom[i][k],
-                        note="transitivity",
-                    )
+    for i, j, k in itertools.permutations(order, 3):
+        composed = apply(t, cat.hom[j][k], cat.hom[i][j])
+        if composed > cat.hom[i][k]:
+            return Witness(
+                (cat.elements[i], cat.elements[j], cat.elements[k]),
+                composed,
+                cat.hom[i][k],
+                note="transitivity",
+            )
     return None
 
 
@@ -212,51 +223,24 @@ def unit_interval_category(t: TNorm, points) -> RCat:
     return RCat(pts, hom)
 
 
-# ---------------------------------------------------------------------------
-# rank matrices: hom values mapped to integers, preserving order
+def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+    """Label tuples (in source element order) of all functors src -> dst.
 
-
-def _value_rank(matrices) -> dict:
-    values = set()
-    for m in matrices:
-        for row in m:
-            values.update(row)
-    return {v: i for i, v in enumerate(sorted(values))}
-
-
-def _int_matrix(hom, rank) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(rank[v] for v in row) for row in hom)
-
-
-def _int_functors(src_m, dst_m, budget: int) -> list[tuple[int, ...]]:
-    """Index tuples of all hom-nonexpanding maps between rank matrices."""
-    n = len(src_m)
-    k = len(dst_m)
-    count = k**n
+    The functor test only compares hom values, so it runs on their ranks in
+    one sorted list of the values of both matrices.
+    """
+    count = len(dst) ** len(src)
     if count > budget:
         raise BudgetError(count, budget, "map enumeration")
-    out = []
-    for images in itertools.product(range(k), repeat=n):
-        ok = True
-        for i in range(n):
-            si = src_m[i]
-            di = dst_m[images[i]]
-            for j in range(n):
-                if si[j] > di[images[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(images)
-    return out
-
-
-def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> list[tuple]:
-    """Label tuples (in source element order) of all functors src -> dst."""
-    rank = _value_rank([src.hom, dst.hom])
-    found = _int_functors(_int_matrix(src.hom, rank), _int_matrix(dst.hom, rank), budget)
-    return [tuple(dst.elements[k] for k in images) for images in found]
+    values = sorted({v for row in src.hom + dst.hom for v in row})
+    rank = {v: r for r, v in enumerate(values)}
+    src_m = [[rank[v] for v in row] for row in src.hom]
+    dst_m = [[rank[v] for v in row] for row in dst.hom]
+    return [
+        tuple(dst.elements[d] for d in images)
+        for images in itertools.product(range(len(dst)), repeat=len(src))
+        if all(s <= dst_m[a][b] for row, a in zip(src_m, images) for s, b in zip(row, images))
+    ]
 
 
 def _power_hom(base_hom, fiber_hom, f_images, g_images):
@@ -609,9 +593,12 @@ def check_ccc(
 
     The budget bounds the categories of each size, the ``categories**3``
     triples, the maps x -> y of each pair and the maps z -> y^x that
-    currying relates (``check_currying``).  The maps x -> y are counted on
-    rank matrices: the functor test only compares hom values, so it runs
-    on their ranks in one sorted value list.
+    currying relates (``check_currying``).  The sizes settle most pairs:
+    there are |y|**|x| candidate maps x -> y, so y^x has at most that many
+    elements and there are at most |y|**(|x|·|z|) maps z -> y^x.  If
+    |y|**(|x|·max |z|) <= budget, neither budget can be exceeded for the
+    pair (max |z| >= 1), so only the other pairs have their functors
+    counted, in the same order.
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
@@ -628,10 +615,8 @@ def check_ccc(
     if triples > budget:
         raise BudgetError(triples, budget, "category triple sweep")
 
-    rank = _value_rank([cat.hom for cat in cats])
-    ms = [_int_matrix(cat.hom, rank) for cat in cats]
     z_sizes = sorted({len(z) for z in cats})
-    for x_m in ms:
-        for y_m in ms:
-            _check_map_budget(len(_int_functors(x_m, y_m, budget)), z_sizes, budget)
+    for x, y in itertools.product(cats, repeat=2):
+        if len(y) ** (len(x) * z_sizes[-1]) > budget:
+            _check_map_budget(len(enumerate_functors(x, y, budget)), z_sizes, budget)
     return CccReport(True, c1, None, n, triples)

@@ -6,7 +6,7 @@ over the cycle, and the sup over start points stabilizes once the prefix is
 discarded.  On top of ``tail_value`` the module decides the two Cauchy-style
 conditions, finds bilimits and Yoneda limits with full certificates, and
 packages the completeness checks for finite categories, product categories,
-and function spaces.  The function-space check only builds the power: once
+and function spaces.  The function-space check builds no power: once
 base and fiber are categories, every Cauchy cycle of functors has a bilimit
 that is isomorphic to its pointwise limit, for every t-norm (proof in
 ``check_power_completeness``).
@@ -27,8 +27,8 @@ from .categories import (
     DEFAULT_BUDGET,
     RCat,
     RFunctor,
+    _check_map_budget,
     _require_valid,
-    enumerate_functors,
     product,
 )
 
@@ -234,9 +234,9 @@ def check_power_completeness(
     Every Cauchy functor cycle has a bilimit in the power, and taking the
     bilimit of f_n(a) in the fiber for each a yields a functor isomorphic
     (mutual hom 1) to it.  That holds for every t-norm once base and fiber
-    are categories, so after validating both and counting the functors
-    base -> fiber against ``budget`` nothing is left to check, and the power
-    itself is never built:
+    are categories, so after validating both and checking the budget
+    nothing is left to check, and neither the power nor its functors are
+    built:
 
     * A cycle is Cauchy exactly when its elements are pairwise isomorphic
       (hom 1 both ways), and then each of them is a bilimit.  Isomorphism is
@@ -256,6 +256,12 @@ def check_power_completeness(
 
     So g is a power element isomorphic to the power bilimit, whatever the
     cycle.  ``tests/test_proofs.py`` checks the last point by brute force.
+
+    The budget bounds the enumeration of the functors base -> fiber, the
+    first step of building the power.  That enumeration raises
+    ``BudgetError`` exactly when its len(fiber)**len(base) candidate maps
+    exceed ``budget``, and it raises nothing else, so ``_check_map_budget``
+    on that count raises the same error without enumerating.
     ``cycle_budget`` must be at least 1; reports record it, but the verdict
     does not depend on it.  The C1 precondition is kept as the contract of
     the check, although the proof does not use it.
@@ -268,7 +274,7 @@ def check_power_completeness(
             f"t-norm {t.describe()} fails C1 at {c1.witness.values}"
         )
     _require_valid(t, base, fiber)
-    enumerate_functors(base, fiber, budget)
+    _check_map_budget(len(fiber), (len(base),), budget)
     return None
 
 

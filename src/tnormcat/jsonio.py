@@ -50,7 +50,7 @@ def tnorm_from_dict(data) -> TNorm:
     family = data["family"]
     intervals = data.get("intervals")
     if family == INTERVAL_COLLAPSE:
-        if intervals is None:
+        if not isinstance(intervals, list):
             raise InputError('interval-collapse requires an "intervals" list')
         parsed = []
         for k, pair in enumerate(intervals):
@@ -131,8 +131,12 @@ def sequence_from_dict(data, base_dir=None, where: str = "sequence") -> TailSeq:
         raise InputError(f'{where}: "carrier" must be a path or inline category')
     prefix = data.get("prefix", [])
     cycle = data.get("cycle")
+    if not isinstance(prefix, list):
+        raise InputError(f'{where}: "prefix" must be a list')
     if not isinstance(cycle, list) or not cycle:
         raise InputError(f'{where}: "cycle" must be a nonempty list')
+    if not all(isinstance(lbl, str) for lbl in prefix + cycle):
+        raise InputError(f'{where}: "prefix" and "cycle" labels must be strings')
     return TailSeq(cat, tuple(prefix), tuple(cycle))
 
 

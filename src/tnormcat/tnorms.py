@@ -381,8 +381,8 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     The sweeps, in order:
 
     * unit: 1 & p = p for every grid p (1 need not lie on the grid);
-    * commutativity: p & q = q & p for the pairs p <= q, which covers every
-      pair since the law is symmetric;
+    * commutativity: p & q = q & p for the pairs p < q, which covers every
+      pair since the law is symmetric and trivial at p = q;
     * monotonicity: p & q <= p2 & q for consecutive grid points p < p2 and
       every q; this gives every pair p < p2 by transitivity along the grid,
       and monotonicity in q by commutativity;
@@ -401,7 +401,7 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
                 Witness((ONE, p), apply(t, ONE, p), p, note="unit"),
                 certified=True,
             )
-        for j in range(i, len(pts)):
+        for j in range(i + 1, len(pts)):
             if row[j] != table[j][i]:
                 return ConditionReport(
                     "axioms", False,

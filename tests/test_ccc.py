@@ -184,6 +184,15 @@ class TestCheckCcc:
         report = check_ccc(minimum(), [F(0)], 2, 16)
         assert report.verdict and report.triples_checked == 8
 
+    def test_max_size_3_sweep(self):
+        t = interval_collapse([(F(1, 4), F(1, 2))])
+        grid = (F(0), F(1, 4), F(1, 2), F(1))
+        sizes = [len(enumerate_categories(t, grid, size)) for size in (1, 2, 3)]
+        assert sizes == [1, 16, 861]
+        report = check_ccc(t, grid, 3, 10**9)
+        assert report.verdict
+        assert (report.categories, report.triples_checked) == (878, 878**3)
+
 
 class TestPowerHomAgainstResiduum:
     def test_two_singletons(self, all_families):

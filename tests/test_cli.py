@@ -251,6 +251,29 @@ class TestOtherCommands:
                            "nine/ten", "9/10", "1/2")
         assert code == 1 and "cannot parse rational" in err
 
+    def test_intervals_not_a_list_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "ic.json"
+        path.write_text(json.dumps({"family": "interval-collapse", "intervals": 5}))
+        code, out, err = run(capsys, "check-tnorm", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and 'requires an "intervals" list' in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("prefix", 5, '"prefix" must be a list'),
+        ("prefix", "xx", '"prefix" must be a list'),
+        ("cycle", [["x"]], "labels must be strings"),
+    ], ids=["prefix-int", "prefix-string", "cycle-list-label"])
+    def test_malformed_sequence_exit_1(self, tmp_path, capsys, field, value, message):
+        payload = {"carrier": {"elements": ["x", "y"],
+                               "hom": [["1", "1/2"], ["0", "1"]]},
+                   "prefix": ["y"], "cycle": ["x"]}
+        payload[field] = value
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "limits", "--seq", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+
 
 def base_argv(files, command):
     pair = ["--tnorm", files["collapse"], "--base", files["chain"],

@@ -29,7 +29,7 @@ are categories under every t-norm, so (e) is checked on fibers that are
 transitive but not min-transitive, on C1-passing grids of Łukasiewicz and
 nilpotent minimum, together with (f).  The counterexample powers, which are
 not categories, are its negative control.  Maps are enumerated with
-itertools and d comes from the oracle, not from ``_int_functors`` or
+itertools and d comes from the oracle, not from ``enumerate_functors`` or
 ``exponential``.
 
 One fact concerns the t-norm alone and holds for every t-norm:
@@ -40,8 +40,19 @@ One fact concerns the t-norm alone and holds for every t-norm:
 It is checked with ``oracles.c1_sides`` at every such triple of small
 canonical grids of the five families and of the three-interval norm of
 acceptance criterion 1.
+
+One fact concerns categories alone and holds for every t-norm:
+
+(h) on a reflexive matrix, every transitivity instance
+    hom(j,k) & hom(i,j) <= hom(i,k) with a repeated index holds, so
+    ``validate`` composes only triples of distinct elements.
+
+It is checked on random reflexive matrices over ``EIGHT_GRID`` for the five
+families.  Hypothesis properties also compare ``validate``, ``check_ccc`` and
+``check_power_completeness`` with references that sweep every instance.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -50,21 +61,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tnormcat import (
+    BudgetError,
+    PreconditionError,
     RCat,
     TailSeq,
+    Witness,
     apply,
     canonical_grid,
     check_c1,
     check_ccc,
+    check_power_completeness,
     counterexample,
+    enumerate_categories,
+    enumerate_functors,
     interval_collapse,
     is_cauchy_complete,
     min_transitive_closure,
     product,
+    validate,
 )
+from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
+from conftest import EIGHT_GRID
 from oracles import c1_sides, power_hom_bruteforce, tail_value_bruteforce
 
 F = Fraction
@@ -298,3 +318,122 @@ def test_c1_holds_unless_u_is_below_both(all_families, family):
         if u >= min(p, q):
             lhs, rhs = c1_sides(t, p, q, u)
             assert lhs == rhs, (p, q, u)
+
+
+@st.composite
+def reflexive_matrices(draw, grid, max_n):
+    n = draw(st.integers(1, max_n))
+    return [[F(1) if i == j else draw(st.sampled_from(grid)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(FAMILIES), data=st.data())
+def test_transitivity_holds_at_repeated_indices(all_families, family, data):
+    t = all_families[family]
+    hom = data.draw(reflexive_matrices(EIGHT_GRID, 5))
+    for i, j, k in itertools.product(range(len(hom)), repeat=3):
+        if len({i, j, k}) < 3:
+            assert apply(t, hom[j][k], hom[i][j]) <= hom[i][k], (i, j, k)
+
+
+def _validate_reference(cat: RCat, t):
+    """Reflexivity, then transitivity over all n**3 triples in label order."""
+    order = sorted(range(len(cat)), key=lambda i: str(cat.elements[i]))
+    for i in order:
+        if cat.hom[i][i] != 1:
+            return Witness((cat.elements[i],), cat.hom[i][i], F(1), note="reflexivity")
+    for i, j, k in itertools.product(order, repeat=3):
+        composed = apply(t, cat.hom[j][k], cat.hom[i][j])
+        if composed > cat.hom[i][k]:
+            return Witness(
+                (cat.elements[i], cat.elements[j], cat.elements[k]),
+                composed, cat.hom[i][k], note="transitivity",
+            )
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), data=st.data())
+def test_validate_matches_full_triple_sweep(all_families, family, data):
+    t = all_families[family]
+    grid = data.draw(grids)
+    hom = data.draw(reflexive_matrices(grid, 4))
+    # labels out of index order, so the label order of the sweep matters
+    labels = data.draw(st.permutations([f"v{i}" for i in range(len(hom))]))
+    cat = RCat(tuple(labels), hom)
+    assert validate(cat, t) == _validate_reference(cat, t)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (BudgetError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ccc_reference(t, grid, max_size, budget):
+    """``check_ccc`` with the functors x -> y of every pair counted."""
+    c1 = check_c1(t, grid)
+    if not c1.verdict:
+        return CccReport(False, c1, counterexample(t, *c1.witness.values), 0, 0)
+    cats = [cat for size in range(1, max_size + 1)
+            for cat in enumerate_categories(t, grid, size, budget)]
+    n = len(cats)
+    if n**3 > budget:
+        raise BudgetError(n**3, budget, "category triple sweep")
+    z_sizes = sorted({len(z) for z in cats})
+    for x, y in itertools.product(cats, repeat=2):
+        maps = len(enumerate_functors(x, y, budget))
+        for size in z_sizes:
+            if maps**size > budget:
+                raise BudgetError(maps**size, budget, "map enumeration")
+    return CccReport(True, c1, None, n, n**3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    grid=st.lists(st.fractions(0, 1, max_denominator=6), min_size=1, max_size=3, unique=True),
+    max_size=st.integers(1, 3),
+    budget=st.integers(1, 5000),
+)
+def test_check_ccc_matches_counting_every_pair(all_families, family, grid, max_size, budget):
+    t = all_families[family]
+    assert _outcome(check_ccc, t, grid, max_size, budget) == _outcome(
+        _ccc_reference, t, grid, max_size, budget
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_c1(t):
+    return check_c1(t, canonical_grid(t))
+
+
+def _power_completeness_reference(t, base, fiber, budget):
+    """``check_power_completeness`` with the functors base -> fiber enumerated."""
+    c1 = _canonical_c1(t)
+    if not c1.verdict:
+        raise PreconditionError(f"t-norm {t.describe()} fails C1 at {c1.witness.values}")
+    for cat, name in ((base, "base"), (fiber, "fiber")):
+        w = validate(cat, t)
+        if w is not None:
+            raise PreconditionError(f"{name} category is invalid at {w.values}: {w.note}")
+    enumerate_functors(base, fiber, budget)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    data=st.data(),
+    budget=st.integers(1, 100),
+)
+def test_power_completeness_matches_enumerating_functors(all_families, family, data, budget):
+    t = all_families[family]
+    grid = data.draw(grids)
+    # reflexive matrices, not always transitive, so the preconditions also fail
+    base, fiber = (_cat(data.draw(reflexive_matrices(grid, 3))) for _ in range(2))
+    assert _outcome(check_power_completeness, t, base, fiber, 3, budget) == _outcome(
+        _power_completeness_reference, t, base, fiber, budget
+    )
