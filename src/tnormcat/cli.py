@@ -71,9 +71,23 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
         raise InputError(f"TNORMCAT_BUDGET must be an integer, got {raw!r}") from exc
+    if budget < 0:
+        raise InputError(f"TNORMCAT_BUDGET must be >= 0, got {budget}")
+    return budget
+
+
+def _budget(raw: str) -> int:
+    """The argparse type of --budget: an integer >= 0."""
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
 
 
 def _parse_values(raw: str) -> list:
@@ -315,7 +329,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     s.add_argument("--tnorm", required=True)
     s.add_argument("--base", required=True)
     s.add_argument("--fiber", required=True)
-    s.add_argument("--budget", type=int, default=budget_default,
+    s.add_argument("--budget", type=_budget, default=budget_default,
                    help="enumeration budget")
     _add_common(s)
     s.set_defaults(handler=cmd_exp)
@@ -325,7 +339,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     _add_grid(s)
     s.add_argument("--max-size", type=int, default=2,
                    help="largest category size swept")
-    s.add_argument("--budget", type=int, default=budget_default,
+    s.add_argument("--budget", type=_budget, default=budget_default,
                    help="enumeration budget")
     _add_common(s)
     s.set_defaults(handler=cmd_ccc_suite)
@@ -351,7 +365,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     s.add_argument("--max-size", type=int, default=3,
                    help="cycle budget: recorded in the report; the verdict "
                         "does not depend on it")
-    s.add_argument("--budget", type=int, default=budget_default,
+    s.add_argument("--budget", type=_budget, default=budget_default,
                    help="enumeration budget")
     _add_common(s)
     s.set_defaults(handler=cmd_power_completeness)

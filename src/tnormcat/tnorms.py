@@ -386,11 +386,27 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     * monotonicity: p & q <= p2 & q for consecutive grid points p < p2 and
       every q; this gives every pair p < p2 by transitivity along the grid,
       and monotonicity in q by commutativity;
-    * associativity: (p & q) & u = p & (q & u) on grid³; p & q and q & u
-      come from the table, the outer & is computed since its argument may
-      lie off the grid;
+    * associativity: (p & q) & u = p & (q & u) on grid³, computing each
+      outer & once per distinct operand pair (below);
     * left continuity in p, decided exactly at every family breakpoint b
       for every grid value q (``_left_limit``).
+
+    Associativity.  The left operand p & q of (p & q) & u and the right
+    operand q & u of p & (q & u) are entries of the table, so both lie in
+    its set D of distinct values, and every outer & is D[d] & u or p & D[d]
+    for grid points u, p.  Those 2·n·|D| products are computed once, for n
+    grid points, instead of two per triple.  Every value is interned to an
+    int id through one dict keyed on (numerator, denominator).  A Fraction
+    keeps these in lowest terms with a positive denominator, so two values
+    get the same id exactly when they are equal, and comparing ids decides
+    equality exactly.  ``apply`` depends only on the values of its
+    operands, so D[d] & u is the product the triple sweep computes.  The
+    table entries are interned first, so their ids are 0..|D|-1 and index
+    the rows of ``outer``.  For each (p, q), the row of (p & q) & u over u
+    is compared as an int list with the row of p & (q & u).  The pairs are
+    taken in (p, q) order and the first differing u is the witness, so it
+    is the first failing triple of the grid³ sweep, with the same sides;
+    Fractions are rebuilt from the ids only for that witness.
     """
     pts = _sorted_grid(grid)
     table = [[apply(t, p, q) for q in pts] for p in pts]
@@ -416,17 +432,28 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
                     Witness((p, p2, q), lo, hi, note="monotonicity"),
                     certified=True,
                 )
-    for p, row in zip(pts, table):
-        for q, pq, q_row in zip(pts, row, table):
-            for u, qu in zip(pts, q_row):
-                lhs = apply(t, pq, u)
-                rhs = apply(t, p, qu)
-                if lhs != rhs:
-                    return ConditionReport(
-                        "axioms", False,
-                        Witness((p, q, u), lhs, rhs, note="associativity"),
-                        certified=True,
-                    )
+    ids: dict[tuple[int, int], int] = {}
+
+    def code(v):
+        return ids.setdefault((v.numerator, v.denominator), len(ids))
+
+    codes = [[code(v) for v in row] for row in table]
+    operands = [Fraction(*key) for key in ids]
+    outer = [[code(apply(t, v, u)) for u in pts] for v in operands]
+    for p, p_codes in zip(pts, codes):
+        inner = [code(apply(t, p, v)) for v in operands]
+        for q, pq, q_codes in zip(pts, p_codes, codes):
+            lhs_row = outer[pq]
+            rhs_row = [inner[qu] for qu in q_codes]
+            if lhs_row != rhs_row:
+                k = next(k for k, (a, b) in enumerate(zip(lhs_row, rhs_row)) if a != b)
+                keys = list(ids)
+                return ConditionReport(
+                    "axioms", False,
+                    Witness((p, q, pts[k]), Fraction(*keys[lhs_row[k]]),
+                            Fraction(*keys[rhs_row[k]]), note="associativity"),
+                    certified=True,
+                )
     for b in breakpoints(t):
         if b == ZERO:
             continue

@@ -4,11 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tnormcat import RCat, interval_collapse, lukasiewicz, min_transitive_closure, \
-    minimum, nilpotent_minimum, product_tnorm
+from tnormcat import RCat, apply, interval_collapse, lukasiewicz, \
+    min_transitive_closure, minimum, nilpotent_minimum, product_tnorm
 
 F = Fraction
 
@@ -39,3 +41,55 @@ def make_random_category(rng: random.Random, max_n: int, grid) -> RCat:
 
 
 EIGHT_GRID = tuple(F(k, 7) for k in range(8))
+
+
+UNITS = st.fractions(min_value=0, max_value=1, max_denominator=48)
+
+
+def collapse_norms():
+    """Interval-collapse norms with 1-3 random intervals, endpoints in twelfths."""
+    cuts = st.fractions(min_value=0, max_value=F(11, 12), max_denominator=12)
+    return st.integers(1, 3).flatmap(
+        lambda k: st.lists(cuts, min_size=2 * k, max_size=2 * k, unique=True)
+    ).map(lambda xs: interval_collapse(zip(*[iter(sorted(xs))] * 2)))
+
+
+@st.composite
+def broken_ands(draw, t, pts):
+    """None for the real & of t, else a broken & to patch over ``tnorms.apply``.
+
+    Three fixed kinds break unit, commutativity and left continuity; "pair"
+    changes one value at a pair of grid points or products of grid points,
+    and "off-grid pair" changes p & u only where p is a product of grid
+    points that lies off the grid and u is a grid point.
+    """
+    kind = draw(st.sampled_from(
+        ["real", "unit", "commutativity", "left continuity", "pair", "off-grid pair"]
+    ))
+    if kind == "real":
+        return None
+    if kind == "unit":
+        return lambda t, p, q: p * q / 2
+    if kind == "commutativity":
+        return lambda t, p, q: q if p == 1 else p * p * q
+    if kind == "left continuity":
+        return lambda t, p, q: min(p, q) if p + q >= 1 else F(0)
+    table = {apply(t, p, q) for p in pts for q in pts}
+    if kind == "pair":
+        x, y = draw(st.lists(st.sampled_from(sorted(table | set(pts))),
+                             min_size=2, max_size=2))
+        z = draw(UNITS)
+        symmetric = draw(st.booleans())
+    else:
+        off_grid = sorted(table - set(pts))
+        assume(off_grid)
+        x, y = draw(st.sampled_from(off_grid)), draw(st.sampled_from(pts))
+        z = (apply(t, x, y) + 1) / 2
+        symmetric = True
+
+    def broken(t, p, q):
+        if (p, q) == (x, y) or (symmetric and (q, p) == (x, y)):
+            return z
+        return apply(t, p, q)
+
+    return broken

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from tnormcat import RCat, TailSeq, TNorm, apply
+from tnormcat import ConditionReport, RCat, TailSeq, TNorm, Witness, apply, tnorms
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 
@@ -90,3 +90,43 @@ def c1_sides(t: TNorm, p, q, u):
 
 def c2_holds(t: TNorm, p, u) -> bool:
     return not (u <= apply(t, p, p)) or apply(t, u, p) == u
+
+
+def axioms_bruteforce(t: TNorm, grid) -> ConditionReport:
+    """``verify_tnorm_axioms`` swept directly: one & per side at every tuple.
+
+    Calls ``tnorms.apply`` at each use, so a patched & is seen.  The sweeps
+    and their order are those of the docstring of ``verify_tnorm_axioms``;
+    left continuity reuses ``tnorms._left_limit``, which has its own tests.
+    """
+    def fail(values, lhs, rhs, note):
+        return ConditionReport("axioms", False, Witness(values, lhs, rhs, note), True)
+
+    amp = lambda p, q: tnorms.apply(t, p, q)
+    pts = sorted({Fraction(g) for g in grid})
+    one = Fraction(1)
+    for i, p in enumerate(pts):
+        if amp(one, p) != p:
+            return fail((one, p), amp(one, p), p, "unit")
+        for q in pts[i + 1:]:
+            if amp(p, q) != amp(q, p):
+                return fail((p, q), amp(p, q), amp(q, p), "commutativity")
+    for p, p2 in zip(pts, pts[1:]):
+        for q in pts:
+            if amp(p, q) > amp(p2, q):
+                return fail((p, p2, q), amp(p, q), amp(p2, q), "monotonicity")
+    for p in pts:
+        for q in pts:
+            for u in pts:
+                lhs, rhs = amp(amp(p, q), u), amp(p, amp(q, u))
+                if lhs != rhs:
+                    return fail((p, q, u), lhs, rhs, "associativity")
+    for b in tnorms.breakpoints(t)[1:]:
+        for q in pts:
+            if tnorms._left_limit(t, b, q) != amp(b, q):
+                return fail((b, q), tnorms._left_limit(t, b, q), amp(b, q),
+                            "left continuity")
+    return ConditionReport(
+        "axioms", True,
+        notes=("grid evidence; left continuity decided exactly at breakpoints",),
+    )

@@ -1,9 +1,29 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tnormcat import InvariantError, cli
+import oracles
+from conftest import UNITS, broken_ands, collapse_norms
+from tnormcat import (
+    InvariantError,
+    breakpoints,
+    cli,
+    jsonio,
+    lukasiewicz,
+    minimum,
+    nilpotent_minimum,
+    product_tnorm,
+    tnorms,
+)
 from tnormcat.cli import main
+from tnormcat.rationals import format_rational
 
 
 @pytest.fixture
@@ -194,6 +214,27 @@ class TestOtherCommands:
                            "--max-size", "3", "--budget", "1000")
         assert code == 3 and "budget" in err.lower()
 
+    def test_negative_budget_exit_1(self, files, capsys):
+        code, out, err = run(capsys, "ccc-suite", files["minimum"],
+                             "--values", "0,1", "--budget", "-5")
+        assert (code, out) == (1, "")
+        assert "error: argument --budget: must be >= 0, got -5" in err
+
+    def test_negative_env_budget_exit_1(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("TNORMCAT_BUDGET", "-5")
+        code, out, err = run(capsys, "ccc-suite", files["minimum"], "--values", "0,1")
+        assert (code, out, err) == (1, "", "error: TNORMCAT_BUDGET must be >= 0, got -5\n")
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_zero_budget_exit_3(self, files, capsys, monkeypatch, via_env):
+        argv = ["ccc-suite", files["minimum"], "--values", "0,1"]
+        if via_env:
+            monkeypatch.setenv("TNORMCAT_BUDGET", "0")
+        else:
+            argv += ["--budget", "0"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "the budget is 0" in err
+
     def test_env_budget_override(self, files, capsys, monkeypatch):
         monkeypatch.setenv("TNORMCAT_BUDGET", "2")
         code, _, err = run(capsys, "exp", "--tnorm", files["minimum"],
@@ -348,3 +389,62 @@ class TestCommandLine:
                              "-o", str(target))
         assert (code, out) == (1, "")
         assert f"error: cannot write {target}: No such file or directory" in err
+
+
+def _replay(t, verdict):
+    """Rebuild a failing witness from its strings and recompute both sides."""
+    w = verdict["result"]["witness"]
+    values = tuple(Fraction(v) for v in w["values"])
+    lhs, rhs = Fraction(w["lhs"]), Fraction(w["rhs"])
+    amp = lambda p, q: tnorms.apply(t, p, q)
+    name, note = verdict["name"], w["note"]
+    if name == "C1":
+        assert oracles.c1_sides(t, *values) == (lhs, rhs)
+    elif name == "C2":
+        p, u = values
+        assert not oracles.c2_holds(t, p, u) and (amp(u, p), u) == (lhs, rhs)
+    elif note == "unit":
+        assert values[0] == 1 and (amp(*values), values[1]) == (lhs, rhs)
+    elif note == "commutativity":
+        p, q = values
+        assert (amp(p, q), amp(q, p)) == (lhs, rhs)
+    elif note == "monotonicity":
+        p, p2, q = values
+        assert p < p2 and (amp(p, q), amp(p2, q)) == (lhs, rhs) and lhs > rhs
+    elif note == "associativity":
+        p, q, u = values
+        assert (amp(amp(p, q), u), amp(p, amp(q, u))) == (lhs, rhs)
+    else:
+        # the left limit (lhs) is recomputed by the left-continuity tests of
+        # test_tnorms.py; here only the value at the breakpoint is replayed
+        b, q = values
+        assert note == "left continuity" and b in breakpoints(t)
+        assert amp(b, q) == rhs
+    assert lhs != rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.one_of(
+        st.sampled_from([minimum(), product_tnorm(), lukasiewicz(), nilpotent_minimum()]),
+        collapse_norms(),
+    ),
+    grid=st.lists(UNITS, min_size=1, max_size=8, unique=True),
+    data=st.data(),
+)
+def test_failing_witnesses_replay(t, grid, data):
+    broken = data.draw(broken_ands(t, sorted(grid)))
+    with TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if broken is not None:
+            mp.setattr(tnorms, "apply", broken)
+            mp.setattr(oracles, "apply", broken)
+        path = Path(tmp) / "tnorm.json"
+        path.write_text(json.dumps(jsonio.tnorm_to_dict(t)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check-tnorm", str(path),
+                         "--values", ",".join(map(format_rational, grid))])
+        assert code == 0
+        for verdict in parse_report(out.getvalue())["verdicts"]:
+            if verdict["name"] in ("C1", "C2", "axioms") and not verdict["ok"]:
+                _replay(t, verdict)

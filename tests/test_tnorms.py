@@ -26,11 +26,17 @@ from tnormcat import (
 )
 from tnormcat import tnorms
 
-from oracles import c1_sides, c2_holds, interval_collapse_apply, residuum_bruteforce
+from conftest import UNITS as units, broken_ands, collapse_norms
+from oracles import (
+    axioms_bruteforce,
+    c1_sides,
+    c2_holds,
+    interval_collapse_apply,
+    residuum_bruteforce,
+)
 
 F = Fraction
 
-units = st.fractions(min_value=0, max_value=1, max_denominator=48)
 family_strategy = st.sampled_from(
     [
         minimum(),
@@ -345,6 +351,21 @@ class TestAxiomFailures:
         assert report.witness == Witness(
             (F(1, 2), F(1, 2)), F(0), F(1, 2), "left continuity"
         )
+
+
+class TestAxiomsMatchTripleSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.one_of(family_strategy, collapse_norms()),
+        grid=st.lists(units, min_size=2, max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_same_report_as_bruteforce(self, t, grid, data):
+        broken = data.draw(broken_ands(t, sorted(grid)))
+        with pytest.MonkeyPatch.context() as mp:
+            if broken is not None:
+                mp.setattr(tnorms, "apply", broken)
+            assert verify_tnorm_axioms(t, grid) == axioms_bruteforce(t, grid)
 
 
 class TestCanonicalGrid:
