@@ -4,8 +4,10 @@ The package decides, with exact rational arithmetic, when the category of
 finite [0,1]-enriched categories is cartesian closed for a given
 left-continuous t-norm, builds products and function-space objects, produces
 machine-checkable counterexample bundles when the construction breaks, and
-verifies Cauchy/Yoneda-style completeness of finite categories and their
-function spaces at desk scale.
+decides Cauchy/Yoneda-style completeness of finite categories, their products
+and their function spaces from one lemma that needs no t-norm: every element
+of a Cauchy cycle is a bilimit of it.  Limits of single sequences come with
+full certificates.
 """
 
 from types import ModuleType as _ModuleType

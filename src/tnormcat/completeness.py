@@ -6,9 +6,20 @@ over the cycle, and the sup over start points stabilizes once the prefix is
 discarded.  On top of ``tail_value`` the module decides the two Cauchy-style
 conditions, finds bilimits and Yoneda limits with full certificates, and
 packages the completeness checks for finite categories, product categories,
-and function spaces.  The function-space check builds no power: once
-base and fiber are categories, every Cauchy cycle of functors has a bilimit
-that is isomorphic to its pointwise limit, for every t-norm (proof in
+and function spaces.
+
+Finite-completeness lemma (it needs no t-norm).  A Cauchy or forward-Cauchy
+cycle has hom 1 between any two of its elements (``is_forward_cauchy``).
+Transitivity with a factor 1 holds under every t-norm, so each cycle element
+c0 has hom(c0, x) = min_c hom(c, x) and hom(x, c0) = min_c hom(x, c) for
+every x: c0 is a bilimit and a Yoneda limit of the cycle.  So every finite
+category is Cauchy and Yoneda complete, and so are products and function
+spaces of finite categories.  ``is_cauchy_complete`` and
+``check_product_bilimit`` use the lemma instead of sweeping cycles; on a
+matrix that is not a category they keep the result of the full sweep (proofs
+in their docstrings).  The function-space check builds no power: once base
+and fiber are categories, every Cauchy cycle of functors has a bilimit that
+is isomorphic to its pointwise limit, for every t-norm (proof in
 ``check_power_completeness``).
 """
 
@@ -114,13 +125,23 @@ class LimitVerdict:
     certificate: tuple[CertificateRow, ...] = ()
 
 
-def _both_tails(seq: TailSeq, a) -> tuple[Fraction, Fraction]:
-    return tail_value(seq, a, TO_SEQ), tail_value(seq, a, FROM_SEQ)
-
-
 def is_bilimit(seq: TailSeq, a) -> bool:
-    to_val, from_val = _both_tails(seq, a)
-    return to_val == ONE and from_val == ONE
+    return tail_value(seq, a, TO_SEQ) == ONE and tail_value(seq, a, FROM_SEQ) == ONE
+
+
+def _check_factor_one_transitivity(cat: RCat, a, x, cycle) -> None:
+    """Raise if a, x and a cycle element form a triple (i, j, k) that is not transitive.
+
+    One of hom(i, j), hom(j, k) is 1, so under every t-norm their composite
+    is the smaller one; the triple fails when hom(i, k) lies below it.
+    """
+    for c in cycle:
+        for i, j, k in ((c, a, x), (a, c, x), (x, a, c), (x, c, a)):
+            ij, jk = cat.hom_of(i, j), cat.hom_of(j, k)
+            if max(ij, jk) == ONE and cat.hom_of(i, k) < min(ij, jk):
+                raise PreconditionError(
+                    f"carrier is not a valid category at {(i, j, k)}: transitivity"
+                )
 
 
 def find_bilimit(seq: TailSeq) -> LimitVerdict:
@@ -128,26 +149,26 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
 
     A returned witness also satisfies the defining equalities
     hom(a,x) = tail-from(x) and hom(x,a) = tail-to(x) for every x, which the
-    certificate records and checks.
+    certificate records and checks.  Every cycle element c is isomorphic to
+    a, so the certificate fails at x only if the row or column of some c
+    differs from a's at x.  Then the carrier breaks transitivity at a triple
+    with a factor 1, under every t-norm, and that is raised as a
+    ``PreconditionError``; any other failure is an ``InvariantError``.
     """
     cat = seq.carrier
-    for a in cat.elements:
-        if is_bilimit(seq, a):
-            rows = []
-            for x in cat.elements:
-                row = CertificateRow(
-                    x,
-                    cat.hom_of(a, x),
-                    tail_value(seq, x, FROM_SEQ),
-                    cat.hom_of(x, a),
-                    tail_value(seq, x, TO_SEQ),
-                )
-                if (row.hom_from_witness != row.tail_from_seq
-                        or row.hom_to_witness != row.tail_to_seq):
-                    raise InvariantError(f"bilimit {a!r} fails its certificate at {x!r}")
-                rows.append(row)
-            return LimitVerdict("bilimit", a, tuple(rows))
-    return LimitVerdict("none", None)
+    a = next((e for e in cat.elements if is_bilimit(seq, e)), None)
+    if a is None:
+        return LimitVerdict("none", None)
+    rows = tuple(
+        CertificateRow(x, cat.hom_of(a, x), tail_value(seq, x, FROM_SEQ),
+                       cat.hom_of(x, a), tail_value(seq, x, TO_SEQ))
+        for x in cat.elements
+    )
+    for row in rows:
+        if row.hom_from_witness != row.tail_from_seq or row.hom_to_witness != row.tail_to_seq:
+            _check_factor_one_transitivity(cat, a, row.element, seq.cycle)
+            raise InvariantError(f"bilimit {a!r} fails its certificate at {row.element!r}")
+    return LimitVerdict("bilimit", a, rows)
 
 
 def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
@@ -177,13 +198,32 @@ def enumerate_cycles(cat: RCat, max_len: int):
 def is_cauchy_complete(cat: RCat, budget: int) -> Witness | None:
     """Every Cauchy cycle of length <= budget must have a bilimit.
 
-    Finite categories always pass; this is a consistency check and a
-    regression trap for the limit machinery.
+    Gives the result, exception and message included, of running
+    ``find_bilimit`` on every Cauchy cycle of ``enumerate_cycles(cat,
+    budget)``, on any matrix, but runs it only on the cycles (c,) with
+    hom(c, c) = 1:
+
+    * The sweep finds no Cauchy cycle without a bilimit: every element of a
+      Cauchy cycle is a bilimit of it (both tails are minima of homs between
+      cycle elements), so ``find_bilimit`` never returns "none".
+    * Suppose every cycle (c,) passes, and let a_c, its bilimit, be the first
+      element isomorphic to c.  Its certificate makes the row and column of
+      a_c equal to those of c.  Let S be a Cauchy cycle that contains c.
+      Then a_c is isomorphic to every s in S, as c is, so the first bilimit
+      of S comes no later than a_c; that bilimit is isomorphic to c, so it
+      comes no earlier.  So every s in S has the row and column of the first
+      bilimit of S, and its certificate holds.
+    * The sweep visits the cycles of length 1 first, in element order, so
+      the first error it raises comes from a cycle (c,).
+
+    Finite categories always pass.  ``tests/test_proofs.py`` compares this
+    with the full sweep on random matrices, categories or not.
     """
-    for cycle in enumerate_cycles(cat, budget):
-        seq = TailSeq(cat, (), cycle)
-        if is_cauchy(seq) is None and find_bilimit(seq).kind == "none":
-            return Witness((cycle,), note="cauchy cycle without bilimit")
+    if budget < 1:
+        return None
+    for i, c in enumerate(cat.elements):
+        if cat.hom[i][i] == ONE:
+            find_bilimit(TailSeq(cat, (), (c,)))
     return None
 
 
@@ -200,20 +240,28 @@ def pair_sequences(a_seq: TailSeq, b_seq: TailSeq) -> TailSeq:
 
 
 def check_product_bilimit(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
-    """Componentwise bilimits must pair into a bilimit of the paired sequence."""
+    """Componentwise bilimits must pair into a bilimit of the paired sequence.
+
+    Both sequences must be Cauchy.  Then the pairing always holds, so the
+    check only runs ``find_bilimit`` on each sequence, whose certificate
+    errors it raises, and builds neither the product nor the paired sequence:
+
+    * Each Cauchy sequence has a bilimit (finite-completeness lemma), so the
+      componentwise bilimits a and b exist.
+    * The prefix of ``pair_sequences(a_seq, b_seq)`` is at least as long as
+      both prefixes, so each element of its cycle is a pair (c, d) of cycle
+      elements.  Under the min hom of the product, hom((a, b), (c, d)) =
+      min(hom(a, c), hom(b, d)) = 1, and likewise back, so (a, b) is a
+      bilimit of the paired sequence.
+
+    ``tests/test_proofs.py`` compares this with the paired-sequence check.
+    """
     for name, seq in (("first", a_seq), ("second", b_seq)):
         w = is_cauchy(seq)
         if w is not None:
             raise PreconditionError(f"{name} sequence is not Cauchy at {w.values}")
-    a = find_bilimit(a_seq)
-    b = find_bilimit(b_seq)
-    if a.kind == "none" or b.kind == "none":
-        raise PreconditionError("both sequences must have bilimits in their carriers")
-    paired = pair_sequences(a_seq, b_seq)
-    target = (a.witness, b.witness)
-    if not is_bilimit(paired, target):
-        to_val, from_val = _both_tails(paired, target)
-        return Witness((target,), min(to_val, from_val), ONE, note="product bilimit")
+    find_bilimit(a_seq)
+    find_bilimit(b_seq)
     return None
 
 
@@ -238,15 +286,15 @@ def check_power_completeness(
     nothing is left to check, and neither the power nor its functors are
     built:
 
-    * A cycle is Cauchy exactly when its elements are pairwise isomorphic
-      (hom 1 both ways), and then each of them is a bilimit.  Isomorphism is
-      transitive in the power since the fiber is a category: d(f,g) =
-      d(g,h) = 1 gives hom(f(a), h(a')) >= hom(g(a'), h(a')) &
-      hom(f(a), g(a')) >= 1 & hom(a,a'), so d(f,h) = 1.  So ``find_bilimit``
-      returns the first power element isomorphic to cycle[0] = f.
-    * d(f,g) = 1 forces hom(f(a), g(a)) = 1 (take a = a'), so each pointwise
-      fiber bilimit is the first fiber element isomorphic to f(a); call the
-      pointwise map g.
+    * f = cycle[0] is a bilimit of a Cauchy cycle f_n, by the
+      finite-completeness lemma (module docstring).  The lemma applies since
+      the power inherits transitivity with a factor 1 from the fiber:
+      d(f,g) = 1 gives hom(f(a), g(a)) = 1 (take a = a'), so
+      hom(f(a), h(a')) >= hom(g(a), h(a')) and d(f,h) >= d(g,h); likewise
+      d(g,h) = 1 gives d(f,h) >= d(f,g).
+    * For the same reason each pointwise cycle f_n(a) is Cauchy in the
+      fiber; its first bilimit is the first fiber element isomorphic to
+      f(a).  Call the pointwise map g.
     * g is a functor isomorphic to f, by transitivity of the fiber alone:
       hom(f(a), g(a')) >= hom(f(a'), g(a')) & hom(f(a), f(a')) =
       hom(f(a), f(a')) >= hom(a,a'), so d(f,g) = 1; likewise
@@ -285,7 +333,7 @@ def check_yoneda_continuity(f: RFunctor, seqs) -> Witness | None:
     Yoneda limit in the source) are raised per sequence.
     """
     for i, seq in enumerate(seqs):
-        if seq.carrier.elements != f.source.elements:
+        if seq.carrier != f.source:
             raise PreconditionError(f"sequence {i} does not live in the source")
         src_limit = find_yoneda_limit(seq)  # raises if not forward Cauchy
         if src_limit.kind == "none":

@@ -8,7 +8,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from tnormcat import ConditionReport, RCat, TailSeq, TNorm, Witness, apply, tnorms
+from tnormcat import (
+    ConditionReport,
+    PreconditionError,
+    RCat,
+    TailSeq,
+    TNorm,
+    Witness,
+    apply,
+    enumerate_cycles,
+    find_bilimit,
+    is_cauchy,
+    pair_sequences,
+    tnorms,
+)
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 
@@ -80,6 +93,39 @@ def tail_value_bruteforce(seq: TailSeq, x, direction: str, cycles: int = 3) -> F
         if best is None or inf > best:
             best = inf
     return best
+
+
+def cauchy_complete_sweep(cat: RCat, budget: int) -> Witness | None:
+    """``is_cauchy_complete`` as a sweep: ``find_bilimit`` on every Cauchy cycle.
+
+    Cycles of length 1..budget in ``enumerate_cycles`` order; ``find_bilimit``
+    is called, as by the full sweep, so that its certificate errors surface.
+    """
+    for cycle in enumerate_cycles(cat, budget):
+        if any(cat.hom_of(c, c2) != 1 for c in cycle for c2 in cycle):
+            continue
+        if find_bilimit(TailSeq(cat, (), cycle)).kind == "none":
+            return Witness((cycle,), note="cauchy cycle without bilimit")
+    return None
+
+
+def product_bilimit_sweep(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
+    """``check_product_bilimit`` with the paired sequence built in the product."""
+    for name, seq in (("first", a_seq), ("second", b_seq)):
+        w = is_cauchy(seq)
+        if w is not None:
+            raise PreconditionError(f"{name} sequence is not Cauchy at {w.values}")
+    a = find_bilimit(a_seq)
+    b = find_bilimit(b_seq)
+    if a.kind == "none" or b.kind == "none":
+        raise PreconditionError("both sequences must have bilimits in their carriers")
+    paired = pair_sequences(a_seq, b_seq)
+    target = (a.witness, b.witness)
+    worst = min(tail_value_bruteforce(paired, target, TO_SEQ),
+                tail_value_bruteforce(paired, target, FROM_SEQ))
+    if worst != 1:
+        return Witness((target,), worst, Fraction(1), note="product bilimit")
+    return None
 
 
 def c1_sides(t: TNorm, p, q, u):

@@ -260,6 +260,19 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert "carrier is not a valid category" in err
 
+    def test_limits_non_category_carrier_without_tnorm_exit_1(self, capsys, tmp_path):
+        # hom(y,x) = 1 and hom(x,z) = 1/2 but hom(y,z) = 0: the carrier breaks
+        # transitivity under every t-norm, so no --tnorm is needed to reject it
+        seq = tmp_path / "bad_seq.json"
+        seq.write_text(json.dumps({
+            "carrier": {"elements": ["x", "y", "z"],
+                        "hom": [["1", "1", "1/2"], ["1", "1", "0"], ["0", "0", "1"]]},
+            "cycle": ["y"],
+        }))
+        code, out, err = run(capsys, "limits", "--seq", str(seq))
+        assert (code, out) == (1, "")
+        assert err == "error: carrier is not a valid category at ('y', 'x', 'z'): transitivity\n"
+
     @pytest.mark.parametrize(
         "fault", [InvariantError("broken certificate"), RuntimeError("boom")],
         ids=lambda exc: type(exc).__name__,

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from tnormcat import (
     terminal,
     unit_interval_category,
 )
+from tnormcat import completeness
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 from conftest import EIGHT_GRID, make_random_category
@@ -140,6 +142,13 @@ class TestBilimit:
         assert is_cauchy(seq) is not None
         assert find_bilimit(seq).kind == "none"
 
+    def test_non_category_carrier_is_a_precondition_error(self):
+        # hom(y,x) = 1 and hom(x,z) = 1/2 but hom(y,z) = 0: no t-norm makes
+        # this transitive, so the certificate of the bilimit x fails at z
+        cat = RCat(("x", "y", "z"), ((1, 1, F(1, 2)), (1, 1, 0), (0, 0, 1)))
+        with pytest.raises(PreconditionError, match=r"at \('y', 'x', 'z'\): transitivity"):
+            find_bilimit(TailSeq(cat, (), ("y",)))
+
     def test_bilimit_implies_cauchy(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -201,6 +210,26 @@ class TestCauchyComplete:
     def test_budget_one_constant_sequences(self, iso_pair_cat):
         assert is_cauchy_complete(iso_pair_cat, 1) is None
 
+    def test_runs_find_bilimit_once_per_element(self, monkeypatch):
+        calls = []
+        real = completeness.find_bilimit
+        monkeypatch.setattr(completeness, "find_bilimit",
+                            lambda seq: calls.append(seq.cycle) or real(seq))
+        rng = random.Random(5)
+        for cat in [make_random_category(rng, 5, EIGHT_GRID) for _ in range(10)]:
+            for budget in range(9):
+                calls.clear()
+                assert is_cauchy_complete(cat, budget) is None
+                assert len(calls) <= len(cat)
+        # every cycle is Cauchy here: a sweep of every cycle would visit
+        # 6 + 6**2 + ... + 6**8 = 2,015,538 of them
+        cat = RCat(tuple("abcdef"), ((1,) * 6,) * 6)
+        calls.clear()
+        start = time.perf_counter()
+        assert is_cauchy_complete(cat, 8) is None
+        assert time.perf_counter() - start < 1
+        assert calls == [(c,) for c in cat.elements]
+
 
 class TestProductBilimit:
     def test_both_constant(self, iso_pair_cat):
@@ -223,6 +252,17 @@ class TestProductBilimit:
         paired = pair_sequences(s1, s2)
         v = find_bilimit(paired)
         assert v.witness == ("a", "*")
+
+    def test_builds_no_product(self, iso_pair_cat, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the product pairing needs no construction")
+
+        monkeypatch.setattr(completeness, "product", unused)
+        monkeypatch.setattr(completeness, "pair_sequences", unused)
+        other = RCat(("p", "q"), ((1, 1), (1, 1)))
+        s1 = TailSeq(iso_pair_cat, ("x",), ("a", "b"))
+        s2 = TailSeq(other, ("q",), ("p", "q", "p"))
+        assert check_product_bilimit(s1, s2) is None
 
     def test_precondition_errors(self, iso_pair_cat):
         bad = TailSeq(RCat(("a", "b"), ((1, 0), (0, 1))), (), ("a", "b"))
@@ -271,6 +311,14 @@ class TestYonedaContinuity:
         for mapping in enumerate_functors(iso_pair_cat, two_chain):
             f = RFunctor(iso_pair_cat, two_chain, mapping)
             assert check_yoneda_continuity(f, seqs) is None
+
+    def test_carrier_must_be_the_source(self):
+        # same labels as the source, but every hom is 1
+        src = RCat(("a", "b"), ((1, 0), (0, 1)))
+        other = RCat(("a", "b"), ((1, 1), (1, 1)))
+        ident = RFunctor(src, src, ("a", "b"))
+        with pytest.raises(PreconditionError, match="sequence 0 does not live in the source"):
+            check_yoneda_continuity(ident, [TailSeq(other, (), ("a", "b"))])
 
     def test_precondition_raised_per_sequence(self, iso_pair_cat):
         bad_cat = RCat(("a", "b"), ((1, 0), (0, 1)))

@@ -2,8 +2,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tnormcat import InputError, RCat, interval_collapse, lukasiewicz, minimum
+from conftest import UNITS, collapse_norms
+from tnormcat import (
+    InputError,
+    RCat,
+    TailSeq,
+    TNorm,
+    interval_collapse,
+    lukasiewicz,
+    minimum,
+)
+from tnormcat.tnorms import FAMILIES, INTERVAL_COLLAPSE
 from tnormcat.jsonio import (
     bundle_to_dict,
     category_from_dict,
@@ -125,3 +137,36 @@ class TestReportRendering:
     def test_to_jsonable_handles_fractions_and_tuples(self):
         out = to_jsonable({"v": F(1, 3), "t": (F(0), "x")})
         assert out == {"v": "1/3", "t": ["0", "x"]}
+
+
+@st.composite
+def categories(draw):
+    """Any hom matrix on [0,1], not only categories, on arbitrary string labels."""
+    elements = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4,
+                             unique=True))
+    return RCat(tuple(elements), [[draw(UNITS) for _ in elements] for _ in elements])
+
+
+def _through_json(data):
+    return json.loads(json.dumps(data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=st.one_of(
+        st.sampled_from([f for f in FAMILIES if f != INTERVAL_COLLAPSE]).map(TNorm),
+        collapse_norms(),
+    ),
+    cat=categories(),
+    data=st.data(),
+)
+def test_json_round_trip_is_lossless(t, cat, data):
+    assert tnorm_from_dict(_through_json(tnorm_to_dict(t))) == t
+    assert category_from_dict(_through_json(category_to_dict(cat))) == cat
+    labels = st.sampled_from(cat.elements)
+    seq = TailSeq(cat, data.draw(st.lists(labels, max_size=3)),
+                  data.draw(st.lists(labels, min_size=1, max_size=3)))
+    # the form of a sequence in the inputs block of a ``limits`` report
+    form = {"carrier": category_to_dict(cat),
+            "prefix": to_jsonable(seq.prefix), "cycle": to_jsonable(seq.cycle)}
+    assert sequence_from_dict(_through_json(form)) == seq

@@ -7,7 +7,8 @@ For every t-norm, with d the sup-hom of the power y^x:
     z -> y^x that do not shrink homs under d, so ``check_ccc`` and
     ``check_currying`` run no per-triple uncurry test (that every functor
     z -> y^x uncurries to a functor out of z×x) and test only the powers;
-(c) every element of a Cauchy cycle is a bilimit of that cycle, so
+(c) every element of a Cauchy cycle is a bilimit of that cycle (the
+    finite-completeness lemma of ``tnormcat.completeness``), so
     ``is_cauchy_complete`` cannot fail on a power;
 (d) a Cauchy cycle has the same first bilimit, and the same first bilimits
     of its pointwise value cycles in the fiber, as the cycle (cycle[0],);
@@ -48,12 +49,16 @@ One fact concerns categories alone and holds for every t-norm:
     ``validate`` composes only triples of distinct elements.
 
 It is checked on random reflexive matrices over ``EIGHT_GRID`` for the five
-families.  Hypothesis properties also compare ``validate``, ``check_ccc`` and
-``check_power_completeness`` with references that sweep every instance.
+families.  Hypothesis properties also compare ``validate``, ``check_ccc``,
+``check_power_completeness``, ``is_cauchy_complete`` and
+``check_product_bilimit`` with references that sweep every instance; the
+last two on any matrix, category or not.
 """
 
 import functools
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +67,7 @@ from hypothesis import strategies as st
 
 from tnormcat import (
     BudgetError,
+    InvariantError,
     PreconditionError,
     RCat,
     TailSeq,
@@ -71,13 +77,18 @@ from tnormcat import (
     check_c1,
     check_ccc,
     check_power_completeness,
+    check_product_bilimit,
+    cli,
     counterexample,
     enumerate_categories,
     enumerate_functors,
     interval_collapse,
     is_cauchy_complete,
+    jsonio,
     min_transitive_closure,
+    parse_rational,
     product,
+    tnorms,
     validate,
 )
 from tnormcat.categories import CccReport
@@ -85,7 +96,13 @@ from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
 from conftest import EIGHT_GRID
-from oracles import c1_sides, power_hom_bruteforce, tail_value_bruteforce
+from oracles import (
+    c1_sides,
+    cauchy_complete_sweep,
+    power_hom_bruteforce,
+    product_bilimit_sweep,
+    tail_value_bruteforce,
+)
 
 F = Fraction
 
@@ -213,6 +230,33 @@ def test_pointwise_limit_map_is_isomorphic():
 def test_pointwise_limit_map_is_isomorphic_on_counterexamples(all_families, family):
     bundle = counterexample(all_families[family], *C1_VIOLATIONS[family])
     _check_pointwise_iso(bundle.base, bundle.fiber, _power(bundle.base, bundle.fiber))
+
+
+@pytest.mark.parametrize("family", sorted(C1_VIOLATIONS))
+def test_counterexample_bundle_replays_from_its_json(all_families, family, tmp_path, capsys):
+    path = tmp_path / "tnorm.json"
+    path.write_text(json.dumps(jsonio.tnorm_to_dict(all_families[family])))
+    triple = C1_VIOLATIONS[family]
+    assert cli.main(["counterexample", str(path), *(str(v) for v in triple)]) == 0
+    bundle = json.loads(capsys.readouterr().out)["verdicts"][0]["result"]
+
+    t = jsonio.tnorm_from_dict(bundle["tnorm"])
+    base, fiber = (jsonio.category_from_dict(bundle[key]) for key in ("base", "fiber"))
+    f, g, h = (tuple(bundle[key]) for key in ("f", "g", "h"))
+    p, q, u = (parse_rational(bundle[key]) for key in ("p", "q", "u"))
+    assert (t, (p, q, u)) == (all_families[family], triple)
+    assert all(_is_functor(base, fiber, m) for m in (f, g, h))
+    d = {
+        "d_fg": power_hom_bruteforce(base, fiber, f, g),
+        "d_gh": power_hom_bruteforce(base, fiber, g, h),
+        "d_fh": power_hom_bruteforce(base, fiber, f, h),
+    }
+    assert {key: parse_rational(bundle[key]) for key in d} == d
+    lhs = min(tnorms.apply(t, d["d_fg"], d["d_gh"]), u)
+    rhs = min(d["d_fh"], u)
+    assert lhs > rhs
+    violated = bundle["violated"]
+    assert (parse_rational(violated["lhs"]), parse_rational(violated["rhs"])) == (lhs, rhs)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -368,7 +412,7 @@ def test_validate_matches_full_triple_sweep(all_families, family, data):
 def _outcome(check, *args):
     try:
         return check(*args)
-    except (BudgetError, PreconditionError) as exc:
+    except (BudgetError, InvariantError, PreconditionError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -437,3 +481,50 @@ def test_power_completeness_matches_enumerating_functors(all_families, family, d
     assert _outcome(check_power_completeness, t, base, fiber, 3, budget) == _outcome(
         _power_completeness_reference, t, base, fiber, budget
     )
+
+
+# hom values for the completeness sweeps: many 1s, so that Cauchy cycles are
+# common and matrices that are not categories break transitivity at a 1
+MANY_ONES = (F(1), F(1), F(1), F(0), F(1, 2), F(3, 4))
+
+
+def _random_carrier(rng: random.Random) -> RCat:
+    """Half the time a category (min-closed), else an arbitrary matrix."""
+    n = rng.randint(1, 4)
+    hom = [[rng.choice(MANY_ONES) for _ in range(n)] for _ in range(n)]
+    return _cat(min_transitive_closure(hom) if rng.random() < 0.5 else hom)
+
+
+def _random_sequence(rng: random.Random, cat: RCat) -> TailSeq:
+    def labels(k):
+        return [rng.choice(cat.elements) for _ in range(k)]
+
+    return TailSeq(cat, labels(rng.randint(0, 2)), labels(rng.randint(1, 3)))
+
+
+def _completeness_outcomes(rng: random.Random, budget: int) -> tuple:
+    """Compare both completeness checks with their full sweeps on one case."""
+    cat = _random_carrier(rng)
+    other = _random_carrier(rng) if rng.random() < 0.5 else cat
+    a_seq, b_seq = _random_sequence(rng, cat), _random_sequence(rng, other)
+    got = (_outcome(is_cauchy_complete, cat, budget),
+           _outcome(check_product_bilimit, a_seq, b_seq))
+    assert got == (_outcome(cauchy_complete_sweep, cat, budget),
+                   _outcome(product_bilimit_sweep, a_seq, b_seq))
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), budget=st.integers(0, 3))
+def test_completeness_checks_match_full_sweeps(rng, budget):
+    _completeness_outcomes(rng, budget)
+
+
+def test_completeness_sweep_comparison_sees_passes_and_errors():
+    rng = random.Random(11)
+    outcomes = [_completeness_outcomes(rng, rng.randint(0, 3)) for _ in range(300)]
+    for k in range(2):
+        assert any(out[k] is None for out in outcomes)
+        # a certificate error of ``find_bilimit``, not only a failed precondition
+        assert any(isinstance(out[k], tuple) and "carrier is not a valid category" in out[k][1]
+                   for out in outcomes)
