@@ -149,11 +149,15 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
 
     A returned witness also satisfies the defining equalities
     hom(a,x) = tail-from(x) and hom(x,a) = tail-to(x) for every x, which the
-    certificate records and checks.  Every cycle element c is isomorphic to
-    a, so the certificate fails at x only if the row or column of some c
-    differs from a's at x.  Then the carrier breaks transitivity at a triple
-    with a factor 1, under every t-norm, and that is raised as a
-    ``PreconditionError``; any other failure is an ``InvariantError``.
+    certificate records and checks.  Both tails of a are 1, so hom(a, c) =
+    hom(c, a) = 1 for every cycle element c, and the tails at x are the
+    cycle minima of hom(c, x) and hom(x, c).  A row fails at x only if
+    hom(a, x) lies below every hom(c, x), which breaks (a, c, x), or above
+    the least one, which breaks (c, a, x); a failed column breaks (x, c, a)
+    or (x, a, c) in the same way.  Each of these triples has a factor 1, so
+    it fails under every t-norm and is raised as a ``PreconditionError``.
+    The ``InvariantError`` after that search is reached only if
+    ``tail_value`` or ``is_bilimit`` is itself wrong.
     """
     cat = seq.carrier
     a = next((e for e in cat.elements if is_bilimit(seq, e)), None)
@@ -216,8 +220,10 @@ def is_cauchy_complete(cat: RCat, budget: int) -> Witness | None:
     * The sweep visits the cycles of length 1 first, in element order, so
       the first error it raises comes from a cycle (c,).
 
-    Finite categories always pass.  ``tests/test_proofs.py`` compares this
-    with the full sweep on random matrices, categories or not.
+    So ``budget`` only tells 0, which returns None at once, from every
+    value >= 1, which all give the same result.  Finite categories always
+    pass.  ``tests/test_proofs.py`` compares this with the full sweep on
+    random matrices, categories or not.
     """
     if budget < 1:
         return None

@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -225,9 +224,7 @@ class TestCauchyComplete:
         # 6 + 6**2 + ... + 6**8 = 2,015,538 of them
         cat = RCat(tuple("abcdef"), ((1,) * 6,) * 6)
         calls.clear()
-        start = time.perf_counter()
         assert is_cauchy_complete(cat, 8) is None
-        assert time.perf_counter() - start < 1
         assert calls == [(c,) for c in cat.elements]
 
 

@@ -67,7 +67,6 @@ from hypothesis import strategies as st
 
 from tnormcat import (
     BudgetError,
-    InvariantError,
     PreconditionError,
     RCat,
     TailSeq,
@@ -412,7 +411,7 @@ def test_validate_matches_full_triple_sweep(all_families, family, data):
 def _outcome(check, *args):
     try:
         return check(*args)
-    except (BudgetError, InvariantError, PreconditionError) as exc:
+    except (BudgetError, PreconditionError) as exc:
         return type(exc).__name__, str(exc)
 
 
