@@ -521,22 +521,20 @@ def min_transitive_closure(hom) -> tuple[tuple[Fraction, ...], ...]:
     """Smallest pointwise enlargement that is reflexive and min-transitive.
 
     Useful for manufacturing valid categories from arbitrary matrices; a
-    min-transitive matrix is transitive for every t-norm.
+    min-transitive matrix is transitive for every t-norm.  One
+    Floyd-Warshall pass, k outermost, gives the max-min closure: after round
+    k, m[i][j] is the best max-min path from i to j through intermediates
+    among the first k elements, since (max, min) is an idempotent semiring
+    and m[k][k] = 1 leaves row and column k unchanged in round k.
     """
     n = len(hom)
     m = [[Fraction(v) for v in row] for row in hom]
     for i in range(n):
         m[i][i] = ONE
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    via = min(m[i][k], m[k][j])
-                    if via > m[i][j]:
-                        m[i][j] = via
-                        changed = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                m[i][j] = max(m[i][j], min(m[i][k], m[k][j]))
     return tuple(tuple(row) for row in m)
 
 

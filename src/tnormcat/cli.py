@@ -241,7 +241,9 @@ def cmd_power_completeness(args) -> RunReport:
             "cycle_budget": args.max_size,
         },
     )
-    w = check_power_completeness(t, base, fiber, args.max_size, args.budget)
+    if args.max_size < 1:
+        raise InputError(f"cycle budget must be >= 1, got {args.max_size}")
+    w = check_power_completeness(t, base, fiber, args.budget)
     report.add("power-completeness", w, w is None)
     return report
 
@@ -276,9 +278,8 @@ def _emit(report: RunReport, args) -> None:
     if args.format == "text":
         text = _render_text(report)
     else:
-        text = json.dumps(
-            jsonio.to_jsonable(report), indent=2, sort_keys=True, ensure_ascii=False
-        ) + "\n"
+        # RunReport.add already stores JSON-native rows
+        text = json.dumps(vars(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

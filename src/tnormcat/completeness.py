@@ -8,19 +8,35 @@ conditions, finds bilimits and Yoneda limits with full certificates, and
 packages the completeness checks for finite categories, product categories,
 and function spaces.
 
-Finite-completeness lemma (it needs no t-norm).  A Cauchy or forward-Cauchy
-cycle has hom 1 between any two of its elements (``is_forward_cauchy``).
-Transitivity with a factor 1 holds under every t-norm, so each cycle element
-c0 has hom(c0, x) = min_c hom(c, x) and hom(x, c0) = min_c hom(x, c) for
-every x: c0 is a bilimit and a Yoneda limit of the cycle.  So every finite
-category is Cauchy and Yoneda complete, and so are products and function
-spaces of finite categories.  ``is_cauchy_complete`` and
+Category laws without a t-norm.  Two laws hold in a category under every
+t-norm: reflexivity, hom(c, c) = 1, and transitivity with a factor 1,
+hom(i, k) >= min(hom(i, j), hom(j, k)) whenever hom(i, j) or hom(j, k) is 1,
+since 1 & v = v & 1 = v.  ``find_bilimit``, ``find_yoneda_limit`` and
+``check_yoneda_continuity`` check them first and raise a
+``PreconditionError`` on a carrier that breaks them.
+
+Finite-completeness lemma (it needs only these laws).  A Cauchy or
+forward-Cauchy cycle has hom 1 between any two of its elements
+(``is_forward_cauchy``).  By transitivity with a factor 1, each cycle
+element c0 has hom(c0, x) = min_c hom(c, x) and hom(x, c0) = min_c hom(x, c)
+for every x: c0 is a bilimit and a Yoneda limit of the cycle.  So every
+finite category is Cauchy and Yoneda complete, and so are products and
+function spaces of finite categories.  ``is_cauchy_complete`` and
 ``check_product_bilimit`` use the lemma instead of sweeping cycles; on a
 matrix that is not a category they keep the result of the full sweep (proofs
 in their docstrings).  The function-space check builds no power: once base
 and fiber are categories, every Cauchy cycle of functors has a bilimit that
 is isomorphic to its pointwise limit, for every t-norm (proof in
 ``check_power_completeness``).
+
+Continuity corollary.  A Yoneda limit a of a forward-Cauchy cycle has hom 1
+both ways with each cycle element (hom(c, a) = min_c' hom(c', a) = hom(a, a)
+= 1).  A functor f keeps hom 1, so the image cycle is forward Cauchy and f(a)
+has hom 1 both ways with each image element; by the lemma the image has a
+Yoneda limit, and every one has hom 1 both ways with each image element too,
+hence with f(a), by transitivity with a factor 1.  So every functor between
+finite categories is Yoneda continuous, and ``check_yoneda_continuity``
+checks only its preconditions.
 """
 
 from __future__ import annotations
@@ -40,6 +56,7 @@ from .categories import (
     RFunctor,
     _check_map_budget,
     _require_valid,
+    is_functor,
     product,
 )
 
@@ -129,37 +146,45 @@ def is_bilimit(seq: TailSeq, a) -> bool:
     return tail_value(seq, a, TO_SEQ) == ONE and tail_value(seq, a, FROM_SEQ) == ONE
 
 
-def _check_factor_one_transitivity(cat: RCat, a, x, cycle) -> None:
-    """Raise if a, x and a cycle element form a triple (i, j, k) that is not transitive.
+def _check_laws(cat: RCat) -> None:
+    """Raise unless ``cat`` keeps the category laws shared by every t-norm.
 
-    One of hom(i, j), hom(j, k) is 1, so under every t-norm their composite
-    is the smaller one; the triple fails when hom(i, k) lies below it.
+    Those are reflexivity and transitivity with a factor 1 (module
+    docstring).  The scan is that of ``validate``: reflexivity in label
+    order, then the triples of distinct elements in ``permutations`` order,
+    since once reflexivity holds every triple with a repeated index holds.
     """
-    for c in cycle:
-        for i, j, k in ((c, a, x), (a, c, x), (x, a, c), (x, c, a)):
-            ij, jk = cat.hom_of(i, j), cat.hom_of(j, k)
-            if max(ij, jk) == ONE and cat.hom_of(i, k) < min(ij, jk):
-                raise PreconditionError(
-                    f"carrier is not a valid category at {(i, j, k)}: transitivity"
-                )
+    order, hom = cat._sorted_indices, cat.hom
+    for i in order:
+        if hom[i][i] != ONE:
+            raise PreconditionError(
+                f"carrier is not a valid category at {(cat.elements[i],)}: reflexivity"
+            )
+    for i, j, k in itertools.permutations(order, 3):
+        ij, jk = hom[i][j], hom[j][k]
+        if max(ij, jk) == ONE and hom[i][k] < min(ij, jk):
+            raise PreconditionError(
+                "carrier is not a valid category at "
+                f"{(cat.elements[i], cat.elements[j], cat.elements[k])}: transitivity"
+            )
 
 
 def find_bilimit(seq: TailSeq) -> LimitVerdict:
     """First carrier element with both tail distances equal to 1.
 
-    A returned witness also satisfies the defining equalities
-    hom(a,x) = tail-from(x) and hom(x,a) = tail-to(x) for every x, which the
-    certificate records and checks.  Both tails of a are 1, so hom(a, c) =
-    hom(c, a) = 1 for every cycle element c, and the tails at x are the
-    cycle minima of hom(c, x) and hom(x, c).  A row fails at x only if
-    hom(a, x) lies below every hom(c, x), which breaks (a, c, x), or above
-    the least one, which breaks (c, a, x); a failed column breaks (x, c, a)
-    or (x, a, c) in the same way.  Each of these triples has a factor 1, so
-    it fails under every t-norm and is raised as a ``PreconditionError``.
-    The ``InvariantError`` after that search is reached only if
+    The carrier must keep the laws of ``_check_laws``.  A returned witness
+    also satisfies the defining equalities hom(a,x) = tail-from(x) and
+    hom(x,a) = tail-to(x) for every x, which the certificate records and
+    checks.  Both tails of a are 1, so hom(a, c) = hom(c, a) = 1 for every
+    cycle element c, and the tails at x are the cycle minima of hom(c, x)
+    and hom(x, c).  Transitivity with a factor 1 at (a, c, x) gives hom(a, x)
+    >= hom(c, x) for every c, and at (c, a, x) it gives hom(c, x) >=
+    hom(a, x); so hom(a, x) is the least hom(c, x), and (x, c, a), (x, a, c)
+    settle the column alike.  So the ``InvariantError`` is reached only if
     ``tail_value`` or ``is_bilimit`` is itself wrong.
     """
     cat = seq.carrier
+    _check_laws(cat)
     a = next((e for e in cat.elements if is_bilimit(seq, e)), None)
     if a is None:
         return LimitVerdict("none", None)
@@ -170,18 +195,26 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
     )
     for row in rows:
         if row.hom_from_witness != row.tail_from_seq or row.hom_to_witness != row.tail_to_seq:
-            _check_factor_one_transitivity(cat, a, row.element, seq.cycle)
             raise InvariantError(f"bilimit {a!r} fails its certificate at {row.element!r}")
     return LimitVerdict("bilimit", a, rows)
 
 
-def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
-    """First element a with hom(a, x) equal to the tail-from value for all x."""
+def _require_forward_cauchy(seq: TailSeq) -> None:
     w = is_forward_cauchy(seq)
     if w is not None:
         raise PreconditionError(
             f"sequence is not forward Cauchy: hom{w.values} = {w.lhs}"
         )
+
+
+def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
+    """First element a with hom(a, x) equal to the tail-from value for all x.
+
+    The carrier must keep the laws of ``_check_laws`` and the sequence must
+    be forward Cauchy.
+    """
+    _check_laws(seq.carrier)
+    _require_forward_cauchy(seq)
     cat = seq.carrier
     tails = {x: tail_value(seq, x, FROM_SEQ) for x in cat.elements}
     for a in cat.elements:
@@ -199,34 +232,27 @@ def enumerate_cycles(cat: RCat, max_len: int):
         yield from itertools.product(cat.elements, repeat=length)
 
 
-def is_cauchy_complete(cat: RCat, budget: int) -> Witness | None:
-    """Every Cauchy cycle of length <= budget must have a bilimit.
+def is_cauchy_complete(cat: RCat) -> Witness | None:
+    """Every Cauchy cycle must have a bilimit.
 
     Gives the result, exception and message included, of running
-    ``find_bilimit`` on every Cauchy cycle of ``enumerate_cycles(cat,
-    budget)``, on any matrix, but runs it only on the cycles (c,) with
+    ``find_bilimit`` on every Cauchy cycle of ``enumerate_cycles(cat, b)``
+    for any b >= 1, on any matrix, but runs it only on the cycles (c,) with
     hom(c, c) = 1:
 
-    * The sweep finds no Cauchy cycle without a bilimit: every element of a
-      Cauchy cycle is a bilimit of it (both tails are minima of homs between
-      cycle elements), so ``find_bilimit`` never returns "none".
-    * Suppose every cycle (c,) passes, and let a_c, its bilimit, be the first
-      element isomorphic to c.  Its certificate makes the row and column of
-      a_c equal to those of c.  Let S be a Cauchy cycle that contains c.
-      Then a_c is isomorphic to every s in S, as c is, so the first bilimit
-      of S comes no later than a_c; that bilimit is isomorphic to c, so it
-      comes no earlier.  So every s in S has the row and column of the first
-      bilimit of S, and its certificate holds.
-    * The sweep visits the cycles of length 1 first, in element order, so
-      the first error it raises comes from a cycle (c,).
+    * The sweep visits the cycles of length 1 first, in element order, and
+      a Cauchy cycle needs hom(c, c) = 1 for each of its elements c.  So
+      both start with ``find_bilimit`` on the same cycle (c,), or the sweep
+      meets no Cauchy cycle and both return None.
+    * That first call checks the laws, and raises as the sweep does if the
+      carrier breaks them.  Otherwise no later call raises: every element of
+      a Cauchy cycle is a bilimit of it (finite-completeness lemma), so
+      ``find_bilimit`` never returns "none", and its certificate holds (proof
+      in ``find_bilimit``).
 
-    So ``budget`` only tells 0, which returns None at once, from every
-    value >= 1, which all give the same result.  Finite categories always
-    pass.  ``tests/test_proofs.py`` compares this with the full sweep on
-    random matrices, categories or not.
+    Finite categories always pass.  ``tests/test_proofs.py`` compares this
+    with the full sweep on random matrices, categories or not.
     """
-    if budget < 1:
-        return None
     for i, c in enumerate(cat.elements):
         if cat.hom[i][i] == ONE:
             find_bilimit(TailSeq(cat, (), (c,)))
@@ -280,7 +306,6 @@ def check_power_completeness(
     t: TNorm,
     base: RCat,
     fiber: RCat,
-    cycle_budget: int = 3,
     budget: int = DEFAULT_BUDGET,
 ) -> Witness | None:
     """Function spaces over a C1-passing t-norm stay Cauchy complete.
@@ -315,13 +340,10 @@ def check_power_completeness(
     first step of building the power.  That enumeration raises
     ``BudgetError`` exactly when its len(fiber)**len(base) candidate maps
     exceed ``budget``, and it raises nothing else, so ``_check_map_budget``
-    on that count raises the same error without enumerating.
-    ``cycle_budget`` must be at least 1; reports record it, but the verdict
-    does not depend on it.  The C1 precondition is kept as the contract of
-    the check, although the proof does not use it.
+    on that count raises the same error without enumerating.  The C1
+    precondition is kept as the contract of the check, although the proof
+    does not use it.
     """
-    if cycle_budget < 1:
-        raise InputError(f"cycle budget must be >= 1, got {cycle_budget}")
     c1 = _c1_on_canonical_grid(t)
     if not c1.verdict:
         raise PreconditionError(
@@ -332,39 +354,23 @@ def check_power_completeness(
     return None
 
 
-def check_yoneda_continuity(f: RFunctor, seqs) -> Witness | None:
+def check_yoneda_continuity(f: RFunctor, seqs) -> None:
     """Image sequences must converge to the image of the source limit.
 
-    Precondition violations (a sequence that is not forward Cauchy or lacks a
-    Yoneda limit in the source) are raised per sequence.
+    Source and target must keep the laws of ``_check_laws``, ``f`` must be
+    a functor, and each sequence must live in the source and be forward
+    Cauchy; a violation raises ``PreconditionError``.  Nothing is left to
+    check then: every functor between finite categories is Yoneda
+    continuous (continuity corollary in the module docstring), so the image
+    sequences and their limits are not built.  ``tests/test_completeness.py``
+    compares this with the check that builds them.
     """
+    _check_laws(f.source)
+    _check_laws(f.target)
+    w = is_functor(f)
+    if w is not None:
+        raise PreconditionError(f"map is not a functor at {w.values}: {w.note}")
     for i, seq in enumerate(seqs):
         if seq.carrier != f.source:
             raise PreconditionError(f"sequence {i} does not live in the source")
-        src_limit = find_yoneda_limit(seq)  # raises if not forward Cauchy
-        if src_limit.kind == "none":
-            raise PreconditionError(f"sequence {i} has no Yoneda limit in the source")
-        image = TailSeq(
-            f.target,
-            tuple(f(lbl) for lbl in seq.prefix),
-            tuple(f(lbl) for lbl in seq.cycle),
-        )
-        if is_forward_cauchy(image) is not None:
-            raise InvariantError(f"image of forward-Cauchy sequence {i} is not forward Cauchy")
-        img_limit = find_yoneda_limit(image)
-        if img_limit.kind == "none":
-            return Witness(
-                (i, f(src_limit.witness)),
-                note="image sequence has no Yoneda limit",
-            )
-        mapped = f(src_limit.witness)
-        there = f.target.hom_of(img_limit.witness, mapped)
-        back = f.target.hom_of(mapped, img_limit.witness)
-        if there != ONE or back != ONE:
-            return Witness(
-                (i, mapped, img_limit.witness),
-                min(there, back),
-                ONE,
-                note="image limit differs from image of source limit",
-            )
-    return None
+        _require_forward_cauchy(seq)

@@ -10,15 +10,19 @@ from fractions import Fraction
 
 from tnormcat import (
     ConditionReport,
+    InvariantError,
     PreconditionError,
     RCat,
+    RFunctor,
     TailSeq,
     TNorm,
     Witness,
     apply,
     enumerate_cycles,
     find_bilimit,
+    find_yoneda_limit,
     is_cauchy,
+    is_forward_cauchy,
     pair_sequences,
     tnorms,
 )
@@ -125,6 +129,73 @@ def product_bilimit_sweep(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
                 tail_value_bruteforce(paired, target, FROM_SEQ))
     if worst != 1:
         return Witness((target,), worst, Fraction(1), note="product bilimit")
+    return None
+
+
+def keeps_category_laws(cat: RCat) -> bool:
+    """Reflexivity and transitivity with a factor 1, at every index triple."""
+    h = cat.hom
+    n = len(cat)
+    return all(h[i][i] == 1 for i in range(n)) and all(
+        h[i][k] >= min(h[i][j], h[j][k])
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if max(h[i][j], h[j][k]) == 1
+    )
+
+
+def min_transitive_closure_fixpoint(hom) -> tuple:
+    """Max-min closure by repeating Floyd-Warshall passes until none changes."""
+    n = len(hom)
+    m = [[Fraction(v) for v in row] for row in hom]
+    for i in range(n):
+        m[i][i] = Fraction(1)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    via = min(m[i][k], m[k][j])
+                    if via > m[i][j]:
+                        m[i][j] = via
+                        changed = True
+    return tuple(tuple(row) for row in m)
+
+
+def yoneda_continuity_reference(f: RFunctor, seqs) -> Witness | None:
+    """Yoneda continuity checked by building each image sequence and its limit."""
+    one = Fraction(1)
+    for i, seq in enumerate(seqs):
+        if seq.carrier != f.source:
+            raise PreconditionError(f"sequence {i} does not live in the source")
+        src_limit = find_yoneda_limit(seq)  # raises if not forward Cauchy
+        if src_limit.kind == "none":
+            raise PreconditionError(f"sequence {i} has no Yoneda limit in the source")
+        image = TailSeq(
+            f.target,
+            tuple(f(lbl) for lbl in seq.prefix),
+            tuple(f(lbl) for lbl in seq.cycle),
+        )
+        if is_forward_cauchy(image) is not None:
+            raise InvariantError(f"image of forward-Cauchy sequence {i} is not forward Cauchy")
+        img_limit = find_yoneda_limit(image)
+        if img_limit.kind == "none":
+            return Witness(
+                (i, f(src_limit.witness)),
+                note="image sequence has no Yoneda limit",
+            )
+        mapped = f(src_limit.witness)
+        there = f.target.hom_of(img_limit.witness, mapped)
+        back = f.target.hom_of(mapped, img_limit.witness)
+        if there != one or back != one:
+            return Witness(
+                (i, mapped, img_limit.witness),
+                min(there, back),
+                one,
+                note="image limit differs from image of source limit",
+            )
     return None
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnormcat import (
     InputError,
@@ -23,6 +25,7 @@ from tnormcat import (
 )
 
 from conftest import EIGHT_GRID, make_random_category
+from oracles import min_transitive_closure_fixpoint
 
 F = Fraction
 
@@ -188,6 +191,13 @@ class TestUnitIntervalCategory:
 
 
 class TestMinClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_matches_fixpoint(self, data):
+        n = data.draw(st.integers(1, 6))
+        hom = [[data.draw(st.sampled_from(EIGHT_GRID)) for _ in range(n)] for _ in range(n)]
+        assert min_transitive_closure(hom) == min_transitive_closure_fixpoint(hom)
+
     def test_closure_is_valid_everywhere(self, all_families):
         hom = [[F(1), F(9, 10), F(1, 5)], [F(0), F(1), F(4, 5)], [F(0), F(0), F(1)]]
         closed = min_transitive_closure(hom)

@@ -273,6 +273,17 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert err == "error: carrier is not a valid category at ('y', 'x', 'z'): transitivity\n"
 
+    def test_limits_non_reflexive_carrier_exit_1(self, capsys, tmp_path):
+        # hom(x,x) = 1/2 is a category under no t-norm
+        seq = tmp_path / "bad_seq.json"
+        seq.write_text(json.dumps({
+            "carrier": {"elements": ["x"], "hom": [["1/2"]]},
+            "cycle": ["x"],
+        }))
+        code, out, err = run(capsys, "limits", "--seq", str(seq), "--format", "text")
+        assert (code, out) == (1, "")
+        assert err == "error: carrier is not a valid category at ('x',): reflexivity\n"
+
     @pytest.mark.parametrize(
         "fault", [InvariantError("broken certificate"), RuntimeError("boom")],
         ids=lambda exc: type(exc).__name__,

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnormcat import (
     InputError,
@@ -20,6 +23,7 @@ from tnormcat import (
     is_cauchy_complete,
     is_forward_cauchy,
     lukasiewicz,
+    min_transitive_closure,
     minimum,
     pair_sequences,
     tail_value,
@@ -30,7 +34,11 @@ from tnormcat import completeness
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 from conftest import EIGHT_GRID, make_random_category
-from oracles import tail_value_bruteforce
+from oracles import (
+    keeps_category_laws,
+    tail_value_bruteforce,
+    yoneda_continuity_reference,
+)
 
 F = Fraction
 
@@ -159,6 +167,22 @@ class TestBilimit:
                 assert is_cauchy(seq) is None
 
 
+class TestCategoryLaws:
+    def test_non_reflexive_carrier_is_a_precondition_error(self):
+        cat = RCat(("x",), ((F(1, 2),),))
+        seq = TailSeq(cat, (), ("x",))
+        for check in (find_bilimit, find_yoneda_limit):
+            with pytest.raises(PreconditionError,
+                               match=r"^carrier is not a valid category at \('x',\): reflexivity$"):
+                check(seq)
+
+    def test_reflexivity_is_checked_before_transitivity(self):
+        # (x, y, z) breaks transitivity with a factor 1, and hom(z, z) = 1/2
+        cat = RCat(("z", "y", "x"), ((F(1, 2), 0, 0), (0, 1, 1), (F(1, 2), 1, 1)))
+        with pytest.raises(PreconditionError, match=r"at \('z',\): reflexivity"):
+            find_yoneda_limit(TailSeq(cat, (), ("x",)))
+
+
 class TestYonedaLimit:
     def test_constant_sequence(self, iso_pair_cat):
         v = find_yoneda_limit(TailSeq(iso_pair_cat, (), ("a",)))
@@ -192,7 +216,7 @@ class TestCauchyComplete:
         rng = random.Random(3)
         for _ in range(20):
             cat = make_random_category(rng, 4, EIGHT_GRID)
-            assert is_cauchy_complete(cat, 3) is None
+            assert is_cauchy_complete(cat) is None
 
     def test_preorder_category(self):
         # hom values in {0,1}: Cauchy cycles stay inside isomorphism clusters
@@ -200,14 +224,14 @@ class TestCauchyComplete:
             ("a", "b", "c"),
             ((1, 1, 0), (1, 1, 0), (1, 1, 1)),
         )
-        assert is_cauchy_complete(cat, 3) is None
+        assert is_cauchy_complete(cat) is None
         for cycle in enumerate_cycles(cat, 3):
             seq = TailSeq(cat, (), cycle)
             if is_cauchy(seq) is None:
                 assert set(cycle) <= {"a", "b"} or set(cycle) == {"c"}
 
     def test_budget_one_constant_sequences(self, iso_pair_cat):
-        assert is_cauchy_complete(iso_pair_cat, 1) is None
+        assert is_cauchy_complete(iso_pair_cat) is None
 
     def test_runs_find_bilimit_once_per_element(self, monkeypatch):
         calls = []
@@ -216,15 +240,14 @@ class TestCauchyComplete:
                             lambda seq: calls.append(seq.cycle) or real(seq))
         rng = random.Random(5)
         for cat in [make_random_category(rng, 5, EIGHT_GRID) for _ in range(10)]:
-            for budget in range(9):
-                calls.clear()
-                assert is_cauchy_complete(cat, budget) is None
-                assert len(calls) <= len(cat)
+            calls.clear()
+            assert is_cauchy_complete(cat) is None
+            assert len(calls) <= len(cat)
         # every cycle is Cauchy here: a sweep of every cycle would visit
         # 6 + 6**2 + ... + 6**8 = 2,015,538 of them
         cat = RCat(tuple("abcdef"), ((1,) * 6,) * 6)
         calls.clear()
-        assert is_cauchy_complete(cat, 8) is None
+        assert is_cauchy_complete(cat) is None
         assert calls == [(c,) for c in cat.elements]
 
 
@@ -282,10 +305,6 @@ class TestPowerCompleteness:
         with pytest.raises(PreconditionError):
             check_power_completeness(lukasiewicz(), two_chain, two_chain)
 
-    def test_rejects_empty_cycle_budget(self, two_chain):
-        with pytest.raises(InputError, match="cycle budget must be >= 1"):
-            check_power_completeness(minimum(), two_chain, two_chain, cycle_budget=0)
-
 
 class TestYonedaContinuity:
     def test_identity_functor(self, iso_pair_cat):
@@ -323,3 +342,77 @@ class TestYonedaContinuity:
         ident = RFunctor(bad_cat, bad_cat, ("a", "b"))
         with pytest.raises(PreconditionError):
             check_yoneda_continuity(ident, [bad])
+
+    def test_map_that_is_no_functor_raises_precondition_error(self):
+        # hom(a, b) = 1 in the source, hom(x, y) = 1/2 in the target: the
+        # image of the Cauchy cycle (a, b) is not Cauchy
+        src = RCat(("a", "b"), ((1, 1), (1, 1)))
+        dst = RCat(("x", "y"), ((1, F(1, 2)), (0, 1)))
+        f = RFunctor(src, dst, ("x", "y"))
+        with pytest.raises(PreconditionError,
+                           match=r"^map is not a functor at \('a', 'b'\): hom-nonexpansion$"):
+            check_yoneda_continuity(f, [TailSeq(src, (), ("a", "b"))])
+
+    def test_carrier_breaking_the_laws_raises_precondition_error(self, iso_pair_cat):
+        lawless = RCat(("x", "y", "z"), ((1, 1, F(1, 2)), (1, 1, 0), (0, 0, 1)))
+        for f in (RFunctor(iso_pair_cat, lawless, ("x", "x", "x")),
+                  RFunctor(lawless, iso_pair_cat, ("a", "a", "a"))):
+            with pytest.raises(PreconditionError, match="transitivity"):
+                check_yoneda_continuity(f, [])
+
+
+# hom values of the continuity comparison, and of the diagonal: mostly 1,
+# so that carriers often keep the laws without being min-transitive
+LAW_VALUES = (F(0), F(1, 2), F(3, 4), F(1))
+DIAGONAL = (F(1), F(1), F(1), F(1), F(1, 2))
+
+
+def _law_carrier(rng: random.Random) -> RCat:
+    """Sizes 1-4; half the time min-closed, else as drawn."""
+    n = rng.randint(1, 4)
+    hom = [[rng.choice(DIAGONAL if i == j else LAW_VALUES) for j in range(n)]
+           for i in range(n)]
+    if rng.random() < 0.5:
+        hom = min_transitive_closure(hom)
+    return RCat(tuple(f"v{i}" for i in range(n)), hom)
+
+
+def _is_functor_bruteforce(src: RCat, dst: RCat, mapping) -> bool:
+    return all(src.hom_of(a, b) <= dst.hom_of(fa, fb)
+               for a, fa in zip(src.elements, mapping)
+               for b, fb in zip(src.elements, mapping))
+
+
+def _continuity_outcome(rng: random.Random) -> str:
+    """Compare ``check_yoneda_continuity`` with the reference on one case."""
+    src = _law_carrier(rng)
+    dst = _law_carrier(rng) if rng.random() < 0.8 else src
+    maps = [tuple(m) for m in itertools.product(dst.elements, repeat=len(src))]
+    functors = [m for m in maps if _is_functor_bruteforce(src, dst, m)]
+    mapping = rng.choice(functors if functors and rng.random() < 0.7 else maps)
+    f = RFunctor(src, dst, mapping)
+    candidates = []
+    for cycle in enumerate_cycles(src, 2):
+        if all(src.hom_of(c, c2) == 1 for c in cycle for c2 in cycle):
+            candidates.append(TailSeq(src, (), cycle))
+            candidates.append(TailSeq(src, (rng.choice(src.elements),), cycle))
+    seqs = rng.sample(candidates, min(len(candidates), rng.randint(0, 4)))
+    if keeps_category_laws(src) and keeps_category_laws(dst) and mapping in functors:
+        assert check_yoneda_continuity(f, seqs) is None
+        assert yoneda_continuity_reference(f, seqs) is None
+        return "pass"
+    with pytest.raises(PreconditionError):
+        check_yoneda_continuity(f, seqs)
+    return "precondition"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_yoneda_continuity_matches_building_image_limits(rng):
+    _continuity_outcome(rng)
+
+
+def test_continuity_comparison_sees_passes_and_precondition_errors():
+    rng = random.Random(17)
+    outcomes = [_continuity_outcome(rng) for _ in range(300)]
+    assert {"pass", "precondition"} <= set(outcomes)

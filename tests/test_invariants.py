@@ -23,13 +23,6 @@ BROKEN = {
         cat = RCat(("x", "y"), ((1, "1/2"), (0, 1)))
         completeness.find_bilimit(TailSeq(cat, (), ("x",)))
     """, "fails its certificate at 'y'"),
-    # a map that is no functor sends a Cauchy cycle to a non-Cauchy one
-    "check_yoneda_continuity": ("""
-        from tnormcat import RCat, RFunctor, TailSeq, check_yoneda_continuity
-        src = RCat(("a", "b"), ((1, 1), (1, 1)))
-        dst = RCat(("x", "y"), ((1, "1/2"), (0, 1)))
-        check_yoneda_continuity(RFunctor(src, dst, ("x", "y")), [TailSeq(src, (), ("a", "b"))])
-    """, "is not forward Cauchy"),
     # hom(y,y) = 1/2 in the two-point base moves h(y) off the C1 right side
     "counterexample": ("""
         from fractions import Fraction

@@ -210,7 +210,7 @@ def _check_facts(x: RCat, y: RCat, max_cycle: int) -> RCat:
             assert tail_value_bruteforce(seq, a, TO_SEQ) == 1
             assert tail_value_bruteforce(seq, a, FROM_SEQ) == 1
         assert _bilimits(power, y, cycle) == _bilimits(power, y, cycle[:1])
-    assert is_cauchy_complete(power, max_cycle) is None
+    assert is_cauchy_complete(power) is None
     return power
 
 
@@ -477,7 +477,7 @@ def test_power_completeness_matches_enumerating_functors(all_families, family, d
     grid = data.draw(grids)
     # reflexive matrices, not always transitive, so the preconditions also fail
     base, fiber = (_cat(data.draw(reflexive_matrices(grid, 3))) for _ in range(2))
-    assert _outcome(check_power_completeness, t, base, fiber, 3, budget) == _outcome(
+    assert _outcome(check_power_completeness, t, base, fiber, budget) == _outcome(
         _power_completeness_reference, t, base, fiber, budget
     )
 
@@ -506,7 +506,7 @@ def _completeness_outcomes(rng: random.Random, budget: int) -> tuple:
     cat = _random_carrier(rng)
     other = _random_carrier(rng) if rng.random() < 0.5 else cat
     a_seq, b_seq = _random_sequence(rng, cat), _random_sequence(rng, other)
-    got = (_outcome(is_cauchy_complete, cat, budget),
+    got = (_outcome(is_cauchy_complete, cat),
            _outcome(check_product_bilimit, a_seq, b_seq))
     assert got == (_outcome(cauchy_complete_sweep, cat, budget),
                    _outcome(product_bilimit_sweep, a_seq, b_seq))
@@ -514,16 +514,16 @@ def _completeness_outcomes(rng: random.Random, budget: int) -> tuple:
 
 
 @settings(max_examples=200, deadline=None)
-@given(rng=st.randoms(use_true_random=False), budget=st.integers(0, 3))
+@given(rng=st.randoms(use_true_random=False), budget=st.integers(1, 3))
 def test_completeness_checks_match_full_sweeps(rng, budget):
     _completeness_outcomes(rng, budget)
 
 
 def test_completeness_sweep_comparison_sees_passes_and_errors():
     rng = random.Random(11)
-    outcomes = [_completeness_outcomes(rng, rng.randint(0, 3)) for _ in range(300)]
+    outcomes = [_completeness_outcomes(rng, rng.randint(1, 3)) for _ in range(300)]
     for k in range(2):
         assert any(out[k] is None for out in outcomes)
-        # a certificate error of ``find_bilimit``, not only a failed precondition
+        # the law check of ``find_bilimit``, not only a failed Cauchy precondition
         assert any(isinstance(out[k], tuple) and "carrier is not a valid category" in out[k][1]
                    for out in outcomes)
