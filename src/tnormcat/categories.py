@@ -155,20 +155,10 @@ def functor(source: RCat, target: RCat, assignment: dict) -> RFunctor:
     return RFunctor(source, target, mapping)
 
 
-def is_functor(f, src: RCat | None = None, dst: RCat | None = None) -> Witness | None:
+def is_functor(f: RFunctor) -> Witness | None:
     """None if the map never shrinks hom values; else the first violating pair."""
-    if isinstance(f, RFunctor):
-        src, dst, mapping = f.source, f.target, f.mapping
-    else:
-        if src is None or dst is None:
-            raise InputError("source and target categories are required")
-        if isinstance(f, dict):
-            mapping = tuple(f[x] for x in src.elements)
-        else:
-            mapping = tuple(f)
-        if len(mapping) != len(src.elements):
-            raise InputError("map must be total on source elements")
-    images = tuple(dst.index(lbl) for lbl in mapping)
+    src, dst = f.source, f.target
+    images = tuple(dst.index(lbl) for lbl in f.mapping)
     order = src._sorted_indices
     for i in order:
         for j in order:

@@ -7,8 +7,7 @@ timing field) with a text renderer behind --format text.
 Exit codes: 0 clean run (or -h), 1 malformed command line, input or
 precondition error, or an unwritable -o path, 2 violation found while
 --fail-on-violation is set, 3 enumeration budget exceeded, 4 internal fault
-(a failed certificate or invariant, or any other RuntimeError).  The env var
-TNORMCAT_BUDGET overrides the default enumeration budget.
+(a failed certificate or invariant, or any other RuntimeError).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -64,19 +62,6 @@ class RunReport:
             self.violation = True
         if not certified:
             self.certified = False
-
-
-def _default_budget() -> int:
-    raw = os.environ.get("TNORMCAT_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise InputError(f"TNORMCAT_BUDGET must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise InputError(f"TNORMCAT_BUDGET must be >= 0, got {budget}")
-    return budget
 
 
 def _budget(raw: str) -> int:
@@ -223,8 +208,7 @@ def cmd_limits(args) -> RunReport:
     bilimit = find_bilimit(seq)
     report.add("bilimit", bilimit, bilimit.kind != "none")
     if forward is None:
-        yoneda = find_yoneda_limit(seq)
-        report.add("yoneda-limit", yoneda, yoneda.kind != "none")
+        report.add("yoneda-limit", find_yoneda_limit(seq), True)
     return report
 
 
@@ -306,7 +290,7 @@ def _add_grid(sub):
 
 
 @functools.cache
-def build_parser(budget_default: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnormcat",
         description="exact checks for [0,1]-enriched categories over t-norms",
@@ -330,7 +314,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     s.add_argument("--tnorm", required=True)
     s.add_argument("--base", required=True)
     s.add_argument("--fiber", required=True)
-    s.add_argument("--budget", type=_budget, default=budget_default,
+    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="enumeration budget")
     _add_common(s)
     s.set_defaults(handler=cmd_exp)
@@ -340,7 +324,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     _add_grid(s)
     s.add_argument("--max-size", type=int, default=2,
                    help="largest category size swept")
-    s.add_argument("--budget", type=_budget, default=budget_default,
+    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="enumeration budget")
     _add_common(s)
     s.set_defaults(handler=cmd_ccc_suite)
@@ -366,7 +350,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
     s.add_argument("--max-size", type=int, default=3,
                    help="cycle budget: recorded in the report; the verdict "
                         "does not depend on it")
-    s.add_argument("--budget", type=_budget, default=budget_default,
+    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="enumeration budget")
     _add_common(s)
     s.set_defaults(handler=cmd_power_completeness)
@@ -376,12 +360,7 @@ def build_parser(budget_default: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        budget_default = _default_budget()
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        args = build_parser(budget_default).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return 0 if exc.code == 0 else 1
     start = time.perf_counter()

@@ -11,9 +11,10 @@ and function spaces.
 Category laws without a t-norm.  Two laws hold in a category under every
 t-norm: reflexivity, hom(c, c) = 1, and transitivity with a factor 1,
 hom(i, k) >= min(hom(i, j), hom(j, k)) whenever hom(i, j) or hom(j, k) is 1,
-since 1 & v = v & 1 = v.  ``find_bilimit``, ``find_yoneda_limit`` and
-``check_yoneda_continuity`` check them first and raise a
-``PreconditionError`` on a carrier that breaks them.
+since 1 & v = v & 1 = v.  They are exactly validity under the carrier's
+weakest t-norm (proof in ``_check_laws``).  ``find_bilimit``,
+``find_yoneda_limit`` and ``check_yoneda_continuity`` check them first and
+raise a ``PreconditionError`` on a carrier that breaks them.
 
 Finite-completeness lemma (it needs only these laws).  A Cauchy or
 forward-Cauchy cycle has hom 1 between any two of its elements
@@ -22,9 +23,10 @@ element c0 has hom(c0, x) = min_c hom(c, x) and hom(x, c0) = min_c hom(x, c)
 for every x: c0 is a bilimit and a Yoneda limit of the cycle.  So every
 finite category is Cauchy and Yoneda complete, and so are products and
 function spaces of finite categories.  ``is_cauchy_complete`` and
-``check_product_bilimit`` use the lemma instead of sweeping cycles; on a
-matrix that is not a category they keep the result of the full sweep (proofs
-in their docstrings).  The function-space check builds no power: once base
+``check_product_bilimit`` use the lemma instead of sweeping cycles:
+``is_cauchy_complete`` checks one one-element cycle.  On a matrix that is
+not a category they keep the result of the full sweep (proofs in their
+docstrings).  The function-space check builds no power: once base
 and fiber are categories, every Cauchy cycle of functors has a bilimit that
 is isomorphic to its pointwise limit, for every t-norm (proof in
 ``check_power_completeness``).
@@ -48,8 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InvariantError, PreconditionError
-from .rationals import ONE
-from .tnorms import ConditionReport, TNorm, Witness, canonical_grid, check_c1
+from .rationals import ONE, ZERO
+from .tnorms import ConditionReport, TNorm, Witness, canonical_grid, check_c1, interval_collapse
 from .categories import (
     DEFAULT_BUDGET,
     RCat,
@@ -58,6 +60,7 @@ from .categories import (
     _require_valid,
     is_functor,
     product,
+    validate,
 )
 
 FROM_SEQ = "from-seq"
@@ -150,23 +153,28 @@ def _check_laws(cat: RCat) -> None:
     """Raise unless ``cat`` keeps the category laws shared by every t-norm.
 
     Those are reflexivity and transitivity with a factor 1 (module
-    docstring).  The scan is that of ``validate``: reflexivity in label
-    order, then the triples of distinct elements in ``permutations`` order,
-    since once reflexivity holds every triple with a repeated index holds.
+    docstring), and they are exactly validity under the carrier's weakest
+    t-norm T = ``interval_collapse([(0, b)])``, where b is the largest hom
+    value below 1 (0 if there is none):
+
+    * On the hom values, T maps two values that are both below 1, so both
+      at most b, to 0, and any other pair to its minimum: a pair with a 1
+      does not lie in [0, b].  With b = 0 the interval is degenerate and
+      dropped, so T is the minimum, which also maps 0 & 0 to 0.  (On these
+      values T is the drastic t-norm, the least of all t-norms.)
+    * So hom(j, k) & hom(i, j) <= hom(i, k) holds when both factors are
+      below 1, and otherwise it reads hom(i, k) >= min(hom(i, j), hom(j, k))
+      with a factor 1: T-transitivity at (i, j, k) is transitivity with a
+      factor 1 there.
+
+    ``validate`` scans reflexivity in label order, then the triples of
+    distinct elements in ``permutations`` order, and its witness names the
+    first law that breaks.
     """
-    order, hom = cat._sorted_indices, cat.hom
-    for i in order:
-        if hom[i][i] != ONE:
-            raise PreconditionError(
-                f"carrier is not a valid category at {(cat.elements[i],)}: reflexivity"
-            )
-    for i, j, k in itertools.permutations(order, 3):
-        ij, jk = hom[i][j], hom[j][k]
-        if max(ij, jk) == ONE and hom[i][k] < min(ij, jk):
-            raise PreconditionError(
-                "carrier is not a valid category at "
-                f"{(cat.elements[i], cat.elements[j], cat.elements[k])}: transitivity"
-            )
+    b = max({ZERO, *itertools.chain.from_iterable(cat.hom)} - {ONE})
+    w = validate(cat, interval_collapse([(ZERO, b)]))
+    if w is not None:
+        raise PreconditionError(f"carrier is not a valid category at {w.values}: {w.note}")
 
 
 def find_bilimit(seq: TailSeq) -> LimitVerdict:
@@ -211,7 +219,12 @@ def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
     """First element a with hom(a, x) equal to the tail-from value for all x.
 
     The carrier must keep the laws of ``_check_laws`` and the sequence must
-    be forward Cauchy.
+    be forward Cauchy.  Then the search always finds an element: hom(c, c')
+    = 1 for any two cycle elements (``is_forward_cauchy``), so transitivity
+    with a factor 1 at (cycle[0], c, x) and (c, cycle[0], x) gives
+    hom(cycle[0], x) = min_c hom(c, x), which is the tail-from value at x.
+    So the ``InvariantError`` is reached only if ``tail_value`` is itself
+    wrong.
     """
     _check_laws(seq.carrier)
     _require_forward_cauchy(seq)
@@ -223,7 +236,7 @@ def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
                 CertificateRow(x, cat.hom_of(a, x), tails[x]) for x in cat.elements
             )
             return LimitVerdict("yoneda-limit", a, rows)
-    return LimitVerdict("none", None)
+    raise InvariantError(f"forward-Cauchy cycle {seq.cycle!r} has no Yoneda limit")
 
 
 def enumerate_cycles(cat: RCat, max_len: int):
@@ -237,8 +250,8 @@ def is_cauchy_complete(cat: RCat) -> Witness | None:
 
     Gives the result, exception and message included, of running
     ``find_bilimit`` on every Cauchy cycle of ``enumerate_cycles(cat, b)``
-    for any b >= 1, on any matrix, but runs it only on the cycles (c,) with
-    hom(c, c) = 1:
+    for any b >= 1, on any matrix, but runs it only on the first cycle (c,)
+    with hom(c, c) = 1:
 
     * The sweep visits the cycles of length 1 first, in element order, and
       a Cauchy cycle needs hom(c, c) = 1 for each of its elements c.  So
@@ -256,6 +269,7 @@ def is_cauchy_complete(cat: RCat) -> Witness | None:
     for i, c in enumerate(cat.elements):
         if cat.hom[i][i] == ONE:
             find_bilimit(TailSeq(cat, (), (c,)))
+            break
     return None
 
 

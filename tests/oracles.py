@@ -6,6 +6,7 @@ avoiding the closed forms under test.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from tnormcat import (
@@ -130,6 +131,30 @@ def product_bilimit_sweep(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
     if worst != 1:
         return Witness((target,), worst, Fraction(1), note="product bilimit")
     return None
+
+
+def check_laws_scan(cat: RCat) -> None:
+    """``completeness._check_laws`` as its own scan of the laws.
+
+    Reflexivity in label order, then transitivity with a factor 1 at the
+    triples of distinct elements in ``permutations`` order; raises the first
+    violation as a ``PreconditionError``.
+    """
+    one = Fraction(1)
+    order = cat._sorted_indices
+    hom = cat.hom
+    for i in order:
+        if hom[i][i] != one:
+            raise PreconditionError(
+                f"carrier is not a valid category at {(cat.elements[i],)}: reflexivity"
+            )
+    for i, j, k in itertools.permutations(order, 3):
+        ij, jk = hom[i][j], hom[j][k]
+        if max(ij, jk) == one and hom[i][k] < min(ij, jk):
+            raise PreconditionError(
+                "carrier is not a valid category at "
+                f"{(cat.elements[i], cat.elements[j], cat.elements[k])}: transitivity"
+            )
 
 
 def keeps_category_laws(cat: RCat) -> bool:

@@ -81,12 +81,12 @@ class TestIsFunctor:
     def test_violation_witness(self):
         src = RCat(("a", "b"), ((1, 1), (0, 1)))
         dst = RCat(("c", "d"), ((1, F(1, 2)), (0, 1)))
-        w = is_functor(("c", "d"), src, dst)
+        w = is_functor(RFunctor(src, dst, ("c", "d")))
         assert w is not None
         assert w.values == ("a", "b") and (w.lhs, w.rhs) == (F(1), F(1, 2))
 
     def test_mapping_dict_accepted(self, two_chain):
-        assert is_functor({"x": "y", "y": "y"}, two_chain, two_chain) is None
+        assert is_functor(functor(two_chain, two_chain, {"x": "y", "y": "y"})) is None
 
 
 class TestProductTerminal:

@@ -220,32 +220,10 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert "error: argument --budget: must be >= 0, got -5" in err
 
-    def test_negative_env_budget_exit_1(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("TNORMCAT_BUDGET", "-5")
-        code, out, err = run(capsys, "ccc-suite", files["minimum"], "--values", "0,1")
-        assert (code, out, err) == (1, "", "error: TNORMCAT_BUDGET must be >= 0, got -5\n")
-
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_zero_budget_exit_3(self, files, capsys, monkeypatch, via_env):
-        argv = ["ccc-suite", files["minimum"], "--values", "0,1"]
-        if via_env:
-            monkeypatch.setenv("TNORMCAT_BUDGET", "0")
-        else:
-            argv += ["--budget", "0"]
-        code, out, err = run(capsys, *argv)
+    def test_zero_budget_exit_3(self, files, capsys):
+        code, out, err = run(capsys, "ccc-suite", files["minimum"], "--values", "0,1",
+                             "--budget", "0")
         assert (code, out) == (3, "") and "the budget is 0" in err
-
-    def test_env_budget_override(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("TNORMCAT_BUDGET", "2")
-        code, _, err = run(capsys, "exp", "--tnorm", files["minimum"],
-                           "--base", files["chain"], "--fiber", files["chain"])
-        assert code == 3
-
-    def test_non_integer_env_budget_exit_1(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("TNORMCAT_BUDGET", "lots")
-        code, out, err = run(capsys, "check-tnorm", files["minimum"], "--grid", "4")
-        assert (code, out) == (1, "")
-        assert "TNORMCAT_BUDGET must be an integer, got 'lots'" in err
 
     def test_limits_invalid_carrier_exit_1(self, files, capsys, tmp_path):
         # hom(x,y) & hom(y,z) = 1 > hom(x,z) under every t-norm

@@ -242,13 +242,19 @@ class TestCauchyComplete:
         for cat in [make_random_category(rng, 5, EIGHT_GRID) for _ in range(10)]:
             calls.clear()
             assert is_cauchy_complete(cat) is None
-            assert len(calls) <= len(cat)
+            assert calls == [(cat.elements[0],)]
         # every cycle is Cauchy here: a sweep of every cycle would visit
         # 6 + 6**2 + ... + 6**8 = 2,015,538 of them
         cat = RCat(tuple("abcdef"), ((1,) * 6,) * 6)
         calls.clear()
         assert is_cauchy_complete(cat) is None
-        assert calls == [(c,) for c in cat.elements]
+        assert calls == [("a",)]
+        # the first element with hom 1 to itself
+        cat = RCat(("x", "y"), ((F(1, 2), 0), (0, 1)))
+        calls.clear()
+        with pytest.raises(PreconditionError, match=r"\('x',\): reflexivity"):
+            is_cauchy_complete(cat)
+        assert calls == [("y",)]
 
 
 class TestProductBilimit:

@@ -23,6 +23,14 @@ BROKEN = {
         cat = RCat(("x", "y"), ((1, "1/2"), (0, 1)))
         completeness.find_bilimit(TailSeq(cat, (), ("x",)))
     """, "fails its certificate at 'y'"),
+    # every tail value reads 0, so no element matches the tails, not even x
+    # with hom(x,x) = 1
+    "find_yoneda_limit": ("""
+        from tnormcat import RCat, TailSeq, completeness
+        completeness.tail_value = lambda seq, x, direction="from-seq": 0
+        cat = RCat(("x",), ((1,),))
+        completeness.find_yoneda_limit(TailSeq(cat, (), ("x",)))
+    """, "has no Yoneda limit"),
     # hom(y,y) = 1/2 in the two-point base moves h(y) off the C1 right side
     "counterexample": ("""
         from fractions import Fraction

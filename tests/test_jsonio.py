@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +15,12 @@ from tnormcat import (
     RCat,
     TailSeq,
     TNorm,
+    cli,
     interval_collapse,
     lukasiewicz,
+    min_transitive_closure,
     minimum,
+    parse_rational,
 )
 from tnormcat.tnorms import FAMILIES, INTERVAL_COLLAPSE
 from tnormcat.jsonio import (
@@ -140,9 +147,9 @@ class TestReportRendering:
 
 
 @st.composite
-def categories(draw):
+def categories(draw, max_n=4):
     """Any hom matrix on [0,1], not only categories, on arbitrary string labels."""
-    elements = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4,
+    elements = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=max_n,
                              unique=True))
     return RCat(tuple(elements), [[draw(UNITS) for _ in elements] for _ in elements])
 
@@ -151,12 +158,15 @@ def _through_json(data):
     return json.loads(json.dumps(data))
 
 
+NORMS = st.one_of(
+    st.sampled_from([f for f in FAMILIES if f != INTERVAL_COLLAPSE]).map(TNorm),
+    collapse_norms(),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    t=st.one_of(
-        st.sampled_from([f for f in FAMILIES if f != INTERVAL_COLLAPSE]).map(TNorm),
-        collapse_norms(),
-    ),
+    t=NORMS,
     cat=categories(),
     data=st.data(),
 )
@@ -170,3 +180,37 @@ def test_json_round_trip_is_lossless(t, cat, data):
     form = {"carrier": category_to_dict(cat),
             "prefix": to_jsonable(seq.prefix), "cycle": to_jsonable(seq.cycle)}
     assert sequence_from_dict(_through_json(form)) == seq
+
+
+# min-closed, so categories under every t-norm; at most 3**3 maps for ``exp``
+VALID_CATEGORIES = categories(max_n=3).map(
+    lambda cat: RCat(cat.elements, min_transitive_closure(cat.hom)))
+
+
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=NORMS, base=VALID_CATEGORIES, fiber=VALID_CATEGORIES, data=st.data())
+def test_exp_and_limits_reports_reload(t, base, fiber, data):
+    cycle = data.draw(st.lists(st.sampled_from(fiber.elements), min_size=1, max_size=3))
+    with TemporaryDirectory() as tmp:
+        files = {}
+        for name, payload in (("t", tnorm_to_dict(t)), ("base", category_to_dict(base)),
+                              ("fiber", category_to_dict(fiber)),
+                              ("seq", {"carrier": category_to_dict(fiber), "cycle": cycle})):
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(payload))
+        exp = _report(["exp", "--tnorm", files["t"], "--base", files["base"],
+                       "--fiber", files["fiber"]])
+        limits = _report(["limits", "--seq", files["seq"]])
+    assert category_from_dict(exp["inputs"]["base"]) == base
+    assert category_from_dict(exp["inputs"]["fiber"]) == fiber
+    d = exp["verdicts"][0]["result"]["d"]
+    assert tuple(tuple(parse_rational(v) for v in row) for row in d) == \
+        exponential(t, base, fiber).hom
+    assert category_from_dict(limits["inputs"]["carrier"]) == fiber

@@ -52,7 +52,9 @@ It is checked on random reflexive matrices over ``EIGHT_GRID`` for the five
 families.  Hypothesis properties also compare ``validate``, ``check_ccc``,
 ``check_power_completeness``, ``is_cauchy_complete`` and
 ``check_product_bilimit`` with references that sweep every instance; the
-last two on any matrix, category or not.
+last two on any matrix, category or not.  A last one compares the check of
+the t-norm-free category laws, which is ``validate`` under the carrier's
+weakest t-norm, with a scan of those laws, on any matrix.
 """
 
 import functools
@@ -90,6 +92,7 @@ from tnormcat import (
     tnorms,
     validate,
 )
+from tnormcat import completeness
 from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
@@ -98,6 +101,7 @@ from conftest import EIGHT_GRID
 from oracles import (
     c1_sides,
     cauchy_complete_sweep,
+    check_laws_scan,
     power_hom_bruteforce,
     product_bilimit_sweep,
     tail_value_bruteforce,
@@ -527,3 +531,35 @@ def test_completeness_sweep_comparison_sees_passes_and_errors():
         # the law check of ``find_bilimit``, not only a failed Cauchy precondition
         assert any(isinstance(out[k], tuple) and "carrier is not a valid category" in out[k][1]
                    for out in outcomes)
+
+
+QUARTERS = tuple(F(k, 4) for k in range(5))
+
+
+def _laws_outcome(rng: random.Random) -> tuple | None:
+    """Compare the law check with the scan on one matrix; labels shuffled."""
+    n = rng.randint(1, 5)
+    labels = [f"v{i}" for i in range(n)]
+    rng.shuffle(labels)
+    hom = [[rng.choice(QUARTERS) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.8:  # else reflexivity almost always breaks
+        for i in range(n):
+            hom[i][i] = F(1)
+    cat = RCat(tuple(labels), hom)
+    got = _outcome(completeness._check_laws, cat)
+    assert got == _outcome(check_laws_scan, cat)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_law_check_matches_scan_of_the_laws(rng):
+    _laws_outcome(rng)
+
+
+def test_law_check_comparison_sees_both_outcomes():
+    rng = random.Random(13)
+    outcomes = [_laws_outcome(rng) for _ in range(300)]
+    assert any(out is None for out in outcomes)
+    for law in ("reflexivity", "transitivity"):
+        assert any(out is not None and out[1].endswith(law) for out in outcomes)
