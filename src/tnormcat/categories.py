@@ -18,8 +18,10 @@ the functors z×x -> y onto the functors z -> y^x, whether or not the power
 y^x is a category (proof in ``check_currying``).  So the verdict turns on
 whether each power validates, and C1 on the grid decides that for every
 pair of categories with hom values in the grid (proof in ``check_ccc``):
-the sweep builds no power, and it counts the maps its budget bounds only
-where the category sizes cannot settle that bound.
+the sweep builds no power.  It counts the categories of each size by
+backtracking on grid ranks (proof in ``enumerate_categories``), and it
+builds categories and counts the maps its budget bounds only for the size
+classes whose sizes cannot settle that bound.
 
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.
@@ -28,6 +30,7 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -486,24 +489,93 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
     )
 
 
+def _off_diagonal(size: int) -> list[tuple[int, int]]:
+    """The hom slots (i, j), i != j, of a category of ``size`` elements, row by row."""
+    return [(i, j) for i in range(size) for j in range(size) if i != j]
+
+
+def _check_generation_budget(points: int, size: int, budget: int) -> None:
+    """Raise where the fills of the categories of ``size`` elements exceed ``budget``."""
+    count = points ** (size * (size - 1))
+    if count > budget:
+        raise BudgetError(count, budget, f"category generation at size {size}")
+
+
+def _rank_fills(t: TNorm, pts: list[Fraction], size: int):
+    """Yield the grid-rank fills of the valid categories of ``size`` elements.
+
+    A fill gives the rank in ``pts`` of each slot of ``_off_diagonal(size)``;
+    fills come in ``itertools.product`` order.  Proof in
+    ``enumerate_categories``.
+    """
+    slots = _off_diagonal(size)
+    if size < 3:  # no triple of distinct elements, so every fill is valid
+        yield from itertools.product(range(len(pts)), repeat=len(slots))
+        return
+    # thr[a][b]: least rank r with pts[a] & pts[b] <= pts[r], len(pts) if none
+    thr = [[bisect_left(pts, apply(t, p, q)) for q in pts] for p in pts]
+    slot = {ij: s for s, ij in enumerate(slots)}
+    # checks[s]: the triples, as slots (jk, ij, ik), whose last slot is s
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in slots]
+    for i, j, k in itertools.permutations(range(size), 3):
+        jk, ij, ik = slot[j, k], slot[i, j], slot[i, k]
+        checks[max(jk, ij, ik)].append((jk, ij, ik))
+    points, last = len(pts), len(slots) - 1
+    fill = [-1] * len(slots)
+    s = 0
+    while s >= 0:
+        fill[s] += 1
+        if fill[s] == points:
+            fill[s] = -1
+            s -= 1
+        elif all(thr[fill[jk]][fill[ij]] <= fill[ik] for jk, ij, ik in checks[s]):
+            if s == last:
+                yield tuple(fill)
+            else:
+                s += 1
+
+
 def enumerate_categories(
     t: TNorm, grid, size: int, budget: int = DEFAULT_BUDGET
 ) -> list[RCat]:
-    """All valid categories on {e0..e(size-1)} with off-diagonal homs from grid."""
+    """All valid categories on {e0..e(size-1)} with off-diagonal homs from grid.
+
+    The categories come in ``itertools.product`` order of the off-diagonal
+    fills (slots row by row, grid values ascending), and they are exactly
+    the fills that ``validate`` accepts.  They are generated by
+    backtracking on grid ranks (orderly generation, Read 1978 and Faradzev
+    1978), which decides exactly what ``validate`` decides:
+
+    * The diagonal is 1, so reflexivity holds, and ``validate`` composes
+      only triples (i, j, k) of distinct elements, whose three homs are
+      off-diagonal, hence grid values pts[r].  Below size 3 there is no
+      such triple, and every fill is valid.
+    * For sorted distinct ``pts``, ``bisect_left(pts, v)`` is the least r
+      with v <= pts[r] (len(pts) if none).  With thr[a][b] that r for
+      v = pts[a] & pts[b], pts[a] & pts[b] <= pts[c] iff thr[a][b] <= c.
+      Hence hom(j,k) & hom(i,j) <= hom(i,k) iff
+      thr[rank hom(j,k)][rank hom(i,j)] <= rank hom(i,k): ``apply`` runs
+      once per grid pair, in the argument order of ``validate``.
+    * Slots are filled in order with ranks ascending, so the prefixes are
+      visited in the lexicographic order of ``itertools.product``.  A triple
+      is tested right after the last of its three slots is filled.  If it
+      fails, it fails in every completion of the prefix, so pruning drops
+      only invalid fills and keeps the order of the others; a complete fill
+      that survives has passed every triple.
+
+    ``tests/test_proofs.py`` compares the result with the product-then-
+    ``validate`` loop of ``oracles.categories_bruteforce``.
+    """
     pts = _sorted_grid(grid)
+    _check_generation_budget(len(pts), size, budget)
     labels = tuple(f"e{i}" for i in range(size))
-    slots = [(i, j) for i in range(size) for j in range(size) if i != j]
-    count = len(pts) ** len(slots)
-    if count > budget:
-        raise BudgetError(count, budget, f"category generation at size {size}")
+    slots = _off_diagonal(size)
     cats = []
-    for fill in itertools.product(pts, repeat=len(slots)):
+    for fill in _rank_fills(t, pts, size):
         hom = [[ONE] * size for _ in range(size)]
-        for (i, j), v in zip(slots, fill):
-            hom[i][j] = v
-        cat = RCat(labels, tuple(tuple(row) for row in hom))
-        if validate(cat, t) is None:
-            cats.append(cat)
+        for (i, j), r in zip(slots, fill):
+            hom[i][j] = pts[r]
+        cats.append(RCat(labels, tuple(map(tuple, hom))))
     return cats
 
 
@@ -581,12 +653,18 @@ def check_ccc(
 
     The budget bounds the categories of each size, the ``categories**3``
     triples, the maps x -> y of each pair and the maps z -> y^x that
-    currying relates (``check_currying``).  The sizes settle most pairs:
-    there are |y|**|x| candidate maps x -> y, so y^x has at most that many
-    elements and there are at most |y|**(|x|·|z|) maps z -> y^x.  If
-    |y|**(|x|·max |z|) <= budget, neither budget can be exceeded for the
-    pair (max |z| >= 1), so only the other pairs have their functors
-    counted, in the same order.
+    currying relates (``check_currying``).  The categories of each size are
+    only counted, on grid ranks (``enumerate_categories`` proves that the
+    rank generator keeps exactly the fills ``validate`` accepts).  The
+    sizes settle most pairs: there are |y|**|x| candidate maps x -> y, so
+    y^x has at most that many elements and there are at most
+    |y|**(|x|·|z|) maps z -> y^x.  If |y|**(|x|·max |z|) <= budget, neither
+    budget can be exceeded for the pair (max |z| >= 1).  That test depends
+    only on the two sizes, so it is decided once per pair of sizes.  Only
+    the categories of the sizes in a failing class are built, and only the
+    pairs of those classes have their functors counted.  They are visited
+    in the order of ``itertools.product`` over all categories in size
+    order, so the first ``BudgetError`` is that of the pair-by-pair sweep.
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
@@ -595,16 +673,23 @@ def check_ccc(
         bundle = counterexample(t, *c1.witness.values)
         return CccReport(False, c1, bundle, 0, 0)
 
-    cats: list[RCat] = []
+    pts = _sorted_grid(grid)
+    counts = {}
     for size in range(1, max_size + 1):
-        cats.extend(enumerate_categories(t, grid, size, budget))
-    n = len(cats)
+        _check_generation_budget(len(pts), size, budget)
+        counts[size] = sum(1 for _ in _rank_fills(t, pts, size))
+    n = sum(counts.values())
     triples = n**3
     if triples > budget:
         raise BudgetError(triples, budget, "category triple sweep")
 
-    z_sizes = sorted({len(z) for z in cats})
+    z_sizes = [size for size, count in counts.items() if count]
+    failing = {
+        (sx, sy) for sx in z_sizes for sy in z_sizes if sy ** (sx * z_sizes[-1]) > budget
+    }
+    built = sorted({size for pair in failing for size in pair})
+    cats = [cat for size in built for cat in enumerate_categories(t, grid, size, budget)]
     for x, y in itertools.product(cats, repeat=2):
-        if len(y) ** (len(x) * z_sizes[-1]) > budget:
+        if (len(x), len(y)) in failing:
             _check_map_budget(len(enumerate_functors(x, y, budget)), z_sizes, budget)
     return CccReport(True, c1, None, n, triples)

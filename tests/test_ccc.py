@@ -26,6 +26,7 @@ from tnormcat import (
     terminal,
     validate,
 )
+from tnormcat import categories
 
 from oracles import c1_sides, power_hom_bruteforce
 
@@ -183,6 +184,18 @@ class TestCheckCcc:
     def test_sweep_fits_budget(self):
         report = check_ccc(minimum(), [F(0)], 2, 16)
         assert report.verdict and report.triples_checked == 8
+
+    def test_sizes_settle_the_readme_sweep(self, monkeypatch):
+        # at budget 10**9 no size class needs functor counts, so the sweep
+        # only counts categories on ranks: nothing is built or validated
+        def unused(*args):
+            raise AssertionError("the sizes settle every pair of the sweep")
+
+        for name in ("enumerate_categories", "validate", "enumerate_functors"):
+            monkeypatch.setattr(categories, name, unused)
+        t = interval_collapse([(F(1, 4), F(1, 2))])
+        report = check_ccc(t, (F(0), F(1, 4), F(1, 2), F(1)), 3, 10**9)
+        assert report.verdict and report.categories == 878
 
     def test_max_size_3_sweep(self):
         t = interval_collapse([(F(1, 4), F(1, 2))])

@@ -49,7 +49,8 @@ One fact concerns categories alone and holds for every t-norm:
     ``validate`` composes only triples of distinct elements.
 
 It is checked on random reflexive matrices over ``EIGHT_GRID`` for the five
-families.  Hypothesis properties also compare ``validate``, ``check_ccc``,
+families.  Hypothesis properties also compare ``validate``,
+``enumerate_categories`` (also under broken ``&`` functions), ``check_ccc``,
 ``check_power_completeness``, ``is_cauchy_complete`` and
 ``check_product_bilimit`` with references that sweep every instance; the
 last two on any matrix, category or not.  A last one compares the check of
@@ -92,14 +93,15 @@ from tnormcat import (
     tnorms,
     validate,
 )
-from tnormcat import completeness
+from tnormcat import categories, completeness
 from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
-from conftest import EIGHT_GRID
+from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms
 from oracles import (
     c1_sides,
+    categories_bruteforce,
     cauchy_complete_sweep,
     check_laws_scan,
     power_hom_bruteforce,
@@ -425,7 +427,7 @@ def _ccc_reference(t, grid, max_size, budget):
     if not c1.verdict:
         return CccReport(False, c1, counterexample(t, *c1.witness.values), 0, 0)
     cats = [cat for size in range(1, max_size + 1)
-            for cat in enumerate_categories(t, grid, size, budget)]
+            for cat in categories_bruteforce(t, grid, size, budget)]
     n = len(cats)
     if n**3 > budget:
         raise BudgetError(n**3, budget, "category triple sweep")
@@ -450,6 +452,33 @@ def test_check_ccc_matches_counting_every_pair(all_families, family, grid, max_s
     assert _outcome(check_ccc, t, grid, max_size, budget) == _outcome(
         _ccc_reference, t, grid, max_size, budget
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.lists(UNITS, min_size=1, max_size=4, unique=True),
+    size=st.integers(1, 3),
+    budget=st.integers(1, 5000),
+    data=st.data(),
+)
+def test_category_generation_matches_bruteforce(all_families, grid, size, budget, data):
+    # grids may leave out 0 and 1; a broken & may make any triple fail
+    t = data.draw(st.one_of(st.sampled_from(list(all_families.values())), collapse_norms()))
+    broken = data.draw(broken_ands(t, sorted(grid)))
+    with pytest.MonkeyPatch.context() as mp:
+        if broken is not None:
+            mp.setattr(categories, "apply", broken)
+        assert _outcome(enumerate_categories, t, grid, size, budget) == _outcome(
+            categories_bruteforce, t, grid, size, budget
+        )
+
+
+def test_category_generation_composes_in_validate_order(all_families, monkeypatch):
+    # a non-commutative &: at hom(j,k) = 1, hom(i,j) = 1/2, hom(i,k) = 1/4
+    # validate composes 1/2 > 1/4, the swapped order (1/2)**2 * 1 = 1/4
+    monkeypatch.setattr(categories, "apply", lambda t, p, q: q if p == 1 else p * p * q)
+    t, grid = all_families["minimum"], (F(1, 4), F(1, 2), F(1))
+    assert enumerate_categories(t, grid, 3) == categories_bruteforce(t, grid, 3, 10**6)
 
 
 @functools.lru_cache(maxsize=None)
