@@ -10,18 +10,24 @@ Five closed-form families are supported:
   family of pairwise disjoint closed intervals [a_i, b_i] ⊆ [0,1) collapse
   to the left endpoint a_i.
 
-Every operation works on `fractions.Fraction` and is decided exactly; there
-is no floating point anywhere.  The module also decides three equivalent
-conditions on a t-norm (tags ``C1``, ``C2``, ``C3-form``) that characterize
-when the function-space construction on [0,1]-enriched categories behaves;
-each check either passes or returns a concrete violating tuple with both
-evaluated sides.
+Values are exact: `fractions.Fraction` at the boundary (arguments of
+``apply`` and ``residuum``, grids, witnesses), while the C1 and axioms
+sweeps run on integer ranks of those values, which decide every comparison
+exactly (``_rank_products``); there is no floating point anywhere.  The
+module also decides three equivalent conditions on a t-norm (tags ``C1``,
+``C2``, ``C3-form``) that characterize when the function-space construction
+on [0,1]-enriched categories behaves; each check either passes or returns a
+concrete violating tuple with both evaluated sides.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .errors import InputError
 from .rationals import ONE, ZERO, check_unit, format_rational
@@ -252,12 +258,17 @@ class ConditionReport:
 
 
 def _sorted_grid(grid) -> list[Fraction]:
-    pts = sorted({Fraction(g) for g in grid})
+    """The distinct grid values, ascending; InputError unless all lie in [0,1].
+
+    Deduplicating after the sort compares neighbours and hashes no Fraction.
+    """
+    pts = sorted(map(Fraction, grid))
     if not pts:
         raise InputError("grid must be nonempty")
-    for v in pts:
-        check_unit(v, "grid point")
-    return pts
+    if pts[0] < ZERO or pts[-1] > ONE:
+        for v in pts:
+            check_unit(v, "grid point")
+    return pts[:1] + [v for u, v in zip(pts, pts[1:]) if u != v]
 
 
 def breakpoints(t: TNorm) -> tuple[Fraction, ...]:
@@ -282,6 +293,43 @@ def canonical_grid(t: TNorm, n: int = DEFAULT_GRID_N) -> tuple[Fraction, ...]:
     return tuple(sorted(pts))
 
 
+def _rank_products(
+    t: TNorm, pts: list[Fraction]
+) -> tuple[list[int], list[list[int]], list[tuple[int, int]]]:
+    """The table of p & q over grid², relabelled to integer ranks.
+
+    Returns ``(g, table, keys)``: ``g[i]`` is the rank of ``pts[i]``,
+    ``table[i][j]`` the rank of ``pts[i] & pts[j]``, and ``keys[r]`` the
+    ``(numerator, denominator)`` of the value of rank r, from which
+    ``Fraction(*keys[r])`` rebuilds it.
+
+    ``apply`` runs once per grid pair.  Each value of grid ∪ table is
+    interned once, to an int id, by ``(numerator, denominator)``
+    (``as_integer_ratio``; hashing the Fraction itself costs more): a
+    Fraction keeps these in lowest terms with a positive denominator, so
+    two values share a key exactly when they are equal.  The distinct
+    values are then sorted once on an exact integer key: with L the lcm of
+    their denominators, n/d < n2/d2 iff n·(L/d) < n2·(L/d2), since both
+    sides are the values scaled by L > 0.  The rank of a value is its
+    position in that order, so ranks are injective and order-preserving on
+    grid ∪ table: for any two of its values, comparing ranks decides
+    <, == and >, and max and min commute with the relabelling.
+    """
+    ids: dict[tuple[int, int], int] = defaultdict(count().__next__)
+    for v in pts:  # distinct, so the grid gets ids 0..n-1
+        ids[v.as_integer_ratio()]
+    codes = [[ids[apply(t, p, q).as_integer_ratio()] for q in pts] for p in pts]
+    keys = list(ids)
+    lcm = math.lcm(*(d for _, d in keys))
+    scaled = [n * (lcm // d) for n, d in keys]
+    order = sorted(range(len(keys)), key=scaled.__getitem__)
+    rank = [0] * len(order)
+    for r, c in enumerate(order):
+        rank[c] = r
+    table = [list(map(rank.__getitem__, row)) for row in codes]
+    return rank[:len(pts)], table, [keys[c] for c in order]
+
+
 def check_c1(t: TNorm, grid) -> ConditionReport:
     """Interchange law: (p & q) ∧ u == ((p ∧ u) & q) ∨ (p & (q ∧ u)) on grid³.
 
@@ -292,25 +340,37 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
     symmetric.  So only the triples with u < p ∧ q are swept; on the sorted
     grid these are the u before both p and q, and there p ∧ u = q ∧ u = u.
     Every operand of & is then a grid point, so all products are read from
-    one table of p & q over grid².  The sweep keeps (p, q, u) order, so the
-    witness is the first failing triple of the full grid³ sweep.
+    one table of p & q over grid², built on integer ranks by
+    ``_rank_products``.  Ranks are injective and order-preserving on
+    grid ∪ table, so the rank of each side is the min or max of the ranks
+    of its parts, and comparing ranks decides the Fraction comparison.
+
+    For p = pts[i], q = pts[j] and m = min(i, j), both sides are compared
+    as int lists over u = pts[k], k < m.  The grid ranks g are increasing,
+    so with c the number of g[k] < rank(p & q), the left side is
+    g[:c] followed by rank(p & q) (m - c) times.  The right side takes the
+    max of (u & q, p & u) = (table[k][j], table[i][k]) at each k, the left
+    factor first as in the law.  The sweep keeps (p, q, u) order, so the
+    witness is the first failing triple of the full grid³ sweep; its sides
+    are rebuilt as Fractions from their ranks.
     """
     pts = _sorted_grid(grid)
-    table = [[apply(t, p, q) for q in pts] for p in pts]
+    g, table, keys = _rank_products(t, pts)
+    columns = list(zip(*table))
     for i, (p, row) in enumerate(zip(pts, table)):
-        for j, (q, pq) in enumerate(zip(pts, row)):
-            for k in range(min(i, j)):
-                u = pts[k]
-                lhs = pq if pq <= u else u
-                left, right = table[k][j], row[k]
-                rhs = left if left >= right else right
-                if lhs != rhs:
-                    return ConditionReport(
-                        "C1",
-                        False,
-                        Witness((p, q, u), lhs, rhs),
-                        certified=True,
-                    )
+        for j, (q, pq, column) in enumerate(zip(pts, row, columns)):
+            m = min(i, j)
+            c = bisect_left(g, pq, 0, m)
+            lhs = g[:c] + [pq] * (m - c)
+            rhs = list(map(max, column[:m], row[:m]))
+            if lhs != rhs:
+                k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return ConditionReport(
+                    "C1",
+                    False,
+                    Witness((p, q, pts[k]), Fraction(*keys[lhs[k]]), Fraction(*keys[rhs[k]])),
+                    certified=True,
+                )
     return ConditionReport("C1", True, certified=_pass_is_certified(t))
 
 
@@ -377,8 +437,10 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
 def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     """Grid evidence for the t-norm axioms plus exact left continuity.
 
-    p & q for grid points p, q is computed once, into a table over grid².
-    The sweeps, in order:
+    p & q for grid points p, q is computed once, into a table over grid²
+    on integer ranks (``_rank_products``).  Ranks are injective and
+    order-preserving on grid ∪ table, so comparing the ranks of two table
+    entries decides the Fraction comparison.  The sweeps, in order:
 
     * unit: 1 & p = p for every grid p (1 need not lie on the grid);
     * commutativity: p & q = q & p for the pairs p < q, which covers every
@@ -394,22 +456,23 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     Associativity.  The left operand p & q of (p & q) & u and the right
     operand q & u of p & (q & u) are entries of the table, so both lie in
     its set D of distinct values, and every outer & is D[d] & u or p & D[d]
-    for grid points u, p.  Those 2·n·|D| products are computed once, for n
-    grid points, instead of two per triple.  Every value is interned to an
-    int id through one dict keyed on (numerator, denominator).  A Fraction
-    keeps these in lowest terms with a positive denominator, so two values
-    get the same id exactly when they are equal, and comparing ids decides
-    equality exactly.  ``apply`` depends only on the values of its
-    operands, so D[d] & u is the product the triple sweep computes.  The
-    table entries are interned first, so their ids are 0..|D|-1 and index
-    the rows of ``outer``.  For each (p, q), the row of (p & q) & u over u
-    is compared as an int list with the row of p & (q & u).  The pairs are
-    taken in (p, q) order and the first differing u is the witness, so it
-    is the first failing triple of the grid³ sweep, with the same sides;
-    Fractions are rebuilt from the ids only for that witness.
+    for grid points u, p.  ``apply`` depends only on the values of its
+    operands, so D[d] & u is the product the triple sweep computes.  When
+    D[d] is a grid point, its row of D[d] & u over u and its products
+    p & D[d] are entries of the table and are read from it; only the
+    off-grid operands call ``apply``, 2·n per operand for n grid points,
+    instead of two calls per triple.  Their products are interned by
+    (numerator, denominator) into the same ids as the ranks, a value
+    outside grid ∪ table getting a fresh id, so two products have the same
+    id exactly when they are equal.  For each (p, q), the row of
+    (p & q) & u over u is compared as an int list with the row of
+    p & (q & u).  The pairs are taken in (p, q) order and the first
+    differing u is the witness, so it is the first failing triple of the
+    grid³ sweep, with the same sides.  Fractions are rebuilt from the ids
+    only for the off-grid operands and for witnesses.
     """
     pts = _sorted_grid(grid)
-    table = [[apply(t, p, q) for q in pts] for p in pts]
+    g, table, keys = _rank_products(t, pts)
     for i, (p, row) in enumerate(zip(pts, table)):
         if apply(t, ONE, p) != p:
             return ConditionReport(
@@ -421,7 +484,8 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
             if row[j] != table[j][i]:
                 return ConditionReport(
                     "axioms", False,
-                    Witness((p, pts[j]), row[j], table[j][i], note="commutativity"),
+                    Witness((p, pts[j]), Fraction(*keys[row[j]]), Fraction(*keys[table[j][i]]),
+                            note="commutativity"),
                     certified=True,
                 )
     for p, p2, row, row2 in zip(pts, pts[1:], table, table[1:]):
@@ -429,22 +493,30 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
             if lo > hi:
                 return ConditionReport(
                     "axioms", False,
-                    Witness((p, p2, q), lo, hi, note="monotonicity"),
+                    Witness((p, p2, q), Fraction(*keys[lo]), Fraction(*keys[hi]),
+                            note="monotonicity"),
                     certified=True,
                 )
-    ids: dict[tuple[int, int], int] = {}
-
-    def code(v):
-        return ids.setdefault((v.numerator, v.denominator), len(ids))
-
-    codes = [[code(v) for v in row] for row in table]
-    operands = [Fraction(*key) for key in ids]
-    outer = [[code(apply(t, v, u)) for u in pts] for v in operands]
-    for p, p_codes in zip(pts, codes):
-        inner = [code(apply(t, p, v)) for v in operands]
-        for q, pq, q_codes in zip(pts, p_codes, codes):
+    # off-grid products get fresh ids after the ranks
+    ids = defaultdict(count(len(keys)).__next__, zip(keys, count()))
+    grid_index = {r: k for k, r in enumerate(g)}
+    operands = {r for row in table for r in row}
+    on_grid = [(r, grid_index[r]) for r in operands if r in grid_index]
+    off_grid = [(r, Fraction(*keys[r])) for r in operands if r not in grid_index]
+    outer: list = [None] * len(keys)
+    for r, k in on_grid:
+        outer[r] = table[k]
+    for r, v in off_grid:
+        outer[r] = [ids[apply(t, v, u).as_integer_ratio()] for u in pts]
+    inner: list = [None] * len(keys)
+    for p, row in zip(pts, table):
+        for r, k in on_grid:
+            inner[r] = row[k]
+        for r, v in off_grid:
+            inner[r] = ids[apply(t, p, v).as_integer_ratio()]
+        for q, pq, q_row in zip(pts, row, table):
             lhs_row = outer[pq]
-            rhs_row = [inner[qu] for qu in q_codes]
+            rhs_row = list(map(inner.__getitem__, q_row))
             if lhs_row != rhs_row:
                 k = next(k for k, (a, b) in enumerate(zip(lhs_row, rhs_row)) if a != b)
                 keys = list(ids)

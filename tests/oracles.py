@@ -244,6 +244,24 @@ def c1_sides(t: TNorm, p, q, u):
     return lhs, rhs
 
 
+def c1_sweep(t: TNorm, grid) -> ConditionReport:
+    """``check_c1`` swept directly: one & per side at each triple u < p ∧ q.
+
+    Calls ``tnorms.apply`` at each use, so a patched & is seen.  The triples
+    come in (p, q, u) order over the sorted grid; the lemma of ``check_c1``
+    drops the others.
+    """
+    amp = lambda p, q: tnorms.apply(t, p, q)
+    pts = sorted({Fraction(g) for g in grid})
+    for p, q, u in itertools.product(pts, repeat=3):
+        if u < min(p, q):
+            lhs = min(amp(p, q), u)
+            rhs = max(amp(min(p, u), q), amp(p, min(q, u)))
+            if lhs != rhs:
+                return ConditionReport("C1", False, Witness((p, q, u), lhs, rhs), True)
+    return ConditionReport("C1", True, certified=tnorms._pass_is_certified(t))
+
+
 def c2_holds(t: TNorm, p, u) -> bool:
     return not (u <= apply(t, p, p)) or apply(t, u, p) == u
 

@@ -30,6 +30,7 @@ from conftest import UNITS as units, broken_ands, collapse_norms
 from oracles import (
     axioms_bruteforce,
     c1_sides,
+    c1_sweep,
     c2_holds,
     interval_collapse_apply,
     residuum_bruteforce,
@@ -207,6 +208,20 @@ class TestConditions:
             assert not report.verdict
             assert (report.witness.values, report.witness.lhs, report.witness.rhs) == first
 
+    def test_c1_reads_the_left_factor_first(self, monkeypatch):
+        # a non-commutative &: minimum, except 1/4 & 1/2 = 3/4 & 1/4 = 0; each
+        # transposition of u & q or p & u moves the first failing triple
+        real = tnorms.apply
+        monkeypatch.setattr(
+            tnorms, "apply",
+            lambda t, p, q: F(0) if (p, q) in ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 4)))
+            else real(t, p, q),
+        )
+        t, grid = minimum(), [F(1, 4), F(1, 2), F(3, 4)]
+        report = check_c1(t, grid)
+        assert report == c1_sweep(t, grid)
+        assert report.witness == Witness((F(3, 4), F(1, 2), F(1, 4)), F(1, 4), F(0))
+
     def test_idempotent_square_closure(self, all_families):
         for name in ("minimum", "interval-collapse"):
             t = all_families[name]
@@ -368,6 +383,45 @@ class TestAxiomsMatchTripleSweep:
             assert verify_tnorm_axioms(t, grid) == axioms_bruteforce(t, grid)
 
 
+class TestC1MatchesTripleSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.one_of(family_strategy, collapse_norms()),
+        grid=st.lists(units, min_size=1, max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_same_report_as_sweep(self, t, grid, data):
+        # grids may leave out 0 and 1; broken &s include non-commutative ones
+        broken = data.draw(broken_ands(t, sorted(grid)))
+        with pytest.MonkeyPatch.context() as mp:
+            if broken is not None:
+                mp.setattr(tnorms, "apply", broken)
+            assert check_c1(t, grid) == c1_sweep(t, grid)
+
+
+class TestAxiomsReadOnGridOperandsFromTheTable:
+    @pytest.mark.parametrize("t, resolution", [
+        (minimum(), 24), (minimum(), 25),
+        (interval_collapse([(F(1, 5), F(1, 2))]), 24),
+        (interval_collapse([(F(1, 5), F(1, 2))]), 25),
+        (nilpotent_minimum(), 24), (nilpotent_minimum(), 25),
+        (lukasiewicz(), 24),
+    ], ids=["minimum-24", "minimum-25", "collapse-24", "collapse-25",
+            "nilpotent-24", "nilpotent-25", "lukasiewicz-24"])
+    def test_apply_calls(self, t, resolution, monkeypatch):
+        # every product of two grid points lies on these grids, so apply
+        # runs only for the table, the unit check and left continuity
+        calls = []
+        real = tnorms.apply
+        monkeypatch.setattr(
+            tnorms, "apply", lambda t, p, q: calls.append(None) or real(t, p, q)
+        )
+        grid = canonical_grid(t, resolution)
+        n = len(grid)
+        assert verify_tnorm_axioms(t, grid).verdict
+        assert len(calls) == n * n + n + 3 * n * (len(breakpoints(t)) - 1)
+
+
 class TestCanonicalGrid:
     def test_contains_uniform_sweep_and_breakpoints(self):
         t = interval_collapse([(F(1, 5), F(1, 2))])
@@ -380,3 +434,15 @@ class TestCanonicalGrid:
     def test_sorted_unique(self):
         grid = canonical_grid(minimum())
         assert list(grid) == sorted(set(grid))
+
+    @given(grid=st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=12),
+                         min_size=1, max_size=12))
+    def test_checked_grid_is_the_sorted_set(self, grid):
+        # the first value outside [0,1] in ascending order is the one named
+        pts = sorted(set(grid))
+        bad = next((v for v in pts if not 0 <= v <= 1), None)
+        if bad is None:
+            assert tnorms._sorted_grid(grid) == pts
+        else:
+            with pytest.raises(InputError, match=f"got {bad}$"):
+                tnorms._sorted_grid(grid)
