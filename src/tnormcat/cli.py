@@ -31,6 +31,7 @@ from .tnorms import (
 )
 from .categories import (
     DEFAULT_BUDGET,
+    _validate_power,
     check_ccc,
     counterexample,
     exponential,
@@ -149,7 +150,7 @@ def cmd_exp(args) -> RunReport:
     )
     power = exponential(t, base, fiber, args.budget)
     report.add("power", power, True)
-    w = validate(power.as_rcat(), t)
+    w = _validate_power(t, power)
     report.add("power-validates", w, w is None)
     return report
 

@@ -47,11 +47,11 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO
-from .tnorms import ConditionReport, TNorm, Witness, canonical_grid, check_c1, interval_collapse
+from .tnorms import (TNorm, Witness, _c1_holds_on_unit_interval, canonical_grid, check_c1,
+                     interval_collapse)
 from .categories import (
     DEFAULT_BUDGET,
     RCat,
@@ -311,11 +311,6 @@ def check_product_bilimit(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _c1_on_canonical_grid(t: TNorm) -> ConditionReport:
-    return check_c1(t, canonical_grid(t))
-
-
 def check_power_completeness(
     t: TNorm,
     base: RCat,
@@ -356,10 +351,12 @@ def check_power_completeness(
     exceed ``budget``, and it raises nothing else, so ``_check_map_budget``
     on that count raises the same error without enumerating.  The C1
     precondition is kept as the contract of the check, although the proof
-    does not use it.
+    does not use it.  ``_c1_holds_on_unit_interval`` decides it, and
+    ``check_c1`` on the canonical grid runs only when it fails, to name the
+    witness.
     """
-    c1 = _c1_on_canonical_grid(t)
-    if not c1.verdict:
+    if not _c1_holds_on_unit_interval(t):
+        c1 = check_c1(t, canonical_grid(t))
         raise PreconditionError(
             f"t-norm {t.describe()} fails C1 at {c1.witness.values}"
         )

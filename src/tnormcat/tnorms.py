@@ -371,7 +371,7 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
                     Witness((p, q, pts[k]), Fraction(*keys[lhs[k]]), Fraction(*keys[rhs[k]])),
                     certified=True,
                 )
-    return ConditionReport("C1", True, certified=_pass_is_certified(t))
+    return ConditionReport("C1", True, certified=_c1_holds_on_unit_interval(t))
 
 
 def check_c2(t: TNorm, grid) -> ConditionReport:
@@ -394,12 +394,39 @@ def check_c2(t: TNorm, grid) -> ConditionReport:
                     Witness((p, u), up, u),
                     certified=True,
                 )
-    return ConditionReport("C2", True, certified=_pass_is_certified(t))
+    return ConditionReport("C2", True, certified=_c1_holds_on_unit_interval(t))
 
 
-def _pass_is_certified(t: TNorm) -> bool:
-    # minimum and interval-collapse satisfy the conditions by construction;
-    # a grid pass for the other families is evidence only.
+def _c1_holds_on_unit_interval(t: TNorm) -> bool:
+    """Whether C1 holds at every triple (p, q, u) of [0,1], not only on a grid.
+
+    This is the one place that decides it.  A grid pass of ``check_c1`` is
+    certified exactly when it holds, and so is one of ``check_c2``, the
+    equivalent dominance law.  It holds for minimum and interval-collapse
+    and fails for the other three families.
+
+    By the lemma of ``check_c1`` only the triples with u < p ∧ q need a
+    proof, and there p ∧ u = q ∧ u = u, so C1 reads
+    (p & q) ∧ u == (u & q) ∨ (p & u).  Every t-norm has x & y <= x ∧ y, so
+    both terms on the right are at most u.
+
+    * Minimum: both sides are u.
+    * Interval-collapse, p and q in one interval [a, b]: p & q = a.  If
+      u < a, then u lies in no interval with q or with p, so both terms on
+      the right are u = a ∧ u.  If a <= u, then u lies in [a, b] too, so
+      both terms are a = a ∧ u.
+    * Interval-collapse, p and q in no common interval: p & q = p ∧ q > u,
+      so the left side is u.  A term on the right is below u only if u and
+      that operand lie in one interval.  The intervals are disjoint, so
+      they cannot both collapse: p and q would then share u's interval.
+      One term is u, and the right side is u.
+
+    The other families fail at a closed-form triple, with sides
+    (left, right): product at (1/2, 1/2, 1/8), (1/8, 1/16); Łukasiewicz at
+    (3/4, 3/4, 1/2), (1/2, 1/4); nilpotent minimum at (3/4, 3/4, 1/5),
+    (1/5, 0).  ``tests/test_tnorms.py`` checks these triples and that this
+    predicate equals the verdict of ``check_c1`` on ``canonical_grid(t)``.
+    """
     return t.family in (MINIMUM, INTERVAL_COLLAPSE)
 
 
@@ -419,18 +446,19 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
     """Recover the family {[a, â]} of non-degenerate collapsing intervals.
 
     For each idempotent a, â = sup{x : x & x = a}; the intervals with a < â
-    realize the interval-collapse closed form.  For families where the
-    dominance law C2 fails there is no such family; the violating (p, u)
-    pair found on the canonical grid is returned instead.
+    realize the interval-collapse closed form.  The t-norms that have one
+    are those where C1 holds on [0,1] (``_c1_holds_on_unit_interval``), the
+    minimum and interval-collapse: there x & x = a exactly for x in
+    [a_i, b_i] when a = a_i, so â = b_i, and minimum has no intervals.  For
+    the other families the dominance law C2 fails and there is no such
+    family; the violating (p, u) pair found on the canonical grid is
+    returned instead.
     """
-    fam = t.family
-    if fam in (MINIMUM, INTERVAL_COLLAPSE):
-        # x & x = a exactly for x in [a_i, b_i] when a = a_i, so â = b_i;
-        # minimum has no intervals.
+    if _c1_holds_on_unit_interval(t):
         return IntervalExtraction(t.intervals)
     report = check_c2(t, canonical_grid(t))
     if report.verdict:  # pragma: no cover - the three other families always fail
-        raise RuntimeError(f"no C2 witness found on the canonical grid for {fam}")
+        raise RuntimeError(f"no C2 witness found on the canonical grid for {t.family}")
     return IntervalExtraction(None, report.witness)
 
 

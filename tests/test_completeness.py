@@ -12,6 +12,8 @@ from tnormcat import (
     RCat,
     RFunctor,
     TailSeq,
+    canonical_grid,
+    check_c1,
     check_power_completeness,
     check_product_bilimit,
     check_yoneda_continuity,
@@ -310,6 +312,28 @@ class TestPowerCompleteness:
     def test_rejects_c1_failing_tnorm(self, two_chain):
         with pytest.raises(PreconditionError):
             check_power_completeness(lukasiewicz(), two_chain, two_chain)
+
+    @pytest.mark.parametrize("family", ["minimum", "interval-collapse"])
+    def test_c1_holding_norm_runs_no_c1_sweep(self, all_families, family, two_chain,
+                                              monkeypatch):
+        def sweep(*args):
+            raise AssertionError("check_c1 ran")
+
+        monkeypatch.setattr(completeness, "check_c1", sweep)
+        assert check_power_completeness(all_families[family], two_chain, two_chain) is None
+
+    @pytest.mark.parametrize("family, values", [
+        ("product", (F(1, 20), F(1, 20), F(1, 40))),
+        ("lukasiewicz", (F(1, 20), F(39, 40), F(1, 40))),
+        ("nilpotent-minimum", (F(1, 20), F(39, 40), F(1, 40))),
+    ])
+    def test_precondition_names_the_canonical_grid_witness(self, all_families, family,
+                                                           values, two_chain):
+        t = all_families[family]
+        assert check_c1(t, canonical_grid(t)).witness.values == values
+        with pytest.raises(PreconditionError) as exc:
+            check_power_completeness(t, two_chain, two_chain)
+        assert str(exc.value) == f"t-norm {family} fails C1 at {values}"
 
 
 class TestYonedaContinuity:

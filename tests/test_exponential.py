@@ -81,6 +81,7 @@ class TestExponential:
             exponential(minimum(), big, RCat(("a", "b", "c"),
                         ((1, 0, 0), (0, 1, 0), (0, 0, 1))), budget=1000)
         assert err.value.required == 3**12
+        assert str(err.value) == "map enumeration needs 531441 candidates but the budget is 1000"
 
     def test_determinism(self, two_chain):
         t = minimum()

@@ -15,12 +15,18 @@ from tnormcat import (
     RCat,
     TailSeq,
     TNorm,
+    check_c1,
+    check_c2,
+    check_ccc,
     cli,
+    extract_intervals,
     interval_collapse,
+    label_text,
     lukasiewicz,
     min_transitive_closure,
     minimum,
     parse_rational,
+    product,
 )
 from tnormcat.tnorms import FAMILIES, INTERVAL_COLLAPSE
 from tnormcat.jsonio import (
@@ -214,3 +220,67 @@ def test_exp_and_limits_reports_reload(t, base, fiber, data):
     assert tuple(tuple(parse_rational(v) for v in row) for row in d) == \
         exponential(t, base, fiber).hom
     assert category_from_dict(limits["inputs"]["carrier"]) == fiber
+
+
+def _parsed(values):
+    return tuple(parse_rational(v) for v in values)
+
+
+def _witness_values(result):
+    return None if result["witness"] is None else _parsed(result["witness"]["values"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=NORMS, left=VALID_CATEGORIES, right=VALID_CATEGORIES,
+       grid=st.lists(UNITS, min_size=1, max_size=4, unique=True))
+def test_tnorm_product_ccc_and_power_completeness_reports_reload(t, left, right, grid):
+    values = ",".join(str(v) for v in grid)
+    with TemporaryDirectory() as tmp:
+        files = {}
+        for name, payload in (("t", tnorm_to_dict(t)), ("left", category_to_dict(left)),
+                              ("right", category_to_dict(right))):
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(json.dumps(payload))
+        check = _report(["check-tnorm", files["t"], "--values", values])
+        prod = _report(["product", files["left"], files["right"], "--tnorm", files["t"]])
+        ccc = _report(["ccc-suite", files["t"], "--values", values, "--max-size", "2"])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = cli.main(["power-completeness", "--tnorm", files["t"],
+                             "--base", files["left"], "--fiber", files["right"]])
+    rows = {row["name"]: row["result"] for row in check["verdicts"]}
+    assert tnorm_from_dict(check["inputs"]["tnorm"]) == t
+    for name, report in (("C1", check_c1(t, grid)), ("C2", check_c2(t, grid))):
+        assert _witness_values(rows[name]) == (None if report.verdict else report.witness.values)
+    intervals = rows["C3-form"]["intervals"]
+    assert extract_intervals(t).intervals == (
+        None if intervals is None else tuple(map(_parsed, intervals)))
+
+    assert category_from_dict(prod["inputs"]["left"]) == left
+    assert category_from_dict(prod["inputs"]["right"]) == right
+    # pair labels are rendered as text, which need not keep them distinct
+    result = prod["verdicts"][0]["result"]
+    expected = product(left, right)
+    assert result["elements"] == [label_text(e) for e in expected.elements]
+    assert tuple(map(_parsed, result["hom"])) == expected.hom
+
+    assert tnorm_from_dict(ccc["inputs"]["tnorm"]) == t
+    ccc_row = ccc["verdicts"][0]["result"]
+    expected = check_ccc(t, grid, 2)
+    assert ccc_row["categories"] == expected.categories
+    assert _witness_values(ccc_row["c1"]) == (
+        None if expected.c1.verdict else expected.c1.witness.values)
+    if expected.bundle is not None:
+        bundle = ccc_row["bundle"]
+        assert category_from_dict(bundle["base"]) == expected.bundle.base
+        fiber = category_from_dict(bundle["fiber"])
+        assert _parsed(fiber.elements) == expected.bundle.fiber.elements
+        assert fiber.hom == expected.bundle.fiber.hom
+
+    if code == 0:
+        report = json.loads(out.getvalue())
+        assert tnorm_from_dict(report["inputs"]["tnorm"]) == t
+        assert category_from_dict(report["inputs"]["base"]) == left
+        assert category_from_dict(report["inputs"]["fiber"]) == right
+    else:
+        assert code == 1 and "fails C1" in err.getvalue()

@@ -23,13 +23,17 @@ categories.  One fact does depend on the t-norm:
 
 (e) if C1 holds on a grid, the power of any two categories with hom values
     in that grid is a category, so ``check_ccc`` builds no power after a C1
-    pass.
+    pass, and ``exp`` and ``check_currying`` sweep no power where C1 holds
+    on all of [0,1] (``categories._validate_power``).
 
 Powers of categories with at most two elements, and of min-transitive ones,
 are categories under every t-norm, so (e) is checked on fibers that are
 transitive but not min-transitive, on C1-passing grids of Łukasiewicz and
 nilpotent minimum, together with (f).  The counterexample powers, which are
-not categories, are its negative control.  Maps are enumerated with
+not categories, are its negative control.  The ``exp`` report and
+``check_currying`` are compared with ``oracles.power_sweep`` on random
+categories under minimum and collapse norms, and on the counterexample
+powers of the other families.  Maps are enumerated with
 itertools and d comes from the oracle, not from ``enumerate_functors`` or
 ``exponential``.
 
@@ -58,11 +62,16 @@ the t-norm-free category laws, which is ``validate`` under the carrier's
 weakest t-norm, with a scan of those laws, on any matrix.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import assume, given, settings
@@ -78,6 +87,7 @@ from tnormcat import (
     canonical_grid,
     check_c1,
     check_ccc,
+    check_currying,
     check_power_completeness,
     check_product_bilimit,
     cli,
@@ -88,8 +98,10 @@ from tnormcat import (
     is_cauchy_complete,
     jsonio,
     min_transitive_closure,
+    minimum,
     parse_rational,
     product,
+    terminal,
     tnorms,
     validate,
 )
@@ -105,6 +117,7 @@ from oracles import (
     cauchy_complete_sweep,
     check_laws_scan,
     power_hom_bruteforce,
+    power_sweep,
     product_bilimit_sweep,
     tail_value_bruteforce,
 )
@@ -356,6 +369,53 @@ def test_powers_on_c1_grids_are_categories(all_families, family, grid, data):
     power = _power(x, y)
     assert _is_category(power, t)
     _check_pointwise_iso(x, y, power)
+
+
+def _power_validates_row(t, base, fiber) -> dict:
+    """The ``power-validates`` row of the ``exp`` report."""
+    with TemporaryDirectory() as tmp:
+        paths = []
+        for name, payload in (("tnorm", jsonio.tnorm_to_dict(t)),
+                              ("base", jsonio.category_to_dict(base)),
+                              ("fiber", jsonio.category_to_dict(fiber))):
+            paths.append(Path(tmp) / f"{name}.json")
+            paths[-1].write_text(json.dumps(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["exp", "--tnorm", str(paths[0]), "--base", str(paths[1]),
+                             "--fiber", str(paths[2])]) == 0
+    rows = json.loads(out.getvalue())["verdicts"]
+    assert [row["name"] for row in rows] == ["power", "power-validates"]
+    return rows[1]
+
+
+def _expect_power_sweep(t, x, y) -> Witness | None:
+    """Check ``exp`` and ``check_currying`` against ``oracles.power_sweep``."""
+    w = power_sweep(t, x, y)
+    assert _power_validates_row(t, x, y) == {
+        "name": "power-validates", "ok": w is None, "result": jsonio.to_jsonable(w)}
+    expected = None if w is None else replace(
+        w, note=f"power object fails category axioms ({w.note})")
+    assert check_currying(t, x, y, terminal()) == expected
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.one_of(st.just(minimum()), collapse_norms()), data=st.data())
+def test_power_validation_matches_the_power_sweep_where_c1_holds(t, data):
+    # points inside the intervals can make closures that are not min-transitive
+    inner = [(a + b) / 2 for a, b in t.intervals]
+    values = sorted({*tnorms.breakpoints(t), *inner, *data.draw(st.lists(UNITS, max_size=2))})
+    x = _t_closure(t, data.draw(reflexive_matrices(values, 3)))
+    y = data.draw(grid_categories(t, values, (3,)))
+    assert _expect_power_sweep(t, x, y) is None
+
+
+@pytest.mark.parametrize("family", sorted(C1_VIOLATIONS))
+def test_power_validation_keeps_the_witness_where_c1_fails(all_families, family):
+    t = all_families[family]
+    bundle = counterexample(t, *C1_VIOLATIONS[family])
+    assert _expect_power_sweep(t, bundle.base, bundle.fiber) is not None
 
 
 @pytest.mark.parametrize("family", FAMILIES + ("interval-collapse-multi",))

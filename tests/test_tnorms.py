@@ -185,6 +185,7 @@ class TestConditions:
         c2 = check_c2(t, grid)
         extraction = extract_intervals(t)
         assert c1.verdict == c2.verdict == extraction.ok
+        assert c1.verdict == tnorms._c1_holds_on_unit_interval(t)
         if not c1.verdict:
             # independent witnesses, each recomputable
             lhs, rhs = c1_sides(t, *c1.witness.values)
@@ -397,6 +398,29 @@ class TestC1MatchesTripleSweep:
             if broken is not None:
                 mp.setattr(tnorms, "apply", broken)
             assert check_c1(t, grid) == c1_sweep(t, grid)
+
+
+class TestC1OnUnitInterval:
+    """``_c1_holds_on_unit_interval`` against ``check_c1`` and its docstring.
+
+    ``TestConditions.test_conditions_agree`` compares it with ``check_c1``
+    on the canonical grid of each of the five families.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=collapse_norms())
+    def test_equals_canonical_grid_verdict_under_collapse_norms(self, t):
+        assert tnorms._c1_holds_on_unit_interval(t)
+        assert check_c1(t, canonical_grid(t)).verdict
+
+    @pytest.mark.parametrize("t, triple, sides", [
+        (product_tnorm(), (F(1, 2), F(1, 2), F(1, 8)), (F(1, 8), F(1, 16))),
+        (lukasiewicz(), (F(3, 4), F(3, 4), F(1, 2)), (F(1, 2), F(1, 4))),
+        (nilpotent_minimum(), (F(3, 4), F(3, 4), F(1, 5)), (F(1, 5), F(0))),
+    ])
+    def test_failing_families_break_c1_at_the_closed_form_triples(self, t, triple, sides):
+        assert not tnorms._c1_holds_on_unit_interval(t)
+        assert c1_sides(t, *triple) == sides
 
 
 class TestAxiomsReadOnGridOperandsFromTheTable:
