@@ -13,7 +13,11 @@ Five closed-form families are supported:
 Values are exact: `fractions.Fraction` at the boundary (arguments of
 ``apply`` and ``residuum``, grids, witnesses), while the C1 and axioms
 sweeps run on integer ranks of those values, which decide every comparison
-exactly (``_rank_products``); there is no floating point anywhere.  The
+exactly; there is no floating point anywhere.  Both sweeps read p & q over
+grid² from one table of ranks, built by ``_rank_products``: ``check_c1``
+and ``verify_tnorm_axioms`` each build their own, and ``_c1_and_axioms``,
+which ``check-tnorm`` runs, builds one and shares it between the two.  No
+table outlives the call that built it.  The
 module also decides three equivalent conditions on a t-norm (tags ``C1``,
 ``C2``, ``C3-form``) that characterize when the function-space construction
 on [0,1]-enriched categories behaves; each check either passes or returns a
@@ -353,9 +357,17 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
     factor first as in the law.  The sweep keeps (p, q, u) order, so the
     witness is the first failing triple of the full grid³ sweep; its sides
     are rebuilt as Fractions from their ranks.
+
+    The table is built here, for this call only; ``_c1_and_axioms`` builds
+    it once and hands it to both this sweep and the axioms sweep.
     """
     pts = _sorted_grid(grid)
-    g, table, keys = _rank_products(t, pts)
+    return _c1_sweep(t, pts, *_rank_products(t, pts))
+
+
+def _c1_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
+    """The sweep of ``check_c1`` over the sorted grid ``pts`` and its
+    ``_rank_products`` table ``(g, table, keys)``, which it only reads."""
     columns = list(zip(*table))
     for i, (p, row) in enumerate(zip(pts, table)):
         for j, (q, pq, column) in enumerate(zip(pts, row, columns)):
@@ -498,9 +510,18 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     differing u is the witness, so it is the first failing triple of the
     grid³ sweep, with the same sides.  Fractions are rebuilt from the ids
     only for the off-grid operands and for witnesses.
+
+    The table is built here, for this call only; ``_c1_and_axioms`` builds
+    it once and hands it to both this sweep and the C1 sweep.
     """
     pts = _sorted_grid(grid)
-    g, table, keys = _rank_products(t, pts)
+    return _axioms_sweep(t, pts, *_rank_products(t, pts))
+
+
+def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
+    """The sweeps of ``verify_tnorm_axioms`` over the sorted grid ``pts``
+    and its ``_rank_products`` table ``(g, table, keys)``, which they only
+    read."""
     for i, (p, row) in enumerate(zip(pts, table)):
         if apply(t, ONE, p) != p:
             return ConditionReport(
@@ -554,11 +575,10 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
                             Fraction(*keys[rhs_row[k]]), note="associativity"),
                     certified=True,
                 )
-    for b in breakpoints(t):
-        if b == ZERO:
-            continue
+    bps = breakpoints(t)
+    for b in bps[1:]:  # bps[0] is 0
         for q in pts:
-            limit, value = _left_limit(t, b, q), apply(t, b, q)
+            limit, value = _left_limit(t, b, q, bps), apply(t, b, q)
             if limit != value:
                 return ConditionReport(
                     "axioms", False,
@@ -571,8 +591,24 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     )
 
 
-def _left_limit(t: TNorm, b: Fraction, q: Fraction) -> Fraction:
-    """sup_{p<b} p & q for b > 0, exactly.
+def _c1_and_axioms(t: TNorm, grid) -> tuple[ConditionReport, ConditionReport]:
+    """``(check_c1(t, grid), verify_tnorm_axioms(t, grid))``, sharing one table.
+
+    Both checks read p & q over grid² from the same ``_rank_products``
+    table, and neither sweep writes to it, so it is built once here instead
+    of once per check: n² ``apply`` calls for n grid points, the interning
+    and the sort are saved.  The table lives for this call only.
+    ``cmd_check_tnorm`` calls this; ``check_c2`` stays a lazy Fraction
+    sweep, since ``extract_intervals`` runs it on the canonical grid and it
+    stops after a few pairs under the families where C2 fails.
+    """
+    pts = _sorted_grid(grid)
+    ranked = _rank_products(t, pts)
+    return _c1_sweep(t, pts, *ranked), _axioms_sweep(t, pts, *ranked)
+
+
+def _left_limit(t: TNorm, b: Fraction, q: Fraction, bps: tuple[Fraction, ...]) -> Fraction:
+    """sup_{p<b} p & q for b > 0, exactly; ``bps`` is ``breakpoints(t)``.
 
     For fixed q every family is affine in p between consecutive points of
     breakpoints(t) ∪ {q, 1-q}: the case split of ``apply`` changes only
@@ -581,7 +617,7 @@ def _left_limit(t: TNorm, b: Fraction, q: Fraction) -> Fraction:
     thirds of the way from c to b are spaced like b itself, so the limit is
     2 y2 - y1.
     """
-    c = max(v for v in breakpoints(t) + (q, ONE - q) if v < b)
+    c = max(v for v in bps + (q, ONE - q) if v < b)
     y1 = apply(t, (2 * c + b) / 3, q)
     y2 = apply(t, (c + 2 * b) / 3, q)
     return 2 * y2 - y1

@@ -306,10 +306,11 @@ def axioms_bruteforce(t: TNorm, grid) -> ConditionReport:
                 lhs, rhs = amp(amp(p, q), u), amp(p, amp(q, u))
                 if lhs != rhs:
                     return fail((p, q, u), lhs, rhs, "associativity")
-    for b in tnorms.breakpoints(t)[1:]:
+    bps = tnorms.breakpoints(t)
+    for b in bps[1:]:
         for q in pts:
-            if tnorms._left_limit(t, b, q) != amp(b, q):
-                return fail((b, q), tnorms._left_limit(t, b, q), amp(b, q),
+            if tnorms._left_limit(t, b, q, bps) != amp(b, q):
+                return fail((b, q), tnorms._left_limit(t, b, q, bps), amp(b, q),
                             "left continuity")
     return ConditionReport(
         "axioms", True,

@@ -142,6 +142,21 @@ class TestCheckTnorm:
         assert ('  C1: FAIL\n    witness: {"values": ["9/10", "9/10", "1/2"], '
                 '"lhs": "1/2", "rhs": "2/5", "note": ""}\n') in out
 
+    @pytest.mark.parametrize("family", ["minimum", "lukasiewicz", "collapse"])
+    def test_one_product_table_per_run(self, files, family, capsys, monkeypatch):
+        # C1 and the axioms share the grid² table of one run, and no table
+        # is kept for the next run
+        calls = []
+        real = tnorms._rank_products
+        monkeypatch.setattr(
+            tnorms, "_rank_products", lambda t, pts: calls.append(None) or real(t, pts)
+        )
+        assert run(capsys, "check-tnorm", files[family])[0] == 0
+        assert len(calls) == 1
+        assert run(capsys, "check-tnorm", files[family])[0] == 0
+        assert len(calls) == 2
+
+
 class TestOtherCommands:
     def test_counterexample_bundle(self, files, capsys):
         code, out, _ = run(capsys, "counterexample", files["lukasiewicz"],

@@ -400,6 +400,24 @@ class TestC1MatchesTripleSweep:
             assert check_c1(t, grid) == c1_sweep(t, grid)
 
 
+class TestSharedTableMatchesStandaloneChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t=st.one_of(family_strategy, collapse_norms()),
+        grid=st.lists(units, min_size=1, max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_same_reports(self, t, grid, data):
+        # grids may leave out 0 and 1; broken &s include non-commutative ones
+        broken = data.draw(broken_ands(t, sorted(grid)))
+        with pytest.MonkeyPatch.context() as mp:
+            if broken is not None:
+                mp.setattr(tnorms, "apply", broken)
+            shared = tnorms._c1_and_axioms(t, grid)
+            assert shared == (check_c1(t, grid), verify_tnorm_axioms(t, grid))
+            assert shared == (c1_sweep(t, grid), axioms_bruteforce(t, grid))
+
+
 class TestC1OnUnitInterval:
     """``_c1_holds_on_unit_interval`` against ``check_c1`` and its docstring.
 
