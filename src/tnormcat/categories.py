@@ -43,10 +43,23 @@ from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval
 DEFAULT_BUDGET = 10**6
 
 
+# a backslash before each character that tuple rendering gives a meaning
+_TUPLE_PART_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
+
+
 def label_text(label) -> str:
-    """Render an element label (string, rational, or nested tuple) as text."""
+    """Render an element label (string, rational, or nested tuple) as text.
+
+    In the string parts of a tuple, ``\\``, ``,``, ``(`` and ``)`` are
+    escaped with a backslash, so tuples of distinct strings render
+    distinctly: ("a,", "x") is ``(a\\,,x)`` and ("a", ",x") is ``(a,\\,x)``.
+    A plain label, and a part without those characters, renders as is.
+    """
     if isinstance(label, tuple):
-        return "(" + ",".join(label_text(part) for part in label) + ")"
+        return "(" + ",".join(
+            part.translate(_TUPLE_PART_ESCAPES) if isinstance(part, str) else label_text(part)
+            for part in label
+        ) + ")"
     return str(label)
 
 
@@ -217,32 +230,53 @@ def unit_interval_category(t: TNorm, points) -> RCat:
     return RCat(pts, hom)
 
 
-def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> list[tuple]:
-    """Label tuples (in source element order) of all functors src -> dst.
+def _functor_images(src: RCat, dst: RCat, budget: int):
+    """The functors src -> dst as image tuples, with the ranks that chose them.
 
-    The functor test only compares hom values, so it runs on their ranks in
-    one sorted list of the values of both matrices.
+    Returns ``(values, src_m, dst_m, images)``: ``values`` is the sorted set
+    of the hom values of both matrices and 1, ``src_m`` and ``dst_m`` are
+    the matrices as ranks in ``values``, and ``images`` lists, in
+    ``itertools.product`` order, the tuples of target indices (one per
+    source element) of the maps that never shrink a hom.  Ranks are
+    injective and order-preserving, so comparing two ranks decides the
+    comparison of their values.  The rank of 1 is ``len(values) - 1``,
+    also for two empty categories.
     """
     _check_map_budget(len(dst), (len(src),), budget)
-    values = sorted({v for row in src.hom + dst.hom for v in row})
+    values = sorted({ONE, *(v for row in src.hom + dst.hom for v in row)})
     rank = {v: r for r, v in enumerate(values)}
     src_m = [[rank[v] for v in row] for row in src.hom]
     dst_m = [[rank[v] for v in row] for row in dst.hom]
-    return [
-        tuple(dst.elements[d] for d in images)
-        for images in itertools.product(range(len(dst)), repeat=len(src))
-        if all(s <= dst_m[a][b] for row, a in zip(src_m, images) for s, b in zip(row, images))
+    images = [
+        im
+        for im in itertools.product(range(len(dst)), repeat=len(src))
+        if all(s <= dst_m[a][b] for row, a in zip(src_m, im) for s, b in zip(row, im))
     ]
+    return values, src_m, dst_m, images
 
 
-def _power_hom(base_hom, fiber_hom, f_images, g_images):
-    """d(f,g): min fiber-hom over pairs where the base hom exceeds it, else 1.
+def enumerate_functors(src: RCat, dst: RCat, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+    """Label tuples (in source element order) of all functors src -> dst.
+
+    The functor test only compares hom values, so it runs on their ranks
+    (``_functor_images``); the image tuples are then mapped to labels.
+    ``BudgetError`` is raised when the len(dst)**len(src) candidate maps
+    exceed ``budget``.
+    """
+    images = _functor_images(src, dst, budget)[3]
+    return [tuple(dst.elements[d] for d in im) for im in images]
+
+
+def _power_hom(base_hom, fiber_hom, f_images, g_images, top):
+    """d(f,g): min fiber-hom over pairs where the base hom exceeds it, else ``top``.
 
     This realizes the supremum in the defining formula exactly: for each base
     pair the constraint on q is vacuous when hom(x,y) <= hom(f(x),g(y)) and
-    caps q at hom(f(x),g(y)) otherwise.
+    caps q at hom(f(x),g(y)) otherwise.  It only compares values, so it runs
+    on hom values with ``top`` = 1 or on their ranks with ``top`` the rank
+    of 1, and an order-preserving rank map commutes with it.
     """
-    d = ONE
+    d = top
     for b_row, fi in zip(base_hom, f_images):
         row = fiber_hom[fi]
         for b, gj in zip(b_row, g_images):
@@ -284,15 +318,21 @@ def _require_valid(t: TNorm, base: RCat, fiber: RCat) -> None:
 
 
 def exponential(t: TNorm, base: RCat, fiber: RCat, budget: int = DEFAULT_BUDGET) -> PowerObject:
-    """Enumerate the functor space and compute its hom matrix in closed form."""
+    """Enumerate the functor space and compute its hom matrix in closed form.
+
+    The values of both homs are ranked once (``_functor_images``): the
+    functors are filtered on the ranks, and d(f,g) is ``_power_hom`` on the
+    same ranks, mapped back through the sorted values.  1 is among them, so
+    an empty base still gets d = 1 for its one empty map.
+    """
     _require_valid(t, base, fiber)
-    mappings = enumerate_functors(base, fiber, budget)
-    image_tuples = [tuple(fiber.index(lbl) for lbl in m) for m in mappings]
+    values, base_m, fiber_m, images = _functor_images(base, fiber, budget)
+    top = len(values) - 1
     hom = tuple(
-        tuple(_power_hom(base.hom, fiber.hom, fi, gi) for gi in image_tuples)
-        for fi in image_tuples
+        tuple(values[_power_hom(base_m, fiber_m, fi, gi, top)] for gi in images)
+        for fi in images
     )
-    functors = tuple(RFunctor(base, fiber, m) for m in mappings)
+    functors = tuple(RFunctor(base, fiber, tuple(fiber.elements[d] for d in im)) for im in images)
     return PowerObject(base, fiber, functors, hom)
 
 
@@ -480,9 +520,9 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
 
     idx = {name: tuple(fiber.index(v) for v in vals)
            for name, vals in (("f", f_vals), ("g", g_vals), ("h", h_vals))}
-    d_fg = _power_hom(base.hom, fiber.hom, idx["f"], idx["g"])
-    d_gh = _power_hom(base.hom, fiber.hom, idx["g"], idx["h"])
-    d_fh = _power_hom(base.hom, fiber.hom, idx["f"], idx["h"])
+    d_fg = _power_hom(base.hom, fiber.hom, idx["f"], idx["g"], ONE)
+    d_gh = _power_hom(base.hom, fiber.hom, idx["g"], idx["h"], ONE)
+    d_fh = _power_hom(base.hom, fiber.hom, idx["f"], idx["h"], ONE)
     if d_fg < p or d_gh < q:  # pragma: no cover - guaranteed by construction
         raise InvariantError("bundle lost the lower bounds d(f,g) >= p, d(g,h) >= q")
 
@@ -701,5 +741,5 @@ def check_ccc(
     cats = [cat for size in built for cat in enumerate_categories(t, grid, size, budget)]
     for x, y in itertools.product(cats, repeat=2):
         if (len(x), len(y)) in failing:
-            _check_map_budget(len(enumerate_functors(x, y, budget)), z_sizes, budget)
+            _check_map_budget(len(_functor_images(x, y, budget)[3]), z_sizes, budget)
     return CccReport(True, c1, None, n, triples)

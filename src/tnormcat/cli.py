@@ -84,19 +84,32 @@ def _parse_values(raw: str) -> list:
     return vals
 
 
-def _grid_for(args, t):
-    if args.values is not None:
-        return _parse_values(args.values)
-    return canonical_grid(t, args.grid)
+def _grid_inputs(args, command: str):
+    """Load the t-norm and its grid; return them with the report that records them."""
+    t = jsonio.load_tnorm(args.tnorm)
+    grid = _parse_values(args.values) if args.values is not None else canonical_grid(t, args.grid)
+    report = RunReport(command, {"tnorm": jsonio.tnorm_to_dict(t), "grid_points": len(grid)})
+    return t, grid, report
+
+
+def _power_inputs(args, command: str):
+    """Load t-norm, base and fiber; return them with the report that records them."""
+    t = jsonio.load_tnorm(args.tnorm)
+    base = jsonio.load_category(args.base)
+    fiber = jsonio.load_category(args.fiber)
+    report = RunReport(
+        command,
+        {
+            "tnorm": jsonio.tnorm_to_dict(t),
+            "base": jsonio.category_to_dict(base),
+            "fiber": jsonio.category_to_dict(fiber),
+        },
+    )
+    return t, base, fiber, report
 
 
 def cmd_check_tnorm(args) -> RunReport:
-    t = jsonio.load_tnorm(args.tnorm)
-    grid = _grid_for(args, t)
-    report = RunReport(
-        "check-tnorm",
-        {"tnorm": jsonio.tnorm_to_dict(t), "grid_points": len(grid)},
-    )
+    t, grid, report = _grid_inputs(args, "check-tnorm")
     if t.dropped_intervals:
         report.inputs["normalized_away"] = jsonio.to_jsonable(t.dropped_intervals)
     # C1 and the axioms read one grid² table of products, built once
@@ -136,17 +149,7 @@ def cmd_product(args) -> RunReport:
 
 
 def cmd_exp(args) -> RunReport:
-    t = jsonio.load_tnorm(args.tnorm)
-    base = jsonio.load_category(args.base)
-    fiber = jsonio.load_category(args.fiber)
-    report = RunReport(
-        "exp",
-        {
-            "tnorm": jsonio.tnorm_to_dict(t),
-            "base": jsonio.category_to_dict(base),
-            "fiber": jsonio.category_to_dict(fiber),
-        },
-    )
+    t, base, fiber, report = _power_inputs(args, "exp")
     power = exponential(t, base, fiber, args.budget)
     report.add("power", power, True)
     w = _validate_power(t, power)
@@ -155,16 +158,8 @@ def cmd_exp(args) -> RunReport:
 
 
 def cmd_ccc_suite(args) -> RunReport:
-    t = jsonio.load_tnorm(args.tnorm)
-    grid = _grid_for(args, t)
-    report = RunReport(
-        "ccc-suite",
-        {
-            "tnorm": jsonio.tnorm_to_dict(t),
-            "grid_points": len(grid),
-            "max_size": args.max_size,
-        },
-    )
+    t, grid, report = _grid_inputs(args, "ccc-suite")
+    report.inputs["max_size"] = args.max_size
     result = check_ccc(t, grid, args.max_size, args.budget)
     report.add("ccc", result, result.verdict, certified=result.c1.certified)
     return report
@@ -213,18 +208,8 @@ def cmd_limits(args) -> RunReport:
 
 
 def cmd_power_completeness(args) -> RunReport:
-    t = jsonio.load_tnorm(args.tnorm)
-    base = jsonio.load_category(args.base)
-    fiber = jsonio.load_category(args.fiber)
-    report = RunReport(
-        "power-completeness",
-        {
-            "tnorm": jsonio.tnorm_to_dict(t),
-            "base": jsonio.category_to_dict(base),
-            "fiber": jsonio.category_to_dict(fiber),
-            "cycle_budget": args.max_size,
-        },
-    )
+    t, base, fiber, report = _power_inputs(args, "power-completeness")
+    report.inputs["cycle_budget"] = args.max_size
     if args.max_size < 1:
         raise InputError(f"cycle budget must be >= 1, got {args.max_size}")
     w = check_power_completeness(t, base, fiber, args.budget)
@@ -281,6 +266,16 @@ def _add_common(sub):
     )
 
 
+def _add_power(sub):
+    for flag in ("--tnorm", "--base", "--fiber"):
+        sub.add_argument(flag, required=True)
+
+
+def _add_budget(sub):
+    sub.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                     help="enumeration budget")
+
+
 def _add_grid(sub):
     grid = sub.add_mutually_exclusive_group()
     grid.add_argument("--grid", type=int, default=DEFAULT_GRID_N,
@@ -311,11 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_product)
 
     s = subs.add_parser("exp", help="function-space object")
-    s.add_argument("--tnorm", required=True)
-    s.add_argument("--base", required=True)
-    s.add_argument("--fiber", required=True)
-    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help="enumeration budget")
+    _add_power(s)
+    _add_budget(s)
     _add_common(s)
     s.set_defaults(handler=cmd_exp)
 
@@ -324,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(s)
     s.add_argument("--max-size", type=int, default=2,
                    help="largest category size swept")
-    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help="enumeration budget")
+    _add_budget(s)
     _add_common(s)
     s.set_defaults(handler=cmd_ccc_suite)
 
@@ -344,14 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_limits)
 
     s = subs.add_parser("power-completeness", help="Cauchy completeness of a power")
-    s.add_argument("--tnorm", required=True)
-    s.add_argument("--base", required=True)
-    s.add_argument("--fiber", required=True)
+    _add_power(s)
     s.add_argument("--max-size", type=int, default=3,
                    help="cycle budget: recorded in the report; the verdict "
                         "does not depend on it")
-    s.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                   help="enumeration budget")
+    _add_budget(s)
     _add_common(s)
     s.set_defaults(handler=cmd_power_completeness)
 

@@ -290,9 +290,9 @@ def canonical_grid(t: TNorm, n: int = DEFAULT_GRID_N) -> tuple[Fraction, ...]:
     """Breakpoints, a uniform k/n sweep, and midpoints of consecutive breakpoints."""
     if n < 1:
         raise InputError("grid size must be >= 1")
-    pts = set(breakpoints(t))
-    pts.update(Fraction(k, n) for k in range(n + 1))
     bps = breakpoints(t)
+    pts = set(bps)
+    pts.update(Fraction(k, n) for k in range(n + 1))
     pts.update((a + b) / TWO for a, b in zip(bps, bps[1:]))
     return tuple(sorted(pts))
 

@@ -185,6 +185,17 @@ class TestOtherCommands:
         prod = parse_report(out)["verdicts"][0]["result"]
         assert len(prod["elements"]) == 4
 
+    def test_product_labels_render_distinctly(self, tmp_path, capsys):
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        discrete = [["1", "0"], ["0", "1"]]
+        left.write_text(json.dumps({"elements": ["a", "a,"], "hom": discrete}))
+        right.write_text(json.dumps({"elements": [",x", "x"], "hom": discrete}))
+        code, out, _ = run(capsys, "product", str(left), str(right))
+        assert code == 0
+        prod = parse_report(out)["verdicts"][0]["result"]
+        assert prod["elements"] == ["(a,\\,x)", "(a,x)", "(a\\,,\\,x)", "(a\\,,x)"]
+        assert jsonio.category_to_dict(jsonio.category_from_dict(prod)) == prod
+
     def test_ccc_suite_pass_and_fail(self, files, capsys):
         code, out, _ = run(capsys, "ccc-suite", files["collapse"],
                            "--values", "0,1/4,1/2,1", "--max-size", "2")

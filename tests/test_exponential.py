@@ -32,6 +32,16 @@ class TestExponential:
                 for j, g in enumerate(power.functors):
                     assert power.hom[i][j] == fiber.hom_of(f("*"), g("*"))
 
+    def test_empty_base_has_one_map_and_empty_fiber_none(self, all_families):
+        empty = RCat((), ())
+        one = RCat(("a",), ((1,),))
+        for t in all_families.values():
+            for fiber in (empty, one):
+                power = exponential(t, empty, fiber)
+                assert power.labels == ((),) and power.hom == ((1,),)
+            power = exponential(t, one, empty)
+            assert power.labels == () and power.hom == ()
+
     def test_diagonal_is_one(self, two_chain):
         t = minimum()
         power = exponential(t, two_chain, two_chain)

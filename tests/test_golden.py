@@ -1,10 +1,20 @@
-"""``check-tnorm`` reports against the golden files in ``tests/golden/``.
+"""CLI reports against the golden files in ``tests/golden/``.
 
-Each file is the JSON report of one ``tnormcat check-tnorm`` run with
-``timing_ms`` removed, rendered as the CLI renders it.  The runs cover the
-five families and a three-interval collapse, at ``--grid 12`` and at one
-``--values`` grid, so the verdicts, witnesses and notes of C1, C2, C3-form,
-the axioms and the agreement row are all pinned byte for byte.
+Each ``check-tnorm-*`` file is the JSON report of one ``tnormcat
+check-tnorm`` run with ``timing_ms`` removed, rendered as the CLI renders
+it.  The runs cover the five families and a three-interval collapse, at
+``--grid 12`` and at one ``--values`` grid, so the verdicts, witnesses and
+notes of C1, C2, C3-form, the axioms and the agreement row are all pinned
+byte for byte.
+
+Each ``exp-*`` and ``power-completeness-*`` file pins one run of those
+commands the same way; a run that exits non-zero is pinned as its exit
+code and stderr instead.  The runs cover a power that validates under
+minimum and under interval-collapse [1/4,1/2], the power on the base and
+fiber of ``tnormcat counterexample`` at (1/2, 1/2, 1/8) under product,
+whose ``power-validates`` row fails with a witness, a passing
+``power-completeness`` and its C1 precondition error under product, and
+an empty base and fiber.
 
 The files are written by this module's ``__main__`` block; rewrite them only
 when a report is meant to change:
@@ -40,22 +50,79 @@ GRIDS = {
 CASES = [(name, grid) for name in TNORMS for grid in GRIDS]
 
 
+CHAIN2 = {"elements": ["x", "y"], "hom": [["1", "1/2"], ["0", "1"]]}
+FIBER3 = {"elements": ["a", "b", "c"],
+          "hom": [["1", "1", "1"], ["1/2", "1", "1"], ["1/4", "1/4", "1"]]}
+EMPTY = {"elements": [], "hom": []}
+# the base and fiber of `tnormcat counterexample` under product at (1/2, 1/2, 1/8)
+BUNDLE_BASE = {"elements": ["x", "y"], "hom": [["1", "1/8"], ["0", "1"]]}
+BUNDLE_FIBER = {
+    "elements": ["1/16", "1/8", "1/4", "1/2", "1"],
+    "hom": [["1", "1", "1", "1", "1"], ["1/2", "1", "1", "1", "1"],
+            ["1/4", "1/2", "1", "1", "1"], ["1/8", "1/4", "1/2", "1", "1"],
+            ["1/16", "1/8", "1/4", "1/2", "1"]],
+}
+MINIMUM, PRODUCT = TNORMS["minimum"], TNORMS["product"]
+COLLAPSE = {"family": "interval-collapse", "intervals": [["1/4", "1/2"]]}
+# golden name -> (command, t-norm, base, fiber)
+POWER_CASES = {
+    "exp-minimum": ("exp", MINIMUM, CHAIN2, FIBER3),
+    "exp-collapse": ("exp", COLLAPSE, CHAIN2, FIBER3),
+    "exp-product-counterexample": ("exp", PRODUCT, BUNDLE_BASE, BUNDLE_FIBER),
+    "exp-empty": ("exp", MINIMUM, EMPTY, EMPTY),
+    "power-completeness-minimum": ("power-completeness", MINIMUM, CHAIN2, FIBER3),
+    "power-completeness-product": ("power-completeness", PRODUCT, CHAIN2, FIBER3),
+    "power-completeness-empty": ("power-completeness", MINIMUM, EMPTY, EMPTY),
+}
+
+
 def golden_path(name: str, grid: str) -> Path:
     return GOLDEN / f"check-tnorm-{name}-{grid}.json"
 
 
-def masked_report(name: str, grid: str) -> str:
-    """The JSON report of one run, without ``timing_ms``, as the CLI renders it."""
+def power_golden_path(name: str) -> Path:
+    return GOLDEN / f"{name}.json"
+
+
+def run_cli(argv, inputs: dict) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run; ``inputs`` are written as
+    JSON files and their names in ``argv`` replaced by the paths."""
     with TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tnorm.json"
-        path.write_text(json.dumps(TNORMS[name]))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["check-tnorm", str(path), *GRIDS[grid]])
-    assert code == 0
-    report = json.loads(out.getvalue())
+        paths = {}
+        for name, payload in inputs.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(paths.get(a, a)) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def masked(stdout: str) -> str:
+    """A JSON report without ``timing_ms``, as the CLI renders it."""
+    report = json.loads(stdout)
     del report["timing_ms"]
     return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def masked_report(name: str, grid: str) -> str:
+    """The JSON report of one ``check-tnorm`` run, without ``timing_ms``."""
+    code, out, _ = run_cli(["check-tnorm", "tnorm", *GRIDS[grid]], {"tnorm": TNORMS[name]})
+    assert code == 0
+    return masked(out)
+
+
+def power_output(name: str) -> str:
+    """The masked report of a clean run, else its exit code and stderr."""
+    command, tnorm, base, fiber = POWER_CASES[name]
+    code, out, err = run_cli(
+        [command, "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],
+        {"tnorm": tnorm, "base": base, "fiber": fiber},
+    )
+    if code == 0 and not err:
+        return masked(out)
+    assert not out
+    return json.dumps({"exit": code, "stderr": err}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name, grid", CASES, ids=[f"{n}-{g}" for n, g in CASES])
@@ -63,7 +130,14 @@ def test_check_tnorm_report_matches_golden(name, grid):
     assert masked_report(name, grid) == golden_path(name, grid).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", POWER_CASES)
+def test_power_report_matches_golden(name):
+    assert power_output(name) == power_golden_path(name).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, grid in CASES:
         golden_path(name, grid).write_text(masked_report(name, grid), encoding="utf-8")
+    for name in POWER_CASES:
+        power_golden_path(name).write_text(power_output(name), encoding="utf-8")
