@@ -21,7 +21,9 @@ pair of categories with hom values in the grid (proof in ``check_ccc``):
 the sweep builds no power.  It counts the categories of each size by
 backtracking on grid ranks (proof in ``enumerate_categories``), and it
 builds categories and counts the maps its budget bounds only for the size
-classes whose sizes cannot settle that bound.
+classes whose sizes cannot settle that bound.  Category generation reads
+p & q from the grid² rank table of ``tnorms._rank_products``, and the sweep
+builds that table once and shares it between C1 and the generation.
 
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.
@@ -30,15 +32,14 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
-from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _sorted_grid,
-                     apply, check_c1, residuum)
+from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _c1_sweep,
+                     _rank_products, _sorted_grid, apply, residuum)
 
 DEFAULT_BUDGET = 10**6
 
@@ -551,26 +552,25 @@ def _check_generation_budget(points: int, size: int, budget: int) -> None:
         raise BudgetError(count, budget, f"category generation at size {size}")
 
 
-def _rank_fills(t: TNorm, pts: list[Fraction], size: int):
-    """Yield the grid-rank fills of the valid categories of ``size`` elements.
+def _rank_fills(g: list[int], table: list[list[int]], size: int):
+    """Yield the grid-index fills of the valid categories of ``size`` elements.
 
-    A fill gives the rank in ``pts`` of each slot of ``_off_diagonal(size)``;
-    fills come in ``itertools.product`` order.  Proof in
-    ``enumerate_categories``.
+    ``g`` and ``table`` are the grid ranks and the product table that
+    ``_rank_products`` returns for the sorted grid.  A fill gives the index
+    in the grid of each slot of ``_off_diagonal(size)``; fills come in
+    ``itertools.product`` order.  Proof in ``enumerate_categories``.
     """
     slots = _off_diagonal(size)
     if size < 3:  # no triple of distinct elements, so every fill is valid
-        yield from itertools.product(range(len(pts)), repeat=len(slots))
+        yield from itertools.product(range(len(g)), repeat=len(slots))
         return
-    # thr[a][b]: least rank r with pts[a] & pts[b] <= pts[r], len(pts) if none
-    thr = [[bisect_left(pts, apply(t, p, q)) for q in pts] for p in pts]
     slot = {ij: s for s, ij in enumerate(slots)}
     # checks[s]: the triples, as slots (jk, ij, ik), whose last slot is s
     checks: list[list[tuple[int, int, int]]] = [[] for _ in slots]
     for i, j, k in itertools.permutations(range(size), 3):
         jk, ij, ik = slot[j, k], slot[i, j], slot[i, k]
         checks[max(jk, ij, ik)].append((jk, ij, ik))
-    points, last = len(pts), len(slots) - 1
+    points, last = len(g), len(slots) - 1
     fill = [-1] * len(slots)
     s = 0
     while s >= 0:
@@ -578,11 +578,23 @@ def _rank_fills(t: TNorm, pts: list[Fraction], size: int):
         if fill[s] == points:
             fill[s] = -1
             s -= 1
-        elif all(thr[fill[jk]][fill[ij]] <= fill[ik] for jk, ij, ik in checks[s]):
+        elif all(table[fill[jk]][fill[ij]] <= g[fill[ik]] for jk, ij, ik in checks[s]):
             if s == last:
                 yield tuple(fill)
             else:
                 s += 1
+
+
+def _categories(pts: list[Fraction], g: list[int], table: list[list[int]], size: int):
+    """Yield the categories of ``_rank_fills(g, table, size)``, with hom values
+    read from the sorted grid ``pts``."""
+    labels = tuple(f"e{i}" for i in range(size))
+    slots = _off_diagonal(size)
+    for fill in _rank_fills(g, table, size):
+        hom = [[ONE] * size for _ in range(size)]
+        for (i, j), r in zip(slots, fill):
+            hom[i][j] = pts[r]
+        yield RCat(labels, tuple(map(tuple, hom)))
 
 
 def enumerate_categories(
@@ -600,33 +612,30 @@ def enumerate_categories(
       only triples (i, j, k) of distinct elements, whose three homs are
       off-diagonal, hence grid values pts[r].  Below size 3 there is no
       such triple, and every fill is valid.
-    * For sorted distinct ``pts``, ``bisect_left(pts, v)`` is the least r
-      with v <= pts[r] (len(pts) if none).  With thr[a][b] that r for
-      v = pts[a] & pts[b], pts[a] & pts[b] <= pts[c] iff thr[a][b] <= c.
-      Hence hom(j,k) & hom(i,j) <= hom(i,k) iff
-      thr[rank hom(j,k)][rank hom(i,j)] <= rank hom(i,k): ``apply`` runs
-      once per grid pair, in the argument order of ``validate``.
-    * Slots are filled in order with ranks ascending, so the prefixes are
+    * The products are read from the table of ``_rank_products``, the one
+      that the C1 sweep reads: for grid indices a, b, c, g[c] is the rank
+      of pts[c] and table[a][b] that of pts[a] & pts[b].  Ranks are
+      injective and order-preserving on grid ∪ table (proof in
+      ``_rank_products``), so pts[a] & pts[b] <= pts[c] iff
+      table[a][b] <= g[c].  Hence hom(j,k) & hom(i,j) <= hom(i,k) iff
+      table[index hom(j,k)][index hom(i,j)] <= g[index hom(i,k)]:
+      ``apply`` runs once per grid pair, in the argument order of
+      ``validate``.
+    * Slots are filled in order with indices ascending, so the prefixes are
       visited in the lexicographic order of ``itertools.product``.  A triple
       is tested right after the last of its three slots is filled.  If it
       fails, it fails in every completion of the prefix, so pruning drops
       only invalid fills and keeps the order of the others; a complete fill
       that survives has passed every triple.
 
+    The table is built after the budget check, for this call only.
     ``tests/test_proofs.py`` compares the result with the product-then-
     ``validate`` loop of ``oracles.categories_bruteforce``.
     """
     pts = _sorted_grid(grid)
     _check_generation_budget(len(pts), size, budget)
-    labels = tuple(f"e{i}" for i in range(size))
-    slots = _off_diagonal(size)
-    cats = []
-    for fill in _rank_fills(t, pts, size):
-        hom = [[ONE] * size for _ in range(size)]
-        for (i, j), r in zip(slots, fill):
-            hom[i][j] = pts[r]
-        cats.append(RCat(labels, tuple(map(tuple, hom))))
-    return cats
+    g, table, _ = _rank_products(t, pts)
+    return list(_categories(pts, g, table, size))
 
 
 def min_transitive_closure(hom) -> tuple[tuple[Fraction, ...], ...]:
@@ -701,6 +710,11 @@ def check_ccc(
     ``triples_checked`` is ``categories**3`` on a pass.  ``max_size`` must
     be at least 1.
 
+    The grid is sorted once and its ``_rank_products`` table is built once:
+    the C1 sweep (that of ``check_c1``) and the category generation both
+    read p & q from it, so ``apply`` runs once per grid pair.  The table
+    lives for this call only.
+
     The budget bounds the categories of each size, the ``categories**3``
     triples, the maps x -> y of each pair and the maps z -> y^x that
     currying relates (``check_currying``).  The categories of each size are
@@ -711,23 +725,25 @@ def check_ccc(
     |y|**(|x|·|z|) maps z -> y^x.  If |y|**(|x|·max |z|) <= budget, neither
     budget can be exceeded for the pair (max |z| >= 1).  That test depends
     only on the two sizes, so it is decided once per pair of sizes.  Only
-    the categories of the sizes in a failing class are built, and only the
-    pairs of those classes have their functors counted.  They are visited
-    in the order of ``itertools.product`` over all categories in size
-    order, so the first ``BudgetError`` is that of the pair-by-pair sweep.
+    the categories of the sizes in a failing class are built, from the same
+    table, and only the pairs of those classes have their functors
+    counted.  They are visited in the order of ``itertools.product`` over
+    all categories in size order, so the first ``BudgetError`` is that of
+    the pair-by-pair sweep.
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
-    c1 = check_c1(t, grid)
+    pts = _sorted_grid(grid)
+    g, table, keys = _rank_products(t, pts)
+    c1 = _c1_sweep(t, pts, g, table, keys)
     if not c1.verdict:
         bundle = counterexample(t, *c1.witness.values)
         return CccReport(False, c1, bundle, 0, 0)
 
-    pts = _sorted_grid(grid)
     counts = {}
     for size in range(1, max_size + 1):
         _check_generation_budget(len(pts), size, budget)
-        counts[size] = sum(1 for _ in _rank_fills(t, pts, size))
+        counts[size] = sum(1 for _ in _rank_fills(g, table, size))
     n = sum(counts.values())
     triples = n**3
     if triples > budget:
@@ -738,7 +754,7 @@ def check_ccc(
         (sx, sy) for sx in z_sizes for sy in z_sizes if sy ** (sx * z_sizes[-1]) > budget
     }
     built = sorted({size for pair in failing for size in pair})
-    cats = [cat for size in built for cat in enumerate_categories(t, grid, size, budget)]
+    cats = [cat for size in built for cat in _categories(pts, g, table, size)]
     for x, y in itertools.product(cats, repeat=2):
         if (len(x), len(y)) in failing:
             _check_map_budget(len(_functor_images(x, y, budget)[3]), z_sizes, budget)

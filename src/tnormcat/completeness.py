@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError, InvariantError, PreconditionError
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, format_rational
 from .tnorms import (TNorm, Witness, _c1_holds_on_unit_interval, canonical_grid, check_c1,
                      interval_collapse)
 from .categories import (
@@ -357,9 +357,8 @@ def check_power_completeness(
     """
     if not _c1_holds_on_unit_interval(t):
         c1 = check_c1(t, canonical_grid(t))
-        raise PreconditionError(
-            f"t-norm {t.describe()} fails C1 at {c1.witness.values}"
-        )
+        triple = ", ".join(map(format_rational, c1.witness.values))
+        raise PreconditionError(f"t-norm {t.describe()} fails C1 at ({triple})")
     _require_valid(t, base, fiber)
     _check_map_budget(len(fiber), (len(base),), budget)
     return None

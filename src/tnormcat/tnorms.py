@@ -14,14 +14,17 @@ Values are exact: `fractions.Fraction` at the boundary (arguments of
 ``apply`` and ``residuum``, grids, witnesses), while the C1 and axioms
 sweeps run on integer ranks of those values, which decide every comparison
 exactly; there is no floating point anywhere.  Both sweeps read p & q over
-grid² from one table of ranks, built by ``_rank_products``: ``check_c1``
-and ``verify_tnorm_axioms`` each build their own, and ``_c1_and_axioms``,
-which ``check-tnorm`` runs, builds one and shares it between the two.  No
-table outlives the call that built it.  The
-module also decides three equivalent conditions on a t-norm (tags ``C1``,
-``C2``, ``C3-form``) that characterize when the function-space construction
-on [0,1]-enriched categories behaves; each check either passes or returns a
-concrete violating tuple with both evaluated sides.
+grid² from one table of ranks, built by ``_rank_products``, the only
+builder of such a table: ``check_c1`` and ``verify_tnorm_axioms`` each
+build their own, and ``_c1_and_axioms``, which ``check-tnorm`` runs, builds
+one and shares it between the two.  Category generation in ``categories``
+reads the same table, and ``check_ccc``, which ``ccc-suite`` runs, shares
+one between the C1 sweep and the generation.  No table outlives the call
+that built it.  The module also decides three equivalent conditions on a
+t-norm (tags ``C1``, ``C2``, ``C3-form``) that characterize when the
+function-space construction on [0,1]-enriched categories behaves; each
+check either passes or returns a concrete violating tuple with both
+evaluated sides.
 """
 
 from __future__ import annotations
@@ -359,7 +362,8 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
     are rebuilt as Fractions from their ranks.
 
     The table is built here, for this call only; ``_c1_and_axioms`` builds
-    it once and hands it to both this sweep and the axioms sweep.
+    it once and hands it to both this sweep and the axioms sweep, and
+    ``categories.check_ccc`` to both this sweep and category generation.
     """
     pts = _sorted_grid(grid)
     return _c1_sweep(t, pts, *_rank_products(t, pts))

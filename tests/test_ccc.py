@@ -26,7 +26,7 @@ from tnormcat import (
     terminal,
     validate,
 )
-from tnormcat import categories
+from tnormcat import categories, tnorms
 
 from oracles import c1_sides, power_hom_bruteforce
 
@@ -196,6 +196,24 @@ class TestCheckCcc:
         t = interval_collapse([(F(1, 4), F(1, 2))])
         report = check_ccc(t, (F(0), F(1, 4), F(1, 2), F(1)), 3, 10**9)
         assert report.verdict and report.categories == 878
+
+    @pytest.mark.parametrize("tnorm, grid", [
+        (interval_collapse([(F(1, 4), F(1, 2))]), (F(0), F(1, 4), F(1, 2), F(1))),
+        (minimum(), (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))),
+    ], ids=["readme", "minimum"])
+    def test_one_product_table_per_sweep(self, monkeypatch, tnorm, grid):
+        # C1 and the size-3 generation read one grid² table of products, so
+        # & runs once per grid pair
+        calls = []
+
+        def counted(t, p, q):
+            calls.append((p, q))
+            return apply(t, p, q)
+
+        monkeypatch.setattr(tnorms, "apply", counted)
+        monkeypatch.setattr(categories, "apply", counted)
+        assert check_ccc(tnorm, grid, 3, 10**11).verdict
+        assert len(calls) == len(grid) ** 2
 
     def test_max_size_3_sweep(self):
         t = interval_collapse([(F(1, 4), F(1, 2))])

@@ -343,6 +343,39 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["check-tnorm", "{minimum}", "--grid", "0"], None, "grid size must be >= 1"),
+        (["check-tnorm", "{input}"], [], 't-norm JSON must be an object with a "family" key'),
+        (["check-tnorm", "{input}"], {"family": "interval-collapse", "intervals": [["1/4"]]},
+         "intervals[0] must be a two-element list"),
+        (["check-tnorm", "{missing}"], None,
+         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (["product", "{input}", "{chain}"], [], "{input}: expected an object"),
+        (["product", "{input}", "{chain}"], {"elements": ["x"]},
+         '{input}: needs "elements" and "hom" keys'),
+        (["product", "{input}", "{chain}"], {"elements": [0], "hom": [["1"]]},
+         "{input}: elements must be a list of strings"),
+        (["product", "{input}", "{chain}"], {"elements": ["x", "y"], "hom": [["1", "0"], ["1"]]},
+         "{input}: hom[1] must have one entry per element"),
+        (["product", "{chain}", "{input}"], {"elements": ["x"], "hom": [[True]]},
+         "{input}: hom[0][0]: expected a rational string, got True"),
+        (["product", "{chain}", "{input}"],
+         {"elements": ["x", "y"], "hom": [["1", 0.5], ["0", "1"]]},
+         "{input}: hom[0][1]: expected a rational string, got 0.5"),
+        (["limits", "--seq", "{input}"], {"carrier": 5, "cycle": ["x"]},
+         '{input}: "carrier" must be a path or inline category'),
+        (["limits", "--seq", "{input}"], [], "{input}: expected an object"),
+    ], ids=["grid-0", "tnorm-list", "interval-single", "missing-file", "category-list",
+            "category-no-hom", "category-int-labels", "category-short-row", "hom-true",
+            "hom-float", "sequence-carrier-int", "sequence-list"])
+    def test_malformed_input_exit_1(self, files, tmp_path, capsys, argv, payload, message):
+        paths = {"minimum": files["minimum"], "chain": files["chain"],
+                 "input": str(tmp_path / "input.json"), "missing": str(tmp_path / "missing.json")}
+        if payload is not None:
+            Path(paths["input"]).write_text(json.dumps(payload))
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
+
 
 def base_argv(files, command):
     pair = ["--tnorm", files["collapse"], "--base", files["chain"],

@@ -333,7 +333,7 @@ class TestPowerCompleteness:
         assert check_c1(t, canonical_grid(t)).witness.values == values
         with pytest.raises(PreconditionError) as exc:
             check_power_completeness(t, two_chain, two_chain)
-        assert str(exc.value) == f"t-norm {family} fails C1 at {values}"
+        assert str(exc.value) == f"t-norm {family} fails C1 at ({', '.join(map(str, values))})"
 
 
 class TestYonedaContinuity:

@@ -527,6 +527,8 @@ def test_category_generation_matches_bruteforce(all_families, grid, size, budget
     broken = data.draw(broken_ands(t, sorted(grid)))
     with pytest.MonkeyPatch.context() as mp:
         if broken is not None:
+            # generation reads tnorms' table, the oracle composes in validate
+            mp.setattr(tnorms, "apply", broken)
             mp.setattr(categories, "apply", broken)
         assert _outcome(enumerate_categories, t, grid, size, budget) == _outcome(
             categories_bruteforce, t, grid, size, budget
@@ -536,7 +538,11 @@ def test_category_generation_matches_bruteforce(all_families, grid, size, budget
 def test_category_generation_composes_in_validate_order(all_families, monkeypatch):
     # a non-commutative &: at hom(j,k) = 1, hom(i,j) = 1/2, hom(i,k) = 1/4
     # validate composes 1/2 > 1/4, the swapped order (1/2)**2 * 1 = 1/4
-    monkeypatch.setattr(categories, "apply", lambda t, p, q: q if p == 1 else p * p * q)
+    def broken(t, p, q):
+        return q if p == 1 else p * p * q
+
+    monkeypatch.setattr(tnorms, "apply", broken)
+    monkeypatch.setattr(categories, "apply", broken)
     t, grid = all_families["minimum"], (F(1, 4), F(1, 2), F(1))
     assert enumerate_categories(t, grid, 3) == categories_bruteforce(t, grid, 3, 10**6)
 
@@ -550,7 +556,8 @@ def _power_completeness_reference(t, base, fiber, budget):
     """``check_power_completeness`` with the functors base -> fiber enumerated."""
     c1 = _canonical_c1(t)
     if not c1.verdict:
-        raise PreconditionError(f"t-norm {t.describe()} fails C1 at {c1.witness.values}")
+        triple = ", ".join(map(str, c1.witness.values))
+        raise PreconditionError(f"t-norm {t.describe()} fails C1 at ({triple})")
     for cat, name in ((base, "base"), (fiber, "fiber")):
         w = validate(cat, t)
         if w is not None:
