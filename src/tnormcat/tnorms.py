@@ -10,21 +10,23 @@ Five closed-form families are supported:
   family of pairwise disjoint closed intervals [a_i, b_i] ⊆ [0,1) collapse
   to the left endpoint a_i.
 
-Values are exact: `fractions.Fraction` at the boundary (arguments of
-``apply`` and ``residuum``, grids, witnesses), while the C1 and axioms
-sweeps run on integer ranks of those values, which decide every comparison
-exactly; there is no floating point anywhere.  Both sweeps read p & q over
-grid² from one table of ranks, built by ``_rank_products``, the only
-builder of such a table: ``check_c1`` and ``verify_tnorm_axioms`` each
-build their own, and ``_c1_and_axioms``, which ``check-tnorm`` runs, builds
-one and shares it between the two.  Category generation in ``categories``
-reads the same table, and ``check_ccc``, which ``ccc-suite`` runs, shares
-one between the C1 sweep and the generation.  No table outlives the call
-that built it.  The module also decides three equivalent conditions on a
-t-norm (tags ``C1``, ``C2``, ``C3-form``) that characterize when the
-function-space construction on [0,1]-enriched categories behaves; each
-check either passes or returns a concrete violating tuple with both
-evaluated sides.
+Values are exact: `fractions.Fraction` at the boundary (arguments and
+values of ``apply`` and ``residuum``, grids, witnesses), while the C1 and
+axioms sweeps run on integer ranks of those values, which decide every
+comparison exactly; there is no floating point anywhere.  ``apply`` and
+``_left_limit`` compute on the integer numerators and denominators of their
+Fraction arguments and build each Fraction they return from integers.  Both
+sweeps read p & q over grid² from one table of ranks, built by
+``_rank_products``, the only builder of such a table: ``check_c1`` and
+``verify_tnorm_axioms`` each build their own, and ``_c1_and_axioms``, which
+``check-tnorm`` runs, builds one and shares it between the two.  Category
+generation in ``categories`` reads the same table, and ``check_ccc``, which
+``ccc-suite`` runs, shares one between the C1 sweep and the generation.  No
+table outlives the call that built it.  The module also decides three
+equivalent conditions on a t-norm (tags ``C1``, ``C2``, ``C3-form``) that
+characterize when the function-space construction on [0,1]-enriched
+categories behaves; each check either passes or returns a concrete
+violating tuple with both evaluated sides.
 """
 
 from __future__ import annotations
@@ -138,24 +140,46 @@ HALF = Fraction(1, 2)
 
 
 def apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
-    """p & q.  Commutative, associative, monotone, with unit 1."""
+    """p & q.  Commutative, associative, monotone, with unit 1.
+
+    The arguments are Fractions (or ints).  Minimum, nilpotent minimum
+    and interval-collapse return an argument, an interval endpoint or
+    ``ZERO``; product and Łukasiewicz return a new Fraction, also for two
+    int arguments.
+
+    The body computes on the integers of ``as_integer_ratio()``, with no
+    Fraction arithmetic.  A Fraction (and an int) keeps its denominator
+    positive, so with p = pn/pd and q = qn/qd, p <= q iff pn·qd <= qn·pd:
+    both sides are the values scaled by pd·qd > 0.  Scaling by d = pd·qd
+    likewise gives p + q > 1 iff a + b > d, with a = pn·qd and b = qn·pd,
+    and then p + q - 1 = (a + b - d)/d.  Product is pn·qn/(pd·qd).  The
+    ``Fraction`` constructor reduces the results of product and
+    Łukasiewicz to lowest terms, so each is the Fraction that p * q and
+    p + q - 1 give.  Interval-collapse compares the endpoints of each
+    interval with lo = min(p, q) and hi = max(p, q) the same way.
+    """
     fam = t.family
-    if fam == MINIMUM:
-        return p if p <= q else q
+    pn, pd = p.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
     if fam == PRODUCT:
-        return p * q
+        return Fraction(pn * qn, pd * qd)
+    a, b = pn * qd, qn * pd
+    if fam == MINIMUM:
+        return p if a <= b else q
     if fam == LUKASIEWICZ:
-        s = p + q - ONE
-        return s if s > ZERO else ZERO
+        d = pd * qd
+        return Fraction(a + b - d, d) if a + b > d else ZERO
     if fam == NILPOTENT_MINIMUM:
-        if p + q > ONE:
-            return p if p <= q else q
+        if a + b > pd * qd:
+            return p if a <= b else q
         return ZERO
-    lo, hi = (p, q) if p <= q else (q, p)
-    for a, b in t.intervals:
-        if a <= lo and hi <= b:
-            return a
-        if b >= lo:
+    lo, ln, ld, hn, hd = (p, pn, pd, qn, qd) if a <= b else (q, qn, qd, pn, pd)
+    for lo_end, hi_end in t.intervals:
+        an, ad = lo_end.as_integer_ratio()
+        bn, bd = hi_end.as_integer_ratio()
+        if an * ld <= ln * ad and hn * bd <= bn * hd:
+            return lo_end
+        if bn * ld >= ln * bd:
             break
     return lo
 
@@ -620,8 +644,23 @@ def _left_limit(t: TNorm, b: Fraction, q: Fraction, bps: tuple[Fraction, ...]) -
     and its limit at b extrapolates two samples.  Samples at a third and two
     thirds of the way from c to b are spaced like b itself, so the limit is
     2 y2 - y1.
+
+    c is the max of three candidates: the last breakpoint below b, and q
+    and 1 - q when they lie below b.  ``bps`` is sorted and starts at 0 < b,
+    so ``bisect_left`` finds the breakpoint.  Every other comparison and
+    every sum is taken on the integers of ``as_integer_ratio()``: with
+    positive denominators, x/y < z/w iff x·w < z·y, and 1 - q = (qd - qn)/qd.
+    With c = cn/cd and b = bn/bd, the samples are
+    (2·cn·bd + bn·cd)/(3·cd·bd) and (cn·bd + 2·bn·cd)/(3·cd·bd), and
+    2 y2 - y1 = (2·y2n·y1d - y1n·y2d)/(y1d·y2d); each is built as one
+    Fraction from these integers, which reduces it to lowest terms.
     """
-    c = max(v for v in bps + (q, ONE - q) if v < b)
-    y1 = apply(t, (2 * c + b) / 3, q)
-    y2 = apply(t, (c + 2 * b) / 3, q)
-    return 2 * y2 - y1
+    bn, bd = b.as_integer_ratio()
+    cn, cd = bps[bisect_left(bps, b) - 1].as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    for vn in (qn, qd - qn):
+        if vn * bd < bn * qd and vn * cd > cn * qd:
+            cn, cd = vn, qd
+    y1n, y1d = apply(t, Fraction(2 * cn * bd + bn * cd, 3 * cd * bd), q).as_integer_ratio()
+    y2n, y2d = apply(t, Fraction(cn * bd + 2 * bn * cd, 3 * cd * bd), q).as_integer_ratio()
+    return Fraction(2 * y2n * y1d - y1n * y2d, y1d * y2d)

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnormcat import (
@@ -32,7 +32,9 @@ from oracles import (
     c1_sides,
     c1_sweep,
     c2_holds,
+    closed_form_apply,
     interval_collapse_apply,
+    left_limit,
     residuum_bruteforce,
 )
 
@@ -59,6 +61,21 @@ class TestApply:
     def test_unit_law(self, all_families, p):
         for t in all_families.values():
             assert apply(t, F(1), p) == p
+
+    @given(t=family_strategy, p=units, q=units)
+    @example(t=product_tnorm(), p=F(0), q=F(1))
+    @example(t=lukasiewicz(), p=F(1), q=F(1))
+    @example(t=minimum(), p=F(2, 5), q=F(2, 5))
+    @example(t=nilpotent_minimum(), p=F(1, 2), q=F(1, 2))
+    @example(t=nilpotent_minimum(), p=F(1, 3), q=F(2, 3))
+    @example(t=lukasiewicz(), p=F(1, 3), q=F(2, 3))
+    @example(t=interval_collapse([(F(1, 5), F(1, 2))]), p=F(3, 10), q=F(1, 2))
+    @example(t=interval_collapse([(F(1, 5), F(1, 2))]), p=F(1, 2), q=F(1, 5))
+    @example(t=interval_collapse([(F(0), F(1, 4)), (F(1, 2), F(7, 8))]), p=F(7, 8), q=F(3, 5))
+    def test_matches_closed_form(self, t, p, q):
+        value = apply(t, p, q)
+        assert value == closed_form_apply(t, p, q)
+        assert type(value) is Fraction
 
     def test_lukasiewicz_arithmetic(self):
         assert apply(lukasiewicz(), F(9, 10), F(9, 10)) == F(8, 10)
@@ -307,6 +324,18 @@ class TestAxioms:
         report = verify_tnorm_axioms(t, [F(0), F(3, 14), F(2, 9), F(3, 10), F(1)])
         assert report.verdict, report.witness
         assert report.notes == ("grid evidence; left continuity decided exactly at breakpoints",)
+
+    @given(t=st.one_of(family_strategy, collapse_norms()), q=units)
+    @example(t=minimum(), q=F(1, 3))
+    @example(t=lukasiewicz(), q=F(2, 3))
+    @example(t=nilpotent_minimum(), q=F(1, 4))
+    @example(t=interval_collapse([(F(1, 5), F(1, 2))]), q=F(1, 10))
+    @example(t=interval_collapse([(F(0), F(1, 4)), (F(1, 2), F(7, 8))]), q=F(1, 16))
+    def test_left_limit_matches_fraction_oracle(self, t, q):
+        # the examples put q or 1 - q between the last breakpoint below b and b
+        bps = breakpoints(t)
+        for b in bps[1:]:
+            assert tnorms._left_limit(t, b, q, bps) == left_limit(t, b, q, bps)
 
     @settings(max_examples=60, deadline=None)
     @given(t=family_strategy, q=units)
