@@ -23,9 +23,8 @@ from .errors import BudgetError, InputError, PreconditionError
 from .rationals import parse_rational
 from .tnorms import (
     DEFAULT_GRID_N,
-    _c1_and_axioms,
+    _condition_sweeps,
     canonical_grid,
-    check_c2,
     extract_intervals,
 )
 from .categories import (
@@ -38,9 +37,10 @@ from .categories import (
     validate,
 )
 from .completeness import (
+    _check_laws,
+    _find_bilimit,
+    _find_yoneda_limit,
     check_power_completeness,
-    find_bilimit,
-    find_yoneda_limit,
     is_cauchy,
     is_forward_cauchy,
 )
@@ -112,9 +112,8 @@ def cmd_check_tnorm(args) -> RunReport:
     t, grid, report = _grid_inputs(args, "check-tnorm")
     if t.dropped_intervals:
         report.inputs["normalized_away"] = jsonio.to_jsonable(t.dropped_intervals)
-    # C1 and the axioms read one grid² table of products, built once
-    c1, axioms = _c1_and_axioms(t, grid)
-    c2 = check_c2(t, grid)
+    # C1, C2 and the axioms read one grid² table of products, built once
+    c1, c2, axioms = _condition_sweeps(t, grid)
     extraction = extract_intervals(t)
     report.add("C1", c1, c1.verdict, certified=c1.certified)
     report.add("C2", c2, c2.verdict, certified=c2.certified)
@@ -180,6 +179,19 @@ def cmd_counterexample(args) -> RunReport:
 
 
 def cmd_limits(args) -> RunReport:
+    """Cauchy, bilimit and Yoneda-limit verdicts for one sequence.
+
+    The carrier's laws are scanned once: by ``validate`` under ``--tnorm``,
+    else by ``_check_laws``, which ``find_bilimit`` and
+    ``find_yoneda_limit`` would each run.  A carrier valid under the t-norm
+    t passes ``_check_laws``: that is ``validate`` under a t-norm T which on
+    the hom values is the drastic t-norm D (x D y = min(x, y) if x or y is
+    1, else 0), the least t-norm, since x t 1 = x, 1 t y = y and x t y >= 0.
+    Both scans check the same reflexivity, and at each triple
+    hom(j,k) T hom(i,j) = hom(j,k) D hom(i,j) <= hom(j,k) t hom(i,j)
+    <= hom(i,k).  So no further scan can fail, and the two searches run
+    without one.
+    """
     seq = jsonio.load_sequence(args.seq)
     report = RunReport(
         "limits",
@@ -196,14 +208,16 @@ def cmd_limits(args) -> RunReport:
             raise InputError(
                 f"carrier is not a valid category at {w.values}: {w.note}"
             )
+    else:
+        _check_laws(seq.carrier)
     cauchy = is_cauchy(seq)
     report.add("cauchy", cauchy, cauchy is None)
     forward = is_forward_cauchy(seq)
     report.add("forward-cauchy", forward, forward is None)
-    bilimit = find_bilimit(seq)
+    bilimit = _find_bilimit(seq)
     report.add("bilimit", bilimit, bilimit.kind != "none")
     if forward is None:
-        report.add("yoneda-limit", find_yoneda_limit(seq), True)
+        report.add("yoneda-limit", _find_yoneda_limit(seq), True)
     return report
 
 

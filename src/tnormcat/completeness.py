@@ -191,8 +191,13 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
     settle the column alike.  So the ``InvariantError`` is reached only if
     ``tail_value`` or ``is_bilimit`` is itself wrong.
     """
+    _check_laws(seq.carrier)
+    return _find_bilimit(seq)
+
+
+def _find_bilimit(seq: TailSeq) -> LimitVerdict:
+    """``find_bilimit`` on a carrier whose laws have been checked."""
     cat = seq.carrier
-    _check_laws(cat)
     a = next((e for e in cat.elements if is_bilimit(seq, e)), None)
     if a is None:
         return LimitVerdict("none", None)
@@ -227,6 +232,11 @@ def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
     wrong.
     """
     _check_laws(seq.carrier)
+    return _find_yoneda_limit(seq)
+
+
+def _find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
+    """``find_yoneda_limit`` on a carrier whose laws have been checked."""
     _require_forward_cauchy(seq)
     cat = seq.carrier
     tails = {x: tail_value(seq, x, FROM_SEQ) for x in cat.elements}

@@ -11,15 +11,17 @@ Five closed-form families are supported:
   to the left endpoint a_i.
 
 Values are exact: `fractions.Fraction` at the boundary (arguments and
-values of ``apply`` and ``residuum``, grids, witnesses), while the C1 and
-axioms sweeps run on integer ranks of those values, which decide every
+values of ``apply`` and ``residuum``, grids, witnesses), while the C1, C2
+and axioms sweeps run on integer ranks of those values, which decide every
 comparison exactly; there is no floating point anywhere.  ``apply`` and
 ``_left_limit`` compute on the integer numerators and denominators of their
-Fraction arguments and build each Fraction they return from integers.  Both
-sweeps read p & q over grid² from one table of ranks, built by
+Fraction arguments and build each Fraction they return from integers, and
+grids are deduplicated and sorted on those integers too (``_ascending``).
+The sweeps read p & q over grid² from one table of ranks, built by
 ``_rank_products``, the only builder of such a table: ``check_c1`` and
-``verify_tnorm_axioms`` each build their own, and ``_c1_and_axioms``, which
-``check-tnorm`` runs, builds one and shares it between the two.  Category
+``verify_tnorm_axioms`` each build their own, and ``_condition_sweeps``,
+which ``check-tnorm`` runs, builds one and shares it between C1, C2 and the
+axioms; ``check_c2`` alone stays a lazy sweep that calls ``apply``.  Category
 generation in ``categories`` reads the same table, and ``check_ccc``, which
 ``ccc-suite`` runs, shares one between the C1 sweep and the generation.  No
 table outlives the call that built it.  The module also decides three
@@ -37,6 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
+from operator import itemgetter
 
 from .errors import InputError
 from .rationals import ONE, ZERO, check_unit, format_rational
@@ -135,7 +138,6 @@ def interval_collapse(intervals) -> TNorm:
     return TNorm(INTERVAL_COLLAPSE, tuple(tuple(iv) for iv in intervals))
 
 
-TWO = Fraction(2)
 HALF = Fraction(1, 2)
 
 
@@ -288,18 +290,37 @@ class ConditionReport:
             raise ValueError("a failing report must carry a witness")
 
 
+def _ascending(keys) -> list[tuple[int, int]]:
+    """Distinct ``(numerator, denominator)`` pairs in ascending order of value.
+
+    Each pair is a value in lowest terms with a positive denominator, as
+    ``as_integer_ratio()`` gives it.  The sort key is exact and integer: with
+    L the lcm of the denominators, n/d < n2/d2 iff n·(L/d) < n2·(L/d2),
+    since both sides are the values scaled by L > 0.
+    """
+    lcm = math.lcm(*(d for _, d in keys))
+    return sorted(keys, key=lambda key: key[0] * (lcm // key[1]))
+
+
 def _sorted_grid(grid) -> list[Fraction]:
     """The distinct grid values, ascending; InputError unless all lie in [0,1].
 
-    Deduplicating after the sort compares neighbours and hashes no Fraction.
+    Each value is deduplicated on its ``as_integer_ratio()`` pair, which is
+    equal for two Fractions exactly when they are, and the pairs are sorted
+    by ``_ascending``: no Fraction is hashed or compared.  Of equal values
+    the first is kept.
     """
-    pts = sorted(map(Fraction, grid))
-    if not pts:
+    firsts: dict[tuple[int, int], Fraction] = {}
+    for v in grid:
+        v = v if type(v) is Fraction else Fraction(v)
+        firsts.setdefault(v.as_integer_ratio(), v)
+    if not firsts:
         raise InputError("grid must be nonempty")
+    pts = list(map(firsts.__getitem__, _ascending(firsts)))
     if pts[0] < ZERO or pts[-1] > ONE:
         for v in pts:
             check_unit(v, "grid point")
-    return pts[:1] + [v for u, v in zip(pts, pts[1:]) if u != v]
+    return pts
 
 
 def breakpoints(t: TNorm) -> tuple[Fraction, ...]:
@@ -313,15 +334,26 @@ def breakpoints(t: TNorm) -> tuple[Fraction, ...]:
     return tuple(sorted(pts))
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, as ``as_integer_ratio()`` gives it (den > 0)."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def canonical_grid(t: TNorm, n: int = DEFAULT_GRID_N) -> tuple[Fraction, ...]:
-    """Breakpoints, a uniform k/n sweep, and midpoints of consecutive breakpoints."""
+    """Breakpoints, a uniform k/n sweep, and midpoints of consecutive breakpoints.
+
+    The points are collected as reduced ``(numerator, denominator)`` pairs,
+    sorted by ``_ascending`` and built into Fractions once each; the
+    midpoint of a/b and c/d is (a·d + c·b)/(2·b·d).
+    """
     if n < 1:
         raise InputError("grid size must be >= 1")
-    bps = breakpoints(t)
+    bps = [b.as_integer_ratio() for b in breakpoints(t)]
     pts = set(bps)
-    pts.update(Fraction(k, n) for k in range(n + 1))
-    pts.update((a + b) / TWO for a, b in zip(bps, bps[1:]))
-    return tuple(sorted(pts))
+    pts.update(_reduced(k, n) for k in range(n + 1))
+    pts.update(_reduced(a * d + c * b, 2 * b * d) for (a, b), (c, d) in zip(bps, bps[1:]))
+    return tuple(Fraction(*key) for key in _ascending(pts))
 
 
 def _rank_products(
@@ -339,26 +371,22 @@ def _rank_products(
     (``as_integer_ratio``; hashing the Fraction itself costs more): a
     Fraction keeps these in lowest terms with a positive denominator, so
     two values share a key exactly when they are equal.  The distinct
-    values are then sorted once on an exact integer key: with L the lcm of
-    their denominators, n/d < n2/d2 iff n·(L/d) < n2·(L/d2), since both
-    sides are the values scaled by L > 0.  The rank of a value is its
-    position in that order, so ranks are injective and order-preserving on
-    grid ∪ table: for any two of its values, comparing ranks decides
-    <, == and >, and max and min commute with the relabelling.
+    values are then sorted once on an exact integer key (``_ascending``).
+    The rank of a value is its position in that order, so ranks are
+    injective and order-preserving on grid ∪ table: for any two of its
+    values, comparing ranks decides <, == and >, and max and min commute
+    with the relabelling.
     """
     ids: dict[tuple[int, int], int] = defaultdict(count().__next__)
     for v in pts:  # distinct, so the grid gets ids 0..n-1
         ids[v.as_integer_ratio()]
     codes = [[ids[apply(t, p, q).as_integer_ratio()] for q in pts] for p in pts]
-    keys = list(ids)
-    lcm = math.lcm(*(d for _, d in keys))
-    scaled = [n * (lcm // d) for n, d in keys]
-    order = sorted(range(len(keys)), key=scaled.__getitem__)
-    rank = [0] * len(order)
-    for r, c in enumerate(order):
-        rank[c] = r
+    keys = _ascending(ids)
+    rank = [0] * len(keys)
+    for r, key in enumerate(keys):
+        rank[ids[key]] = r
     table = [list(map(rank.__getitem__, row)) for row in codes]
-    return rank[:len(pts)], table, [keys[c] for c in order]
+    return rank[:len(pts)], table, keys
 
 
 def check_c1(t: TNorm, grid) -> ConditionReport:
@@ -385,9 +413,10 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
     witness is the first failing triple of the full grid³ sweep; its sides
     are rebuilt as Fractions from their ranks.
 
-    The table is built here, for this call only; ``_c1_and_axioms`` builds
-    it once and hands it to both this sweep and the axioms sweep, and
-    ``categories.check_ccc`` to both this sweep and category generation.
+    The table is built here, for this call only; ``_condition_sweeps``
+    builds it once and hands it to this sweep, the C2 sweep and the axioms
+    sweep, and ``categories.check_ccc`` to this sweep and category
+    generation.
     """
     pts = _sorted_grid(grid)
     return _c1_sweep(t, pts, *_rank_products(t, pts))
@@ -418,7 +447,10 @@ def check_c2(t: TNorm, grid) -> ConditionReport:
     """Dominance law: u <= p & p implies u & p = u, on grid².
 
     Only the pairs with u <= p & p are swept: the grid is sorted, so the u
-    loop ends at the first u > p & p.
+    loop ends at the first u > p & p.  This sweep is lazy, calling ``apply``
+    per pair it visits: ``extract_intervals`` runs it on the canonical grid,
+    where it stops after a few pairs.  ``_condition_sweeps`` runs the same
+    sweep on its shared table (``_c2_sweep``).
     """
     pts = _sorted_grid(grid)
     for p in pts:
@@ -433,6 +465,29 @@ def check_c2(t: TNorm, grid) -> ConditionReport:
                     False,
                     Witness((p, u), up, u),
                     certified=True,
+                )
+    return ConditionReport("C2", True, certified=_c1_holds_on_unit_interval(t))
+
+
+def _c2_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
+    """The sweep of ``check_c2`` over the sorted grid ``pts`` and its
+    ``_rank_products`` table ``(g, table, keys)``, which it only reads.
+
+    With p = pts[i] and u = pts[k], p & p is ``table[i][i]`` and u & p is
+    ``table[k][i]``, and ranks are order-preserving on grid ∪ table, so
+    ``g[k] > table[i][i]`` decides u > p & p and ``table[k][i] != g[k]``
+    decides u & p != u.  The pairs come in the order of ``check_c2``, so the
+    witness is the same; its left side is rebuilt from its rank.
+    """
+    for i, p in enumerate(pts):
+        pp = table[i][i]
+        for k, (u, r) in enumerate(zip(pts, g)):
+            if r > pp:
+                break
+            up = table[k][i]
+            if up != r:
+                return ConditionReport(
+                    "C2", False, Witness((p, u), Fraction(*keys[up]), u), certified=True
                 )
     return ConditionReport("C2", True, certified=_c1_holds_on_unit_interval(t))
 
@@ -532,18 +587,29 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     instead of two calls per triple.  Their products are interned by
     (numerator, denominator) into the same ids as the ranks, a value
     outside grid ∪ table getting a fresh id, so two products have the same
-    id exactly when they are equal.  For each (p, q), the row of
-    (p & q) & u over u is compared as an int list with the row of
-    p & (q & u).  The pairs are taken in (p, q) order and the first
+    id exactly when they are equal.  For each p, the products p & D[d]
+    sit in one list, those of the grid operands read from p's row of the
+    table and the off-grid ones from ``apply``.  For each q, one
+    ``itemgetter`` over q's row, built once, reads from that list the row
+    of p & (q & u) over u, which is compared as an int tuple with the row
+    of (p & q) & u.  The pairs are taken in (p, q) order and the first
     differing u is the witness, so it is the first failing triple of the
     grid³ sweep, with the same sides.  Fractions are rebuilt from the ids
     only for the off-grid operands and for witnesses.
 
-    The table is built here, for this call only; ``_c1_and_axioms`` builds
-    it once and hands it to both this sweep and the C1 sweep.
+    The table is built here, for this call only; ``_condition_sweeps``
+    builds it once and hands it to this sweep and the C1 and C2 sweeps.
     """
     pts = _sorted_grid(grid)
     return _axioms_sweep(t, pts, *_rank_products(t, pts))
+
+
+def _row_getter(indices):
+    """``itemgetter(*indices)``, returning a tuple also for one index."""
+    if len(indices) == 1:
+        k, = indices
+        return lambda seq: (seq[k],)
+    return itemgetter(*indices)
 
 
 def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
@@ -576,24 +642,23 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
                 )
     # off-grid products get fresh ids after the ranks
     ids = defaultdict(count(len(keys)).__next__, zip(keys, count()))
-    grid_index = {r: k for k, r in enumerate(g)}
-    operands = {r for row in table for r in row}
-    on_grid = [(r, grid_index[r]) for r in operands if r in grid_index]
-    off_grid = [(r, Fraction(*keys[r])) for r in operands if r not in grid_index]
+    # each operand of an outer & has a slot in the row ``inner`` of p & D[d]:
+    # grid point k has slot k, and the off-grid operands follow
+    slot = {r: k for k, r in enumerate(g)}
+    off_grid = sorted({r for row in table for r in row} - slot.keys())
+    slot.update(zip(off_grid, count(len(pts))))
+    off_values = [Fraction(*keys[r]) for r in off_grid]
     outer: list = [None] * len(keys)
-    for r, k in on_grid:
-        outer[r] = table[k]
-    for r, v in off_grid:
-        outer[r] = [ids[apply(t, v, u).as_integer_ratio()] for u in pts]
-    inner: list = [None] * len(keys)
+    for r, row in zip(g, table):
+        outer[r] = tuple(row)
+    for r, v in zip(off_grid, off_values):
+        outer[r] = tuple(ids[apply(t, v, u).as_integer_ratio()] for u in pts)
+    # the row of p & (q & u) over u, read from inner by one getter per q
+    rhs_getters = [_row_getter([slot[r] for r in q_row]) for q_row in table]
     for p, row in zip(pts, table):
-        for r, k in on_grid:
-            inner[r] = row[k]
-        for r, v in off_grid:
-            inner[r] = ids[apply(t, p, v).as_integer_ratio()]
-        for q, pq, q_row in zip(pts, row, table):
-            lhs_row = outer[pq]
-            rhs_row = list(map(inner.__getitem__, q_row))
+        inner = row + [ids[apply(t, p, v).as_integer_ratio()] for v in off_values]
+        for q, pq, rhs_getter in zip(pts, row, rhs_getters):
+            lhs_row, rhs_row = outer[pq], rhs_getter(inner)
             if lhs_row != rhs_row:
                 k = next(k for k, (a, b) in enumerate(zip(lhs_row, rhs_row)) if a != b)
                 keys = list(ids)
@@ -619,20 +684,22 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     )
 
 
-def _c1_and_axioms(t: TNorm, grid) -> tuple[ConditionReport, ConditionReport]:
-    """``(check_c1(t, grid), verify_tnorm_axioms(t, grid))``, sharing one table.
+def _condition_sweeps(
+    t: TNorm, grid
+) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
+    """``(check_c1(t, grid), check_c2(t, grid), verify_tnorm_axioms(t, grid))``,
+    sharing one table.
 
-    Both checks read p & q over grid² from the same ``_rank_products``
-    table, and neither sweep writes to it, so it is built once here instead
-    of once per check: n² ``apply`` calls for n grid points, the interning
-    and the sort are saved.  The table lives for this call only.
-    ``cmd_check_tnorm`` calls this; ``check_c2`` stays a lazy Fraction
-    sweep, since ``extract_intervals`` runs it on the canonical grid and it
-    stops after a few pairs under the families where C2 fails.
+    The three sweeps read p & q over grid² from the same ``_rank_products``
+    table, and none writes to it, so it is built once here instead of once
+    per check: n² ``apply`` calls for n grid points, the interning and the
+    sort are saved, and C1 and C2 call ``apply`` no further.  The table
+    lives for this call only.  ``cmd_check_tnorm`` calls this.
     """
     pts = _sorted_grid(grid)
     ranked = _rank_products(t, pts)
-    return _c1_sweep(t, pts, *ranked), _axioms_sweep(t, pts, *ranked)
+    return (_c1_sweep(t, pts, *ranked), _c2_sweep(t, pts, *ranked),
+            _axioms_sweep(t, pts, *ranked))
 
 
 def _left_limit(t: TNorm, b: Fraction, q: Fraction, bps: tuple[Fraction, ...]) -> Fraction:

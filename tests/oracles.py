@@ -12,6 +12,7 @@ from fractions import Fraction
 from tnormcat import (
     BudgetError,
     ConditionReport,
+    InputError,
     InvariantError,
     PreconditionError,
     RCat,
@@ -31,6 +32,29 @@ from tnormcat import (
     validate,
 )
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
+from tnormcat.rationals import check_unit
+
+
+def sorted_grid_reference(grid) -> list[Fraction]:
+    """``tnorms._sorted_grid`` on Fraction comparisons: sort, then drop
+    each value equal to its predecessor; InputError unless all lie in [0,1]."""
+    pts = sorted(map(Fraction, grid))
+    if not pts:
+        raise InputError("grid must be nonempty")
+    if pts[0] < 0 or pts[-1] > 1:
+        for v in pts:
+            check_unit(v, "grid point")
+    return pts[:1] + [v for u, v in zip(pts, pts[1:]) if u != v]
+
+
+def canonical_grid_reference(t: TNorm, n: int) -> tuple[Fraction, ...]:
+    """``tnorms.canonical_grid`` on Fraction arithmetic: the set of the
+    breakpoints, k/n and the midpoints of consecutive breakpoints, sorted."""
+    bps = tnorms.breakpoints(t)
+    pts = set(bps)
+    pts.update(Fraction(k, n) for k in range(n + 1))
+    pts.update((a + b) / 2 for a, b in zip(bps, bps[1:]))
+    return tuple(sorted(pts))
 
 
 def interval_collapse_apply(intervals, p: Fraction, q: Fraction) -> Fraction:
@@ -210,7 +234,7 @@ def categories_bruteforce(t: TNorm, grid, size: int, budget: int) -> list[RCat]:
     The fills of the off-diagonal slots, row by row, in ``itertools.product``
     order over the sorted grid.
     """
-    pts = tnorms._sorted_grid(grid)
+    pts = sorted({Fraction(g) for g in grid})
     slots = [(i, j) for i in range(size) for j in range(size) if i != j]
     count = len(pts) ** len(slots)
     if count > budget:
@@ -296,6 +320,21 @@ def c1_sweep(t: TNorm, grid) -> ConditionReport:
             if lhs != rhs:
                 return ConditionReport("C1", False, Witness((p, q, u), lhs, rhs), True)
     return ConditionReport("C1", True, certified=tnorms._c1_holds_on_unit_interval(t))
+
+
+def c2_sweep(t: TNorm, grid) -> ConditionReport:
+    """``check_c2`` swept directly: one & per use at each pair (p, u).
+
+    Calls ``tnorms.apply`` at each use, so a patched & is seen.  The pairs
+    come in (p, u) order over the sorted grid, and those with u > p & p are
+    skipped.
+    """
+    amp = lambda p, q: tnorms.apply(t, p, q)
+    pts = sorted({Fraction(g) for g in grid})
+    for p, u in itertools.product(pts, repeat=2):
+        if u <= amp(p, p) and amp(u, p) != u:
+            return ConditionReport("C2", False, Witness((p, u), amp(u, p), u), True)
+    return ConditionReport("C2", True, certified=tnorms._c1_holds_on_unit_interval(t))
 
 
 def c2_holds(t: TNorm, p, u) -> bool:

@@ -15,12 +15,14 @@ from tnormcat import (
     InvariantError,
     breakpoints,
     cli,
+    completeness,
     jsonio,
     lukasiewicz,
     minimum,
     nilpotent_minimum,
     product_tnorm,
     tnorms,
+    validate,
 )
 from tnormcat.cli import main
 from tnormcat.rationals import format_rational
@@ -213,6 +215,24 @@ class TestOtherCommands:
         by_name = {v["name"]: v for v in parse_report(out)["verdicts"]}
         assert by_name["bilimit"]["result"]["witness"] == "x"
         assert by_name["yoneda-limit"]["result"]["witness"] == "x"
+
+    @pytest.mark.parametrize("tnorm", [None, "minimum", "lukasiewicz"])
+    def test_limits_scans_the_carrier_laws_once(self, files, capsys, monkeypatch, tnorm):
+        # validate under --tnorm, else the law check of find_bilimit; the
+        # sequence is forward Cauchy, so the Yoneda limit is searched too
+        scans = []
+
+        def counted(cat, t):
+            scans.append(t)
+            return validate(cat, t)
+
+        monkeypatch.setattr(cli, "validate", counted)
+        monkeypatch.setattr(completeness, "validate", counted)
+        argv = ["limits", "--seq", files["seq"]] + (["--tnorm", files[tnorm]] if tnorm else [])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "yoneda-limit" in {v["name"] for v in parse_report(out)["verdicts"]}
+        assert len(scans) == 1
 
     def test_power_completeness(self, files, capsys):
         code, out, _ = run(capsys, "power-completeness",

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from tnormcat import (
     residuum,
     verify_tnorm_axioms,
 )
-from tnormcat import tnorms
+from tnormcat import cli, jsonio, tnorms
 
 from conftest import UNITS as units, broken_ands, collapse_norms
 from oracles import (
@@ -32,10 +33,13 @@ from oracles import (
     c1_sides,
     c1_sweep,
     c2_holds,
+    c2_sweep,
+    canonical_grid_reference,
     closed_form_apply,
     interval_collapse_apply,
     left_limit,
     residuum_bruteforce,
+    sorted_grid_reference,
 )
 
 F = Fraction
@@ -442,9 +446,37 @@ class TestSharedTableMatchesStandaloneChecks:
         with pytest.MonkeyPatch.context() as mp:
             if broken is not None:
                 mp.setattr(tnorms, "apply", broken)
-            shared = tnorms._c1_and_axioms(t, grid)
-            assert shared == (check_c1(t, grid), verify_tnorm_axioms(t, grid))
-            assert shared == (c1_sweep(t, grid), axioms_bruteforce(t, grid))
+            shared = tnorms._condition_sweeps(t, grid)
+            assert shared == (check_c1(t, grid), check_c2(t, grid),
+                              verify_tnorm_axioms(t, grid))
+            assert shared == (c1_sweep(t, grid), c2_sweep(t, grid),
+                              axioms_bruteforce(t, grid))
+
+    @pytest.mark.parametrize("t", [
+        minimum(), interval_collapse([(F(1, 5), F(1, 2))]),
+        lukasiewicz(), nilpotent_minimum(),
+    ], ids=["minimum", "collapse", "lukasiewicz", "nilpotent"])
+    def test_check_tnorm_calls_apply_for_c2_only_in_the_table(self, t, tmp_path, monkeypatch):
+        # every product of two grid points lies on these grids, so besides
+        # extract_intervals, apply runs only for the table, the unit check
+        # and left continuity: C1 and C2 read the table
+        calls = []
+        real = tnorms.apply
+        monkeypatch.setattr(
+            tnorms, "apply", lambda t, p, q: calls.append(None) or real(t, p, q)
+        )
+        extract_intervals(t)
+        extraction_calls = len(calls)
+        calls.clear()
+        grid = canonical_grid(t, 24)
+        n = len(grid)
+        path = tmp_path / "tnorm.json"
+        path.write_text(json.dumps(jsonio.tnorm_to_dict(t)))
+        values = ",".join(map(str, grid))
+        argv = ["check-tnorm", str(path), "--values", values, "-o", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0
+        assert len(calls) == (n * n + n + 3 * n * (len(breakpoints(t)) - 1)
+                              + extraction_calls)
 
 
 class TestC1OnUnitInterval:
@@ -491,6 +523,50 @@ class TestAxiomsReadOnGridOperandsFromTheTable:
         n = len(grid)
         assert verify_tnorm_axioms(t, grid).verdict
         assert len(calls) == n * n + n + 3 * n * (len(breakpoints(t)) - 1)
+
+
+@st.composite
+def grid_inputs(draw):
+    """A grid point as a Fraction, an int or a str, reduced or not."""
+    v = draw(st.fractions(min_value=-1, max_value=2, max_denominator=6))
+    form = draw(st.sampled_from(["fraction", "int", "str", "unreduced str"]))
+    if form == "int" and v.denominator == 1:
+        return int(v)
+    if form == "str":
+        return str(v)
+    if form == "unreduced str":
+        k = draw(st.integers(2, 4))
+        return f"{v.numerator * k}/{v.denominator * k}"
+    return v
+
+
+class TestGridBuildersOnIntegers:
+    """The integer grid builders against their Fraction forms (``oracles``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.one_of(family_strategy, collapse_norms()), n=st.integers(1, 60))
+    def test_canonical_grid(self, t, n):
+        grid = canonical_grid(t, n)
+        assert grid == canonical_grid_reference(t, n)
+        assert all(type(v) is Fraction for v in grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=st.lists(grid_inputs(), max_size=14))
+    @example(grid=[])
+    @example(grid=["2/4", 1, F(1, 2), "3/2", -1])
+    def test_sorted_grid(self, grid):
+        # small denominators make duplicates common; outside [0,1] and the
+        # empty grid, both raise the same InputError
+        try:
+            expected = sorted_grid_reference(grid)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                tnorms._sorted_grid(grid)
+            assert str(got.value) == str(exc)
+        else:
+            pts = tnorms._sorted_grid(grid)
+            assert pts == expected
+            assert all(type(v) is Fraction for v in pts)
 
 
 class TestCanonicalGrid:
