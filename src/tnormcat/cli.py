@@ -2,7 +2,8 @@
 
 Subcommands: check-tnorm, exp, product, ccc-suite, counterexample, limits,
 power-completeness.  Reports are JSON by default (deterministic modulo the
-timing field) with a text renderer behind --format text.
+timing field, written by ``jsonio.dumps``) with a text renderer behind
+--format text.  Files are read, and -o reports written, as UTF-8.
 
 Exit codes: 0 clean run (or -h), 1 malformed command line, input or
 precondition error, or an unwritable -o path, 2 violation found while
@@ -258,14 +259,20 @@ def _render_text(report: RunReport) -> str:
 
 
 def _emit(report: RunReport, args) -> None:
+    """Write the report to stdout, or as UTF-8 to ``-o``.
+
+    The report is encoded before the file is opened, so a report that
+    cannot be encoded leaves no partial file.
+    """
     if args.format == "text":
         text = _render_text(report)
     else:
         # RunReport.add already stores JSON-native rows
-        text = json.dumps(vars(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        text = jsonio.dumps(vars(report)) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        data = text.encode("utf-8")
+        with open(args.output, "wb") as fh:
+            fh.write(data)
     else:
         sys.stdout.write(text)
 

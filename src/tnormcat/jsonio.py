@@ -1,6 +1,7 @@
 """JSON schemas: t-norms, categories, sequences, and report rendering.
 
-Schemas (rationals are "num/den" strings; plain integers are accepted):
+Schemas (rationals are "num/den" strings; plain integers and decimals are
+accepted, exponent forms are not, see ``rationals.parse_rational``):
 
 * t-norm     {"family": "minimum" | "product" | "lukasiewicz" |
               "nilpotent-minimum" | "interval-collapse",
@@ -9,6 +10,9 @@ Schemas (rationals are "num/den" strings; plain integers are accepted):
               with hom[i][j] = hom(elements[i], elements[j])
 * sequence   {"carrier": <path or inline category>, "prefix": [...],
               "cycle": [...]}
+
+Files are read as UTF-8.  ``dumps`` writes the report tree; its bytes are
+the report format (see its docstring).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import is_dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
 from .errors import InputError
@@ -33,8 +38,8 @@ from .completeness import TailSeq
 
 def _load_json_file(path) -> object:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -212,3 +217,52 @@ def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     return label_text(obj)
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``, faster.
+
+    ``obj`` is a JSON-native tree: dicts with ``str`` keys, lists, ``str``,
+    ``int``, ``bool`` and ``None`` (those exact types); anything else raises
+    ``TypeError``.  The standard library's C encoder ignores ``indent``, so
+    ``json.dumps`` with an indent runs its pure-Python encoder, which took
+    more of a small ``exp`` or ``power-completeness`` run than the
+    mathematics.  This writer gives the same text: strings go through the
+    same ``encode_basestring``, and a list of strings (a hom row, a functor)
+    is written with one ``join``.  ``json.dumps`` with those arguments is its
+    test reference (``tests/test_jsonio.py``).
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` as ``dumps`` writes it, nested at the indent of ``newline``."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    inner = newline + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        if type(obj[0]) is str:
+            try:
+                return "[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]"
+            except TypeError:
+                pass  # not all strings: item by item
+        body = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str
+        body = [_quote(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

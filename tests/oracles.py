@@ -379,3 +379,16 @@ def axioms_bruteforce(t: TNorm, grid) -> ConditionReport:
         "axioms", True,
         notes=("grid evidence; left continuity decided exactly at breakpoints",),
     )
+
+
+def parse_rational_reference(text: str, where: str = "rational") -> Fraction:
+    """``rationals.parse_rational`` on a string, every form through
+    ``Fraction(text.strip())`` and the range check on Fractions, as it read
+    before its ``int()`` path and its exponent check."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: cannot parse rational {text!r}: {exc}") from exc
+    if not 0 <= value <= 1:
+        raise InputError(f"{where} must lie in [0,1], got {value}")
+    return value

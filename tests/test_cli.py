@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -471,6 +474,26 @@ class TestCommandLine:
         assert (code, out) == (1, "")
         assert f"error: cannot write {target}: No such file or directory" in err
 
+    @pytest.mark.parametrize("values", ["0,1E5000", "0,1e-3", "0,2.5e-1"])
+    def test_exponent_values_exit_1(self, files, capsys, values):
+        # Fraction("1E5000") would build 10**5000, which the range check
+        # cannot even print
+        code, out, err = run(capsys, "check-tnorm", files["minimum"], "--values", values)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --values[1]: cannot parse rational")
+        assert "exponent forms are not accepted" in err
+
+    def test_decimal_values_still_accepted(self, files, capsys):
+        code, out, _ = run(capsys, "check-tnorm", files["minimum"], "--values", "0,0.25,1")
+        assert code == 0 and parse_report(out)["inputs"]["grid_points"] == 3
+
+    def test_input_that_is_not_utf8_exits_1(self, files, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"elements": ["é"], "hom": [["1"]]}'.encode("latin-1"))
+        code, out, err = run(capsys, "product", str(path), files["chain"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
 
 def _replay(t, verdict):
     """Rebuild a failing witness from its strings and recompute both sides."""
@@ -529,3 +552,36 @@ def test_failing_witnesses_replay(t, grid, data):
         for verdict in parse_report(out.getvalue())["verdicts"]:
             if verdict["name"] in ("C1", "C2", "axioms") and not verdict["ok"]:
                 _replay(t, verdict)
+
+
+# a locale whose encoding is ASCII: open() without an encoding uses it
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+CLI = "import sys; from tnormcat.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_files_are_utf8_under_an_ascii_locale(files, tmp_path):
+    """``-o`` reports and input files are UTF-8 whatever the locale's encoding."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), **C_LOCALE)
+    encoding = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if encoding.lower().replace("-", "") == "utf8":
+        pytest.skip("this platform gives the C locale a UTF-8 encoding")
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"elements": ["é", 'q"\\,'], "hom": [["1", "0"], ["0", "1"]]},
+                                 ensure_ascii=False), encoding="utf-8")
+    runs = {
+        "counterexample": [files["lukasiewicz"], "9/10", "9/10", "1/2"],
+        "product": [str(labels), files["chain"], "--tnorm", files["minimum"]],
+    }
+    for command, args in runs.items():
+        target = tmp_path / f"{command}.json"
+        proc = subprocess.run([sys.executable, "-c", CLI, command, *args, "-o", str(target)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        text = target.read_bytes().decode("utf-8")
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert report["command"] == command
+    assert "∧" in (tmp_path / "counterexample.json").read_text(encoding="utf-8")
+    assert '(é,x)' in (tmp_path / "product.json").read_text(encoding="utf-8")

@@ -16,6 +16,14 @@ whose ``power-validates`` row fails with a witness, a passing
 ``power-completeness`` and its C1 precondition error under product, and
 an empty base and fiber.
 
+The other files pin one run each of ``ccc-suite`` (passing under
+interval-collapse, and failing C1 under Łukasiewicz with its counterexample
+bundle and its non-ASCII ``∧``), ``counterexample``, ``limits`` and
+``product --tnorm`` on labels holding ``"``, ``\\``, ``,`` and ``é``.
+Every run also checks the raw report bytes against ``json.dumps`` with
+``indent=2, sort_keys=True, ensure_ascii=False`` and a trailing newline,
+the report format.
+
 The files are written by this module's ``__main__`` block; rewrite them only
 when a report is meant to change:
 
@@ -75,12 +83,30 @@ POWER_CASES = {
     "power-completeness-empty": ("power-completeness", MINIMUM, EMPTY, EMPTY),
 }
 
+LABELS = {"elements": ['q"', "b\\s", "c,é"],
+          "hom": [["1", "1/2", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+SEQ = {"carrier": CHAIN2, "prefix": ["y"], "cycle": ["x"]}
+LUKASIEWICZ = TNORMS["lukasiewicz"]
+# golden name -> (argv, inputs)
+OTHER_CASES = {
+    "ccc-suite-collapse": (["ccc-suite", "tnorm", "--values", "0,1/4,1/2,1"],
+                           {"tnorm": COLLAPSE}),
+    "ccc-suite-lukasiewicz": (["ccc-suite", "tnorm", "--values", "0,1/4,1/2,3/4,1"],
+                              {"tnorm": LUKASIEWICZ}),
+    "counterexample-lukasiewicz": (["counterexample", "tnorm", "9/10", "9/10", "1/2"],
+                                   {"tnorm": LUKASIEWICZ}),
+    "limits": (["limits", "--seq", "seq", "--tnorm", "tnorm"],
+               {"seq": SEQ, "tnorm": MINIMUM}),
+    "product-labels": (["product", "left", "right", "--tnorm", "tnorm"],
+                       {"left": LABELS, "right": CHAIN2, "tnorm": MINIMUM}),
+}
+
 
 def golden_path(name: str, grid: str) -> Path:
     return GOLDEN / f"check-tnorm-{name}-{grid}.json"
 
 
-def power_golden_path(name: str) -> Path:
+def case_golden_path(name: str) -> Path:
     return GOLDEN / f"{name}.json"
 
 
@@ -99,8 +125,10 @@ def run_cli(argv, inputs: dict) -> tuple[int, str, str]:
 
 
 def masked(stdout: str) -> str:
-    """A JSON report without ``timing_ms``, as the CLI renders it."""
+    """A JSON report without ``timing_ms``, as the CLI renders it; checks
+    first that the CLI wrote it in the report format."""
     report = json.loads(stdout)
+    assert stdout == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     del report["timing_ms"]
     return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
@@ -113,12 +141,16 @@ def masked_report(name: str, grid: str) -> str:
 
 
 def power_output(name: str) -> str:
-    """The masked report of a clean run, else its exit code and stderr."""
     command, tnorm, base, fiber = POWER_CASES[name]
-    code, out, err = run_cli(
+    return case_output(
         [command, "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],
         {"tnorm": tnorm, "base": base, "fiber": fiber},
     )
+
+
+def case_output(argv, inputs: dict) -> str:
+    """The masked report of a clean run, else its exit code and stderr."""
+    code, out, err = run_cli(argv, inputs)
     if code == 0 and not err:
         return masked(out)
     assert not out
@@ -132,7 +164,12 @@ def test_check_tnorm_report_matches_golden(name, grid):
 
 @pytest.mark.parametrize("name", POWER_CASES)
 def test_power_report_matches_golden(name):
-    assert power_output(name) == power_golden_path(name).read_text(encoding="utf-8")
+    assert power_output(name) == case_golden_path(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", OTHER_CASES)
+def test_other_report_matches_golden(name):
+    assert case_output(*OTHER_CASES[name]) == case_golden_path(name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -140,4 +177,6 @@ if __name__ == "__main__":
     for name, grid in CASES:
         golden_path(name, grid).write_text(masked_report(name, grid), encoding="utf-8")
     for name in POWER_CASES:
-        power_golden_path(name).write_text(power_output(name), encoding="utf-8")
+        case_golden_path(name).write_text(power_output(name), encoding="utf-8")
+    for name, case in OTHER_CASES.items():
+        case_golden_path(name).write_text(case_output(*case), encoding="utf-8")

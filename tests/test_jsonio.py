@@ -6,9 +6,10 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import UNITS, collapse_norms
 from tnormcat import (
     InputError,
@@ -33,6 +34,7 @@ from tnormcat.jsonio import (
     bundle_to_dict,
     category_from_dict,
     category_to_dict,
+    dumps,
     load_category,
     load_sequence,
     load_tnorm,
@@ -284,3 +286,70 @@ def test_tnorm_product_ccc_and_power_completeness_reports_reload(t, left, right,
         assert category_from_dict(report["inputs"]["fiber"]) == right
     else:
         assert code == 1 and "fails C1" in err.getvalue()
+
+
+# JSON-native report trees: what RunReport holds when cli._emit writes it
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_dumps_matches_json_dumps(tree):
+    assert dumps(tree) == json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(), min_size=1, max_size=4), json_trees)
+def test_dumps_matches_json_dumps_on_mixed_lists(strings, tree):
+    # a list that starts with strings and goes on with any item
+    mixed = strings + [tree]
+    assert dumps(mixed) == json.dumps(mixed, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [0.5, ("x",), Fraction(1, 2), {1: "x"}],
+                         ids=["float", "tuple", "Fraction", "int-key"])
+def test_dumps_rejects_what_is_not_json_native(value):
+    for tree in (value, [value], ["x", value], {"key": value}):
+        with pytest.raises(TypeError):
+            dumps(tree)
+
+
+def _parsed_or_error(parse, text):
+    try:
+        value = parse(text, "v")
+    except InputError as exc:
+        return "InputError", str(exc)
+    return type(value), value
+
+
+rational_texts = st.text(
+    alphabet=st.sampled_from("0123456789١٢٣/_.+- \t "), max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rational_texts)
+@example("1/0")
+@example("0/0")
+@example("007/010")
+@example("3/2")
+@example("١٢٣/٢٠٠")
+def test_parse_rational_matches_fraction_reference(text):
+    assert _parsed_or_error(parse_rational, text) == \
+        _parsed_or_error(oracles.parse_rational_reference, text)
+
+
+@pytest.mark.parametrize("text", ["1E5000", "1e-3", "5e-1", " 2E+1 ", "1_0e1"])
+def test_parse_rational_rejects_exponent_forms(text):
+    with pytest.raises(InputError, match="exponent forms are not accepted"):
+        parse_rational(text, "v")
+
+
+def test_parse_rational_long_integer_is_input_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    with pytest.raises(InputError, match="cannot parse rational.*Exceeds the limit"):
+        parse_rational("1" * 5000, "v")
