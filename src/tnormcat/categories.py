@@ -619,7 +619,7 @@ def enumerate_categories(
       ``_rank_products``), so pts[a] & pts[b] <= pts[c] iff
       table[a][b] <= g[c].  Hence hom(j,k) & hom(i,j) <= hom(i,k) iff
       table[index hom(j,k)][index hom(i,j)] <= g[index hom(i,k)]:
-      ``apply`` runs once per grid pair, in the argument order of
+      the & kernel runs once per grid pair, in the argument order of
       ``validate``.
     * Slots are filled in order with indices ascending, so the prefixes are
       visited in the lexicographic order of ``itertools.product``.  A triple
@@ -712,7 +712,7 @@ def check_ccc(
 
     The grid is sorted once and its ``_rank_products`` table is built once:
     the C1 sweep (that of ``check_c1``) and the category generation both
-    read p & q from it, so ``apply`` runs once per grid pair.  The table
+    read p & q from it, so the & kernel runs once per grid pair.  The table
     lives for this call only.
 
     The budget bounds the categories of each size, the ``categories**3``

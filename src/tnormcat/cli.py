@@ -3,7 +3,8 @@
 Subcommands: check-tnorm, exp, product, ccc-suite, counterexample, limits,
 power-completeness.  Reports are JSON by default (deterministic modulo the
 timing field, written by ``jsonio.dumps``) with a text renderer behind
---format text.  Files are read, and -o reports written, as UTF-8.
+--format text.  Files are read, and reports written to -o or stdout, as
+UTF-8.
 
 Exit codes: 0 clean run (or -h), 1 malformed command line, input or
 precondition error, or an unwritable -o path, 2 violation found while
@@ -259,22 +260,30 @@ def _render_text(report: RunReport) -> str:
 
 
 def _emit(report: RunReport, args) -> None:
-    """Write the report to stdout, or as UTF-8 to ``-o``.
+    """Write the report as UTF-8 to ``-o``, or to stdout.
 
     The report is encoded before the file is opened, so a report that
-    cannot be encoded leaves no partial file.
+    cannot be encoded leaves no partial file.  Stdout gets the same UTF-8
+    bytes, through its binary ``buffer``, whatever the locale's encoding;
+    a stream without one (an ``io.StringIO``) gets the text.
     """
     if args.format == "text":
         text = _render_text(report)
     else:
         # RunReport.add already stores JSON-native rows
         text = jsonio.dumps(vars(report)) + "\n"
+    data = text.encode("utf-8")
     if args.output:
-        data = text.encode("utf-8")
         with open(args.output, "wb") as fh:
             fh.write(data)
-    else:
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
         sys.stdout.write(text)
+    else:
+        sys.stdout.flush()  # keep the order of text already written
+        buffer.write(data)
+        buffer.flush()
 
 
 def _add_common(sub):

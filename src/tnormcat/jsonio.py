@@ -96,6 +96,15 @@ def category_from_dict(data, where: str = "category") -> RCat:
         raise InputError(f'{where}: needs "elements" and "hom" keys') from None
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputError(f"{where}: elements must be a list of strings")
+    for k, e in enumerate(elements):
+        # json.loads accepts a lone surrogate such as "\ud800", but no
+        # UTF-8 report could hold it
+        try:
+            e.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(
+                f"{where}: elements[{k}] does not encode as UTF-8 ({exc.reason})"
+            ) from None
     if not isinstance(hom, list) or len(hom) != len(elements):
         raise InputError(f"{where}: hom must have one row per element")
     rows = []

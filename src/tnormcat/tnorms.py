@@ -13,11 +13,15 @@ Five closed-form families are supported:
 Values are exact: `fractions.Fraction` at the boundary (arguments and
 values of ``apply`` and ``residuum``, grids, witnesses), while the C1, C2
 and axioms sweeps run on integer ranks of those values, which decide every
-comparison exactly; there is no floating point anywhere.  ``apply`` and
-``_left_limit`` compute on the integer numerators and denominators of their
-Fraction arguments and build each Fraction they return from integers, and
-grids are deduplicated and sorted on those integers too (``_ascending``).
-The sweeps read p & q over grid² from one table of ranks, built by
+comparison exactly; there is no floating point anywhere.  The one & kernel
+is ``_and_ratio``: it takes and returns ``(numerator, denominator)`` pairs
+in lowest terms and builds no Fraction.  ``apply`` is its Fraction wrapper,
+and ``_rank_products``, the off-grid rows of ``_axioms_sweep`` and
+``_left_limit`` call it directly on ``as_integer_ratio()`` pairs.  Every &
+in the package goes through ``_and_ratio``, looked up as a global, so it is
+the seam that a test patches to install a different &.  Grids are
+deduplicated and sorted on those integer pairs too (``_ascending``).  The
+sweeps read p & q over grid² from one table of ranks, built by
 ``_rank_products``, the only builder of such a table: ``check_c1`` and
 ``verify_tnorm_axioms`` each build their own, and ``_condition_sweeps``,
 which ``check-tnorm`` runs, builds one and shares it between C1, C2 and the
@@ -144,43 +148,73 @@ HALF = Fraction(1, 2)
 def apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     """p & q.  Commutative, associative, monotone, with unit 1.
 
-    The arguments are Fractions (or ints).  Minimum, nilpotent minimum
-    and interval-collapse return an argument, an interval endpoint or
-    ``ZERO``; product and Łukasiewicz return a new Fraction, also for two
-    int arguments.
-
-    The body computes on the integers of ``as_integer_ratio()``, with no
-    Fraction arithmetic.  A Fraction (and an int) keeps its denominator
-    positive, so with p = pn/pd and q = qn/qd, p <= q iff pn·qd <= qn·pd:
-    both sides are the values scaled by pd·qd > 0.  Scaling by d = pd·qd
-    likewise gives p + q > 1 iff a + b > d, with a = pn·qd and b = qn·pd,
-    and then p + q - 1 = (a + b - d)/d.  Product is pn·qn/(pd·qd).  The
-    ``Fraction`` constructor reduces the results of product and
-    Łukasiewicz to lowest terms, so each is the Fraction that p * q and
-    p + q - 1 give.  Interval-collapse compares the endpoints of each
-    interval with lo = min(p, q) and hi = max(p, q) the same way.
+    The arguments are Fractions (or ints).  This is the Fraction wrapper of
+    ``_and_ratio``, the one & kernel: it hands the kernel the
+    ``as_integer_ratio()`` pairs of its arguments and builds the Fraction
+    of the pair it returns.  When the kernel returns an argument's own pair
+    object, as minimum, nilpotent minimum and interval-collapse do, that
+    argument is returned instead of a rebuilt equal Fraction, which would
+    cost more than the kernel.  The kernel is looked up as a global at each
+    call, so a & installed as ``_and_ratio`` is the & of ``apply`` too, and
+    of everything that calls it.
     """
+    p_key, q_key = p.as_integer_ratio(), q.as_integer_ratio()
+    key = _and_ratio(t, p_key, q_key)
+    return p if key is p_key else q if key is q_key else Fraction(*key)
+
+
+def _and_ratio(t: TNorm, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """p & q on ``(numerator, denominator)`` pairs in lowest terms.
+
+    Both arguments and the value are pairs as ``as_integer_ratio()`` gives
+    them: in lowest terms, with a positive denominator.  So two values are
+    equal exactly when their pairs are, which the interning of
+    ``_rank_products`` and ``_axioms_sweep`` relies on.  This is the one &
+    kernel: ``apply`` wraps it, and the table of ``_rank_products``, the
+    off-grid rows of ``_axioms_sweep`` and the samples of ``_left_limit``
+    call it directly, with no Fraction built.
+
+    With p = pn/pd and q = qn/qd and positive denominators, p <= q iff
+    pn·qd <= qn·pd: both sides are the values scaled by pd·qd > 0.  Scaling
+    by d = pd·qd likewise gives p + q > 1 iff a + b > d, with a = pn·qd and
+    b = qn·pd, and then p + q - 1 = (a + b - d)/d, which ``_reduced``
+    brings to lowest terms.  Minimum, nilpotent minimum and
+    interval-collapse return an argument, an interval endpoint or (0, 1);
+    interval-collapse compares the endpoints of each interval with
+    lo = min(p, q) and hi = max(p, q) the same way.
+
+    Product cross-cancels, as ``Fraction`` multiplication does: with
+    g1 = gcd(pn, qd) and g2 = gcd(qn, pd), the value is
+    (pn/g1 · qn/g2, pd/g2 · qd/g1), already in lowest terms.  Proof: a
+    prime dividing the numerator divides pn/g1 or qn/g2.  If it divides
+    pn/g1, it divides neither pd/g2, a factor of pd (gcd(pn, pd) = 1), nor
+    qd/g1, since g1 took every common factor of pn and qd out.  If it
+    divides qn/g2, it divides neither qd/g1 (gcd(qn, qd) = 1) nor pd/g2,
+    by the choice of g2.  The denominator is a product of positive
+    integers.  At p = 0 = (0, 1), g1 = qd, so the value is (0, 1).
+    """
+    pn, pd = p
+    qn, qd = q
     fam = t.family
-    pn, pd = p.as_integer_ratio()
-    qn, qd = q.as_integer_ratio()
     if fam == PRODUCT:
-        return Fraction(pn * qn, pd * qd)
+        g1, g2 = math.gcd(pn, qd), math.gcd(qn, pd)
+        return (pn // g1) * (qn // g2), (pd // g2) * (qd // g1)
     a, b = pn * qd, qn * pd
     if fam == MINIMUM:
         return p if a <= b else q
     if fam == LUKASIEWICZ:
         d = pd * qd
-        return Fraction(a + b - d, d) if a + b > d else ZERO
+        return _reduced(a + b - d, d) if a + b > d else (0, 1)
     if fam == NILPOTENT_MINIMUM:
         if a + b > pd * qd:
             return p if a <= b else q
-        return ZERO
+        return (0, 1)
     lo, ln, ld, hn, hd = (p, pn, pd, qn, qd) if a <= b else (q, qn, qd, pn, pd)
     for lo_end, hi_end in t.intervals:
-        an, ad = lo_end.as_integer_ratio()
+        an, ad = lo_key = lo_end.as_integer_ratio()
         bn, bd = hi_end.as_integer_ratio()
         if an * ld <= ln * ad and hn * bd <= bn * hd:
-            return lo_end
+            return lo_key
         if bn * ld >= ln * bd:
             break
     return lo
@@ -366,10 +400,10 @@ def _rank_products(
     ``(numerator, denominator)`` of the value of rank r, from which
     ``Fraction(*keys[r])`` rebuilds it.
 
-    ``apply`` runs once per grid pair.  Each value of grid ∪ table is
-    interned once, to an int id, by ``(numerator, denominator)``
-    (``as_integer_ratio``; hashing the Fraction itself costs more): a
-    Fraction keeps these in lowest terms with a positive denominator, so
+    ``_and_ratio`` runs once per grid pair, on the ``as_integer_ratio()``
+    pairs of the grid points.  Each value of grid ∪ table is interned once,
+    to an int id, by its ``(numerator, denominator)`` pair: the kernel, like
+    a Fraction, keeps these in lowest terms with a positive denominator, so
     two values share a key exactly when they are equal.  The distinct
     values are then sorted once on an exact integer key (``_ascending``).
     The rank of a value is its position in that order, so ranks are
@@ -378,9 +412,10 @@ def _rank_products(
     with the relabelling.
     """
     ids: dict[tuple[int, int], int] = defaultdict(count().__next__)
-    for v in pts:  # distinct, so the grid gets ids 0..n-1
-        ids[v.as_integer_ratio()]
-    codes = [[ids[apply(t, p, q).as_integer_ratio()] for q in pts] for p in pts]
+    grid_keys = [v.as_integer_ratio() for v in pts]
+    for key in grid_keys:  # distinct, so the grid gets ids 0..n-1
+        ids[key]
+    codes = [[ids[_and_ratio(t, p, q)] for q in grid_keys] for p in grid_keys]
     keys = _ascending(ids)
     rank = [0] * len(keys)
     for r, key in enumerate(keys):
@@ -579,23 +614,25 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     Associativity.  The left operand p & q of (p & q) & u and the right
     operand q & u of p & (q & u) are entries of the table, so both lie in
     its set D of distinct values, and every outer & is D[d] & u or p & D[d]
-    for grid points u, p.  ``apply`` depends only on the values of its
+    for grid points u, p.  The & depends only on the values of its
     operands, so D[d] & u is the product the triple sweep computes.  When
     D[d] is a grid point, its row of D[d] & u over u and its products
     p & D[d] are entries of the table and are read from it; only the
-    off-grid operands call ``apply``, 2·n per operand for n grid points,
-    instead of two calls per triple.  Their products are interned by
-    (numerator, denominator) into the same ids as the ranks, a value
-    outside grid ∪ table getting a fresh id, so two products have the same
-    id exactly when they are equal.  For each p, the products p & D[d]
-    sit in one list, those of the grid operands read from p's row of the
-    table and the off-grid ones from ``apply``.  For each q, one
+    off-grid operands call ``_and_ratio``, 2·n per operand for n grid
+    points, instead of two calls per triple, on the (numerator,
+    denominator) keys of the table, with no Fraction built.  The kernel
+    returns lowest terms, so its products are interned by their pairs into
+    the same ids as the ranks, a value outside grid ∪ table getting a fresh
+    id, and two products have the same id exactly when they are equal.
+    For each p, the products p & D[d] sit in one list, those of the grid
+    operands read from p's row of the table and the off-grid ones from
+    ``_and_ratio``.  For each q, one
     ``itemgetter`` over q's row, built once, reads from that list the row
     of p & (q & u) over u, which is compared as an int tuple with the row
     of (p & q) & u.  The pairs are taken in (p, q) order and the first
     differing u is the witness, so it is the first failing triple of the
     grid³ sweep, with the same sides.  Fractions are rebuilt from the ids
-    only for the off-grid operands and for witnesses.
+    only for witnesses.
 
     The table is built here, for this call only; ``_condition_sweeps``
     builds it once and hands it to this sweep and the C1 and C2 sweeps.
@@ -647,16 +684,17 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     slot = {r: k for k, r in enumerate(g)}
     off_grid = sorted({r for row in table for r in row} - slot.keys())
     slot.update(zip(off_grid, count(len(pts))))
-    off_values = [Fraction(*keys[r]) for r in off_grid]
+    grid_keys = [keys[r] for r in g]
+    off_keys = [keys[r] for r in off_grid]
     outer: list = [None] * len(keys)
     for r, row in zip(g, table):
         outer[r] = tuple(row)
-    for r, v in zip(off_grid, off_values):
-        outer[r] = tuple(ids[apply(t, v, u).as_integer_ratio()] for u in pts)
+    for r, v in zip(off_grid, off_keys):
+        outer[r] = tuple(ids[_and_ratio(t, v, u)] for u in grid_keys)
     # the row of p & (q & u) over u, read from inner by one getter per q
     rhs_getters = [_row_getter([slot[r] for r in q_row]) for q_row in table]
-    for p, row in zip(pts, table):
-        inner = row + [ids[apply(t, p, v).as_integer_ratio()] for v in off_values]
+    for p, p_key, row in zip(pts, grid_keys, table):
+        inner = row + [ids[_and_ratio(t, p_key, v)] for v in off_keys]
         for q, pq, rhs_getter in zip(pts, row, rhs_getters):
             lhs_row, rhs_row = outer[pq], rhs_getter(inner)
             if lhs_row != rhs_row:
@@ -692,8 +730,8 @@ def _condition_sweeps(
 
     The three sweeps read p & q over grid² from the same ``_rank_products``
     table, and none writes to it, so it is built once here instead of once
-    per check: n² ``apply`` calls for n grid points, the interning and the
-    sort are saved, and C1 and C2 call ``apply`` no further.  The table
+    per check: n² ``_and_ratio`` calls for n grid points, the interning and
+    the sort are saved, and C1 and C2 call the & no further.  The table
     lives for this call only.  ``cmd_check_tnorm`` calls this.
     """
     pts = _sorted_grid(grid)
@@ -706,7 +744,7 @@ def _left_limit(t: TNorm, b: Fraction, q: Fraction, bps: tuple[Fraction, ...]) -
     """sup_{p<b} p & q for b > 0, exactly; ``bps`` is ``breakpoints(t)``.
 
     For fixed q every family is affine in p between consecutive points of
-    breakpoints(t) ∪ {q, 1-q}: the case split of ``apply`` changes only
+    breakpoints(t) ∪ {q, 1-q}: the case split of ``_and_ratio`` changes only
     there.  So on (c, b), with c the last such point below b, p & q is affine
     and its limit at b extrapolates two samples.  Samples at a third and two
     thirds of the way from c to b are spaced like b itself, so the limit is
@@ -718,16 +756,17 @@ def _left_limit(t: TNorm, b: Fraction, q: Fraction, bps: tuple[Fraction, ...]) -
     every sum is taken on the integers of ``as_integer_ratio()``: with
     positive denominators, x/y < z/w iff x·w < z·y, and 1 - q = (qd - qn)/qd.
     With c = cn/cd and b = bn/bd, the samples are
-    (2·cn·bd + bn·cd)/(3·cd·bd) and (cn·bd + 2·bn·cd)/(3·cd·bd), and
-    2 y2 - y1 = (2·y2n·y1d - y1n·y2d)/(y1d·y2d); each is built as one
-    Fraction from these integers, which reduces it to lowest terms.
+    (2·cn·bd + bn·cd)/(3·cd·bd) and (cn·bd + 2·bn·cd)/(3·cd·bd), which
+    ``_reduced`` brings to lowest terms for ``_and_ratio``, and
+    2 y2 - y1 = (2·y2n·y1d - y1n·y2d)/(y1d·y2d), built as one Fraction from
+    these integers, which reduces it to lowest terms.
     """
     bn, bd = b.as_integer_ratio()
     cn, cd = bps[bisect_left(bps, b) - 1].as_integer_ratio()
-    qn, qd = q.as_integer_ratio()
+    qn, qd = q_key = q.as_integer_ratio()
     for vn in (qn, qd - qn):
         if vn * bd < bn * qd and vn * cd > cn * qd:
             cn, cd = vn, qd
-    y1n, y1d = apply(t, Fraction(2 * cn * bd + bn * cd, 3 * cd * bd), q).as_integer_ratio()
-    y2n, y2d = apply(t, Fraction(cn * bd + 2 * bn * cd, 3 * cd * bd), q).as_integer_ratio()
+    y1n, y1d = _and_ratio(t, _reduced(2 * cn * bd + bn * cd, 3 * cd * bd), q_key)
+    y2n, y2d = _and_ratio(t, _reduced(cn * bd + 2 * bn * cd, 3 * cd * bd), q_key)
     return Fraction(2 * y2n * y1d - y1n * y2d, y1d * y2d)

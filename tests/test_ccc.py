@@ -26,8 +26,9 @@ from tnormcat import (
     terminal,
     validate,
 )
-from tnormcat import categories, tnorms
+from tnormcat import categories
 
+from conftest import install_and, real_and
 from oracles import c1_sides, power_hom_bruteforce
 
 F = Fraction
@@ -208,10 +209,9 @@ class TestCheckCcc:
 
         def counted(t, p, q):
             calls.append((p, q))
-            return apply(t, p, q)
+            return real_and(t, p, q)
 
-        monkeypatch.setattr(tnorms, "apply", counted)
-        monkeypatch.setattr(categories, "apply", counted)
+        install_and(monkeypatch, counted)
         assert check_ccc(tnorm, grid, 3, 10**11).verdict
         assert len(calls) == len(grid) ** 2
 

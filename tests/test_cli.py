@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import UNITS, broken_ands, collapse_norms
+from conftest import UNITS, broken_ands, collapse_norms, install_and
 from tnormcat import (
     InvariantError,
     breakpoints,
@@ -540,8 +540,7 @@ def test_failing_witnesses_replay(t, grid, data):
     broken = data.draw(broken_ands(t, sorted(grid)))
     with TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         if broken is not None:
-            mp.setattr(tnorms, "apply", broken)
-            mp.setattr(oracles, "apply", broken)
+            install_and(mp, broken)
         path = Path(tmp) / "tnorm.json"
         path.write_text(json.dumps(jsonio.tnorm_to_dict(t)))
         out = io.StringIO()
@@ -559,14 +558,22 @@ C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 CLI = "import sys; from tnormcat.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def test_files_are_utf8_under_an_ascii_locale(files, tmp_path):
-    """``-o`` reports and input files are UTF-8 whatever the locale's encoding."""
+@pytest.fixture
+def ascii_env():
+    """The environment of a CLI subprocess under ``C_LOCALE``; skips the test
+    where that locale's encoding is UTF-8 anyway."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), **C_LOCALE)
     encoding = subprocess.run(
         [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"],
         env=env, capture_output=True, text=True, check=True).stdout.strip()
     if encoding.lower().replace("-", "") == "utf8":
         pytest.skip("this platform gives the C locale a UTF-8 encoding")
+    return env
+
+
+def test_files_are_utf8_under_an_ascii_locale(files, tmp_path, ascii_env):
+    """``-o`` reports and input files are UTF-8 whatever the locale's encoding."""
+    env = ascii_env
     labels = tmp_path / "labels.json"
     labels.write_text(json.dumps({"elements": ["é", 'q"\\,'], "hom": [["1", "0"], ["0", "1"]]},
                                  ensure_ascii=False), encoding="utf-8")
@@ -585,3 +592,28 @@ def test_files_are_utf8_under_an_ascii_locale(files, tmp_path):
         assert report["command"] == command
     assert "∧" in (tmp_path / "counterexample.json").read_text(encoding="utf-8")
     assert '(é,x)' in (tmp_path / "product.json").read_text(encoding="utf-8")
+
+
+def test_stdout_is_utf8_under_an_ascii_locale(files, ascii_env):
+    """A report on stdout is the UTF-8 bytes that ``-o`` writes, in either format."""
+    args = ["counterexample", files["lukasiewicz"], "9/10", "9/10", "1/2"]
+    for fmt in ("json", "text"):
+        proc = subprocess.run([sys.executable, "-c", CLI, *args, "--format", fmt],
+                              env=ascii_env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        text = proc.stdout.decode("utf-8")
+        assert "∧" in text
+        if fmt == "json":
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            assert report["command"] == "counterexample"
+
+
+def test_lone_surrogate_label_exits_1(capsys, tmp_path):
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"elements": ["\\ud800"], "hom": [["1"]]}', encoding="utf-8")
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "product", str(path), str(path), "-o", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: elements[0] does not encode as UTF-8 (surrogates not allowed)\n"
+    assert not target.exists()

@@ -102,6 +102,15 @@ class TestCategorySchema:
         cat = category_from_dict({"elements": ["x"], "hom": [[1]]})
         assert cat.hom_of("x", "x") == 1
 
+    def test_lone_surrogate_label_rejected(self):
+        # json.loads accepts the escape; no UTF-8 report could hold the label
+        data = json.loads('{"elements": ["x", "\\ud800"], "hom": [["1", "0"], ["0", "1"]]}')
+        with pytest.raises(InputError) as err:
+            category_from_dict(data)
+        assert str(err.value) == (
+            "category: elements[1] does not encode as UTF-8 (surrogates not allowed)"
+        )
+
 
 class TestSequenceSchema:
     def test_inline_carrier(self):
@@ -124,6 +133,16 @@ class TestSequenceSchema:
         )
         seq = load_sequence(seq_path)
         assert seq.prefix == ("a",) and seq.carrier.elements == ("a",)
+
+    def test_lone_surrogate_in_inline_carrier_rejected(self):
+        with pytest.raises(InputError) as err:
+            sequence_from_dict(
+                {"carrier": {"elements": ["\udc80"], "hom": [["1"]]},
+                 "prefix": [], "cycle": ["\udc80"]}
+            )
+        assert str(err.value) == (
+            "sequence: carrier: elements[0] does not encode as UTF-8 (surrogates not allowed)"
+        )
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(InputError):

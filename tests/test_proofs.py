@@ -105,12 +105,12 @@ from tnormcat import (
     tnorms,
     validate,
 )
-from tnormcat import categories, completeness
+from tnormcat import completeness
 from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
-from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms
+from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and
 from oracles import (
     c1_sides,
     categories_bruteforce,
@@ -528,8 +528,7 @@ def test_category_generation_matches_bruteforce(all_families, grid, size, budget
     with pytest.MonkeyPatch.context() as mp:
         if broken is not None:
             # generation reads tnorms' table, the oracle composes in validate
-            mp.setattr(tnorms, "apply", broken)
-            mp.setattr(categories, "apply", broken)
+            install_and(mp, broken)
         assert _outcome(enumerate_categories, t, grid, size, budget) == _outcome(
             categories_bruteforce, t, grid, size, budget
         )
@@ -541,8 +540,7 @@ def test_category_generation_composes_in_validate_order(all_families, monkeypatc
     def broken(t, p, q):
         return q if p == 1 else p * p * q
 
-    monkeypatch.setattr(tnorms, "apply", broken)
-    monkeypatch.setattr(categories, "apply", broken)
+    install_and(monkeypatch, broken)
     t, grid = all_families["minimum"], (F(1, 4), F(1, 2), F(1))
     assert enumerate_categories(t, grid, 3) == categories_bruteforce(t, grid, 3, 10**6)
 

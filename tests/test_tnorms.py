@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from tnormcat import (
 )
 from tnormcat import cli, jsonio, tnorms
 
-from conftest import UNITS as units, broken_ands, collapse_norms
+from conftest import UNITS as units, broken_ands, collapse_norms, install_and, real_and
 from oracles import (
     axioms_bruteforce,
     c1_sides,
@@ -109,6 +110,31 @@ class TestApply:
     @settings(max_examples=60)
     def test_associative(self, t, p, q, u):
         assert apply(t, apply(t, p, q), u) == apply(t, p, apply(t, q, u))
+
+
+class TestAndRatio:
+    """``_and_ratio``, the one & kernel, on ``as_integer_ratio()`` pairs."""
+
+    @given(t=st.one_of(family_strategy, collapse_norms()), p=units, q=units)
+    @example(t=product_tnorm(), p=F(0), q=F(3, 4))
+    @example(t=product_tnorm(), p=F(2, 3), q=F(3, 4))  # cancels across both ways
+    @example(t=product_tnorm(), p=F(1), q=F(5, 7))
+    @example(t=lukasiewicz(), p=F(1, 3), q=F(2, 3))  # p + q = 1
+    @example(t=lukasiewicz(), p=F(5, 6), q=F(2, 3))  # 3/6 reduces to 1/2
+    @example(t=nilpotent_minimum(), p=F(1, 3), q=F(2, 3))
+    @example(t=nilpotent_minimum(), p=F(1, 2), q=F(1, 2))
+    @example(t=minimum(), p=F(1), q=F(0))
+    @example(t=interval_collapse([(F(1, 5), F(1, 2))]), p=F(1, 5), q=F(1, 2))
+    @example(t=interval_collapse([(F(0), F(1, 4)), (F(1, 2), F(7, 8))]), p=F(1, 4), q=F(1, 2))
+    def test_equals_closed_form_in_lowest_terms(self, t, p, q):
+        # 0, 1 and the interval endpoints are breakpoints: every pair of them
+        # and of p, q is checked
+        points = {p, q, *breakpoints(t)}
+        for x, y in itertools.product(points, repeat=2):
+            n, d = tnorms._and_ratio(t, x.as_integer_ratio(), y.as_integer_ratio())
+            # lowest terms, positive denominator: _rank_products interns on it
+            assert math.gcd(n, d) == 1 and d > 0
+            assert F(n, d) == closed_form_apply(t, x, y)
 
 
 class TestResiduum:
@@ -233,11 +259,10 @@ class TestConditions:
     def test_c1_reads_the_left_factor_first(self, monkeypatch):
         # a non-commutative &: minimum, except 1/4 & 1/2 = 3/4 & 1/4 = 0; each
         # transposition of u & q or p & u moves the first failing triple
-        real = tnorms.apply
-        monkeypatch.setattr(
-            tnorms, "apply",
+        install_and(
+            monkeypatch,
             lambda t, p, q: F(0) if (p, q) in ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 4)))
-            else real(t, p, q),
+            else real_and(t, p, q),
         )
         t, grid = minimum(), [F(1, 4), F(1, 2), F(3, 4)]
         report = check_c1(t, grid)
@@ -351,13 +376,13 @@ class TestAxiomFailures:
     """Each failing return of ``verify_tnorm_axioms``, driven by a broken &."""
 
     def test_unit(self, monkeypatch):
-        monkeypatch.setattr(tnorms, "apply", lambda t, p, q: p * q / 2)
+        install_and(monkeypatch, lambda t, p, q: p * q / 2)
         report = verify_tnorm_axioms(minimum(), [F(0), F(1, 2), F(1)])
         assert not report.verdict and report.certified
         assert report.witness == Witness((F(1), F(1, 2)), F(1, 4), F(1, 2), "unit")
 
     def test_commutativity(self, monkeypatch):
-        monkeypatch.setattr(tnorms, "apply", lambda t, p, q: q if p == 1 else p * p * q)
+        install_and(monkeypatch, lambda t, p, q: q if p == 1 else p * p * q)
         report = verify_tnorm_axioms(minimum(), [F(0), F(1, 4), F(1, 2), F(1)])
         assert not report.verdict and report.certified
         assert report.witness == Witness(
@@ -365,10 +390,9 @@ class TestAxiomFailures:
         )
 
     def test_monotonicity(self, monkeypatch):
-        real = tnorms.apply
-        monkeypatch.setattr(
-            tnorms, "apply",
-            lambda t, p, q: F(1, 8) if p == q == F(1, 2) else real(t, p, q),
+        install_and(
+            monkeypatch,
+            lambda t, p, q: F(1, 8) if p == q == F(1, 2) else real_and(t, p, q),
         )
         report = verify_tnorm_axioms(minimum(), [F(0), F(1, 4), F(1, 2), F(1)])
         assert not report.verdict and report.certified
@@ -378,10 +402,9 @@ class TestAxiomFailures:
 
     def test_associativity(self, monkeypatch):
         # product, except that 1/4 & 1/2 (off the grid) is 0
-        real = tnorms.apply
-        monkeypatch.setattr(
-            tnorms, "apply",
-            lambda t, p, q: F(0) if (p, q) == (F(1, 4), F(1, 2)) else real(t, p, q),
+        install_and(
+            monkeypatch,
+            lambda t, p, q: F(0) if (p, q) == (F(1, 4), F(1, 2)) else real_and(t, p, q),
         )
         report = verify_tnorm_axioms(product_tnorm(), [F(0), F(1, 2), F(1)])
         assert not report.verdict and report.certified
@@ -392,9 +415,7 @@ class TestAxiomFailures:
     def test_left_continuity(self, monkeypatch):
         # nilpotent minimum with p + q >= 1: on {0, 1/2, 1} it agrees with
         # minimum, but it jumps at p = 1/2 for q = 1/2
-        monkeypatch.setattr(
-            tnorms, "apply", lambda t, p, q: min(p, q) if p + q >= 1 else F(0)
-        )
+        install_and(monkeypatch, lambda t, p, q: min(p, q) if p + q >= 1 else F(0))
         report = verify_tnorm_axioms(nilpotent_minimum(), [F(0), F(1, 2), F(1)])
         assert not report.verdict and report.certified
         assert report.witness == Witness(
@@ -413,7 +434,7 @@ class TestAxiomsMatchTripleSweep:
         broken = data.draw(broken_ands(t, sorted(grid)))
         with pytest.MonkeyPatch.context() as mp:
             if broken is not None:
-                mp.setattr(tnorms, "apply", broken)
+                install_and(mp, broken)
             assert verify_tnorm_axioms(t, grid) == axioms_bruteforce(t, grid)
 
 
@@ -429,7 +450,7 @@ class TestC1MatchesTripleSweep:
         broken = data.draw(broken_ands(t, sorted(grid)))
         with pytest.MonkeyPatch.context() as mp:
             if broken is not None:
-                mp.setattr(tnorms, "apply", broken)
+                install_and(mp, broken)
             assert check_c1(t, grid) == c1_sweep(t, grid)
 
 
@@ -445,7 +466,7 @@ class TestSharedTableMatchesStandaloneChecks:
         broken = data.draw(broken_ands(t, sorted(grid)))
         with pytest.MonkeyPatch.context() as mp:
             if broken is not None:
-                mp.setattr(tnorms, "apply", broken)
+                install_and(mp, broken)
             shared = tnorms._condition_sweeps(t, grid)
             assert shared == (check_c1(t, grid), check_c2(t, grid),
                               verify_tnorm_axioms(t, grid))
@@ -458,13 +479,10 @@ class TestSharedTableMatchesStandaloneChecks:
     ], ids=["minimum", "collapse", "lukasiewicz", "nilpotent"])
     def test_check_tnorm_calls_apply_for_c2_only_in_the_table(self, t, tmp_path, monkeypatch):
         # every product of two grid points lies on these grids, so besides
-        # extract_intervals, apply runs only for the table, the unit check
-        # and left continuity: C1 and C2 read the table
+        # extract_intervals, the & kernel runs only for the table, the unit
+        # check and left continuity: C1 and C2 read the table
         calls = []
-        real = tnorms.apply
-        monkeypatch.setattr(
-            tnorms, "apply", lambda t, p, q: calls.append(None) or real(t, p, q)
-        )
+        install_and(monkeypatch, lambda t, p, q: calls.append(None) or real_and(t, p, q))
         extract_intervals(t)
         extraction_calls = len(calls)
         calls.clear()
@@ -512,13 +530,10 @@ class TestAxiomsReadOnGridOperandsFromTheTable:
     ], ids=["minimum-24", "minimum-25", "collapse-24", "collapse-25",
             "nilpotent-24", "nilpotent-25", "lukasiewicz-24"])
     def test_apply_calls(self, t, resolution, monkeypatch):
-        # every product of two grid points lies on these grids, so apply
-        # runs only for the table, the unit check and left continuity
+        # every product of two grid points lies on these grids, so the &
+        # kernel runs only for the table, the unit check and left continuity
         calls = []
-        real = tnorms.apply
-        monkeypatch.setattr(
-            tnorms, "apply", lambda t, p, q: calls.append(None) or real(t, p, q)
-        )
+        install_and(monkeypatch, lambda t, p, q: calls.append(None) or real_and(t, p, q))
         grid = canonical_grid(t, resolution)
         n = len(grid)
         assert verify_tnorm_axioms(t, grid).verdict
