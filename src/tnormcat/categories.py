@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
+from . import tnorms
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
 from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _c1_sweep,
@@ -124,9 +125,17 @@ def validate(cat: RCat, t: TNorm) -> Witness | None:
     * j = k:  1 & hom(i,j) = hom(i,j);
     * i = k:  hom(j,i) & hom(i,j) <= 1 = hom(i,i).
 
-    ``itertools.permutations`` keeps the lexicographic order of the sorted
-    labels, so the witness is the first failing triple of the full sweep.
-    ``tests/test_proofs.py`` checks both facts by brute force.
+    The triples are taken in the order of ``itertools.permutations`` over
+    the sorted labels, which keeps their lexicographic order, so the
+    witness is the first failing triple of the full sweep.
+    ``tests/test_proofs.py`` checks both facts by brute force.  For each
+    (i, j), one ``tnorms._and_col`` call with right operand hom(i,j) gives
+    hom(j,k) & hom(i,j) over every k, on ``as_integer_ratio()`` pairs (at
+    k = i and k = j too, which costs less than building the column without
+    them), and each is compared with hom(i,k) by cross-multiplication:
+    n/d > m/e iff n·e > m·d for positive denominators.  Fractions are
+    rebuilt only for the witness.  ``tests/oracles.py`` keeps the sweep on
+    Fractions.
     """
     order = cat._sorted_indices
     for i in order:
@@ -134,15 +143,23 @@ def validate(cat: RCat, t: TNorm) -> Witness | None:
             return Witness(
                 (cat.elements[i],), cat.hom[i][i], ONE, note="reflexivity"
             )
-    for i, j, k in itertools.permutations(order, 3):
-        composed = apply(t, cat.hom[j][k], cat.hom[i][j])
-        if composed > cat.hom[i][k]:
-            return Witness(
-                (cat.elements[i], cat.elements[j], cat.elements[k]),
-                composed,
-                cat.hom[i][k],
-                note="transitivity",
-            )
+    keys = [list(map(Fraction.as_integer_ratio, row)) for row in cat.hom]
+    for i in order:
+        row_i = keys[i]
+        for j in order:
+            if j == i:
+                continue
+            composed = tnorms._and_col(t, keys[j], row_i[j])
+            for k in order:
+                n, d = composed[k]
+                m, e = row_i[k]
+                if n * e > m * d and k != i and k != j:
+                    return Witness(
+                        (cat.elements[i], cat.elements[j], cat.elements[k]),
+                        Fraction(n, d),
+                        cat.hom[i][k],
+                        note="transitivity",
+                    )
     return None
 
 

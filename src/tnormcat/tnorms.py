@@ -14,21 +14,23 @@ Values are exact: `fractions.Fraction` at the boundary (arguments and
 values of ``apply`` and ``residuum``, grids, witnesses), while the C1, C2
 and axioms sweeps run on integer ranks of those values, which decide every
 comparison exactly; there is no floating point anywhere.  The one & kernel
-is ``_and_ratio``: it takes and returns ``(numerator, denominator)`` pairs
-in lowest terms and builds no Fraction.  ``apply`` is its Fraction wrapper,
-and ``_rank_products``, the off-grid rows of ``_axioms_sweep`` and
-``_left_limit`` call it directly on ``as_integer_ratio()`` pairs.  Every &
-in the package goes through ``_and_ratio``, looked up as a global, so it is
-the seam that a test patches to install a different &.  Grids are
-deduplicated and sorted on those integer pairs too (``_ascending``).  The
-sweeps read p & q over grid² from one table of ranks, built by
-``_rank_products``, the only builder of such a table: ``check_c1`` and
-``verify_tnorm_axioms`` each build their own, and ``_condition_sweeps``,
-which ``check-tnorm`` runs, builds one and shares it between C1, C2 and the
-axioms; ``check_c2`` alone stays a lazy sweep that calls ``apply``.  Category
-generation in ``categories`` reads the same table, and ``check_ccc``, which
-``ccc-suite`` runs, shares one between the C1 sweep and the generation.  No
-table outlives the call that built it.  The module also decides three
+is ``_and_col(t, ps, q)``: it returns ``[p & q for p in ps]`` on
+``(numerator, denominator)`` pairs in lowest terms, one call per fixed
+right operand q, and builds no Fraction.  ``apply`` wraps a one-element
+call, and ``_rank_products``, the off-grid rows, unit check and left
+limits of ``_axioms_sweep`` and ``categories.validate`` call it directly
+on ``as_integer_ratio()`` pairs.  Every & in the package goes through
+``_and_col``, looked up as a global of this module, so it is the seam that
+a test patches to install a different &.  Grids are deduplicated and
+sorted on those integer pairs too (``_ascending``).  The sweeps read p & q
+over grid² from one table of ranks, built by ``_rank_products``, the only
+builder of such a table: ``check_c1`` and ``verify_tnorm_axioms`` each
+build their own, and ``_condition_sweeps``, which ``check-tnorm`` runs,
+builds one and shares it between C1, C2 and the axioms; ``check_c2`` alone
+stays a lazy sweep that calls ``apply``.  Category generation in
+``categories`` reads the same table, and ``check_ccc``, which
+``ccc-suite`` runs, shares one between the C1 sweep and the generation.
+No table outlives the call that built it.  The module also decides three
 equivalent conditions on a t-norm (tags ``C1``, ``C2``, ``C3-form``) that
 characterize when the function-space construction on [0,1]-enriched
 categories behaves; each check either passes or returns a concrete
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -149,75 +150,86 @@ def apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     """p & q.  Commutative, associative, monotone, with unit 1.
 
     The arguments are Fractions (or ints).  This is the Fraction wrapper of
-    ``_and_ratio``, the one & kernel: it hands the kernel the
-    ``as_integer_ratio()`` pairs of its arguments and builds the Fraction
-    of the pair it returns.  When the kernel returns an argument's own pair
-    object, as minimum, nilpotent minimum and interval-collapse do, that
-    argument is returned instead of a rebuilt equal Fraction, which would
-    cost more than the kernel.  The kernel is looked up as a global at each
-    call, so a & installed as ``_and_ratio`` is the & of ``apply`` too, and
-    of everything that calls it.
+    ``_and_col``, the one & kernel, called on the one-element column of
+    p's ``as_integer_ratio()`` pair with right operand q's pair; it builds
+    the Fraction of the pair the kernel returns.  When the kernel returns
+    an argument's own pair object, as minimum, nilpotent minimum and
+    interval-collapse do, that argument is returned instead of a rebuilt
+    equal Fraction, which would cost more than the kernel.  The kernel is
+    looked up as a global at each call, so a & installed as ``_and_col`` is
+    the & of ``apply`` too, and of everything that calls it.
     """
     p_key, q_key = p.as_integer_ratio(), q.as_integer_ratio()
-    key = _and_ratio(t, p_key, q_key)
+    key, = _and_col(t, [p_key], q_key)
     return p if key is p_key else q if key is q_key else Fraction(*key)
 
 
-def _and_ratio(t: TNorm, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    """p & q on ``(numerator, denominator)`` pairs in lowest terms.
+def _and_col(t: TNorm, ps: list[tuple[int, int]], q: tuple[int, int]) -> list[tuple[int, int]]:
+    """``[p & q for p in ps]`` on ``(numerator, denominator)`` pairs.
 
-    Both arguments and the value are pairs as ``as_integer_ratio()`` gives
-    them: in lowest terms, with a positive denominator.  So two values are
-    equal exactly when their pairs are, which the interning of
-    ``_rank_products`` and ``_axioms_sweep`` relies on.  This is the one &
-    kernel: ``apply`` wraps it, and the table of ``_rank_products``, the
-    off-grid rows of ``_axioms_sweep`` and the samples of ``_left_limit``
-    call it directly, with no Fraction built.
+    Every pair, taken and returned, is in lowest terms with a positive
+    denominator, as ``as_integer_ratio()`` gives it, so two values are
+    equal exactly when their pairs are.  This is the one & kernel: it holds
+    the five closed forms, and every & of the package runs in it, one call
+    per fixed right operand q.  ``apply`` wraps a one-element call; the
+    columns of ``_rank_products``, the off-grid rows of ``_axioms_sweep``,
+    its unit check, the samples of ``_left_limit`` and the (i, j) loop of
+    ``categories.validate`` call it on integer pairs, with no Fraction
+    built.  The family is dispatched once per call.
 
     With p = pn/pd and q = qn/qd and positive denominators, p <= q iff
     pn·qd <= qn·pd: both sides are the values scaled by pd·qd > 0.  Scaling
-    by d = pd·qd likewise gives p + q > 1 iff a + b > d, with a = pn·qd and
-    b = qn·pd, and then p + q - 1 = (a + b - d)/d, which ``_reduced``
-    brings to lowest terms.  Minimum, nilpotent minimum and
-    interval-collapse return an argument, an interval endpoint or (0, 1);
-    interval-collapse compares the endpoints of each interval with
-    lo = min(p, q) and hi = max(p, q) the same way.
-
-    Product cross-cancels, as ``Fraction`` multiplication does: with
-    g1 = gcd(pn, qd) and g2 = gcd(qn, pd), the value is
-    (pn/g1 · qn/g2, pd/g2 · qd/g1), already in lowest terms.  Proof: a
-    prime dividing the numerator divides pn/g1 or qn/g2.  If it divides
-    pn/g1, it divides neither pd/g2, a factor of pd (gcd(pn, pd) = 1), nor
-    qd/g1, since g1 took every common factor of pn and qd out.  If it
-    divides qn/g2, it divides neither qd/g1 (gcd(qn, qd) = 1) nor pd/g2,
-    by the choice of g2.  The denominator is a product of positive
-    integers.  At p = 0 = (0, 1), g1 = qd, so the value is (0, 1).
+    by d = pd·qd likewise gives p + q > 1 iff pn·qd + qn·pd > d, and then
+    p + q - 1 = (pn·qd + qn·pd - d)/d; Łukasiewicz and product reduce their
+    value by the gcd.  Minimum and nilpotent minimum return the argument
+    pair object p or q, or (0, 1).  Interval-collapse is the minimum
+    except on pairs in one interval [a, b], which collapse to a; the
+    intervals are disjoint, so at most one holds q.  Its endpoints are
+    converted once per call, and then p & q is a if a <= p <= b and the
+    minimum otherwise.
     """
-    pn, pd = p
     qn, qd = q
     fam = t.family
+    out = []
     if fam == PRODUCT:
-        g1, g2 = math.gcd(pn, qd), math.gcd(qn, pd)
-        return (pn // g1) * (qn // g2), (pd // g2) * (qd // g1)
-    a, b = pn * qd, qn * pd
-    if fam == MINIMUM:
-        return p if a <= b else q
+        for pn, pd in ps:
+            n, d = pn * qn, pd * qd
+            g = math.gcd(n, d)
+            out.append((n // g, d // g))
+        return out
     if fam == LUKASIEWICZ:
-        d = pd * qd
-        return _reduced(a + b - d, d) if a + b > d else (0, 1)
+        for pn, pd in ps:
+            d = pd * qd
+            s = pn * qd + qn * pd - d
+            if s > 0:
+                g = math.gcd(s, d)
+                out.append((s // g, d // g))
+            else:
+                out.append((0, 1))
+        return out
     if fam == NILPOTENT_MINIMUM:
-        if a + b > pd * qd:
-            return p if a <= b else q
-        return (0, 1)
-    lo, ln, ld, hn, hd = (p, pn, pd, qn, qd) if a <= b else (q, qn, qd, pn, pd)
-    for lo_end, hi_end in t.intervals:
-        an, ad = lo_key = lo_end.as_integer_ratio()
-        bn, bd = hi_end.as_integer_ratio()
-        if an * ld <= ln * ad and hn * bd <= bn * hd:
-            return lo_key
-        if bn * ld >= ln * bd:
-            break
-    return lo
+        for p in ps:
+            pn, pd = p
+            a, b = pn * qd, qn * pd
+            out.append((p if a <= b else q) if a + b > pd * qd else (0, 1))
+        return out
+    if fam == INTERVAL_COLLAPSE:
+        for lo_end, hi_end in t.intervals:
+            an, ad = a_key = lo_end.as_integer_ratio()
+            bn, bd = hi_end.as_integer_ratio()
+            if qn * ad < an * qd:  # q lies below this interval and every later one
+                break
+            if qn * bd <= bn * qd:  # a <= q <= b
+                for p in ps:
+                    pn, pd = p
+                    if an * pd <= pn * ad and pn * bd <= bn * pd:
+                        out.append(a_key)
+                    else:
+                        out.append(p if pn * qd <= qn * pd else q)
+                return out
+    for p in ps:
+        out.append(p if p[0] * qd <= qn * p[1] else q)
+    return out
 
 
 def residuum(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
@@ -400,28 +412,23 @@ def _rank_products(
     ``(numerator, denominator)`` of the value of rank r, from which
     ``Fraction(*keys[r])`` rebuilds it.
 
-    ``_and_ratio`` runs once per grid pair, on the ``as_integer_ratio()``
-    pairs of the grid points.  Each value of grid ∪ table is interned once,
-    to an int id, by its ``(numerator, denominator)`` pair: the kernel, like
-    a Fraction, keeps these in lowest terms with a positive denominator, so
-    two values share a key exactly when they are equal.  The distinct
-    values are then sorted once on an exact integer key (``_ascending``).
-    The rank of a value is its position in that order, so ranks are
-    injective and order-preserving on grid ∪ table: for any two of its
-    values, comparing ranks decides <, == and >, and max and min commute
-    with the relabelling.
+    ``_and_col`` runs once per column, on the ``as_integer_ratio()`` pairs
+    of the grid points with the column's point as right operand, and the
+    columns are transposed into rows.  The kernel, like a Fraction, keeps
+    its pairs in lowest terms with a positive denominator, so two values of
+    grid ∪ table share a pair exactly when they are equal.  The distinct
+    pairs are sorted once on an exact integer key (``_ascending``).  The
+    rank of a value is its position in that order, so ranks are injective
+    and order-preserving on grid ∪ table: for any two of its values,
+    comparing ranks decides <, == and >, and max and min commute with the
+    relabelling.
     """
-    ids: dict[tuple[int, int], int] = defaultdict(count().__next__)
     grid_keys = [v.as_integer_ratio() for v in pts]
-    for key in grid_keys:  # distinct, so the grid gets ids 0..n-1
-        ids[key]
-    codes = [[ids[_and_ratio(t, p, q)] for q in grid_keys] for p in grid_keys]
-    keys = _ascending(ids)
-    rank = [0] * len(keys)
-    for r, key in enumerate(keys):
-        rank[ids[key]] = r
-    table = [list(map(rank.__getitem__, row)) for row in codes]
-    return rank[:len(pts)], table, keys
+    rows = list(zip(*[_and_col(t, grid_keys, q) for q in grid_keys]))
+    keys = _ascending(set(grid_keys).union(*rows))
+    rank = dict(zip(keys, count()))
+    return (list(map(rank.__getitem__, grid_keys)),
+            [list(map(rank.__getitem__, row)) for row in rows], keys)
 
 
 def check_c1(t: TNorm, grid) -> ConditionReport:
@@ -617,22 +624,23 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     for grid points u, p.  The & depends only on the values of its
     operands, so D[d] & u is the product the triple sweep computes.  When
     D[d] is a grid point, its row of D[d] & u over u and its products
-    p & D[d] are entries of the table and are read from it; only the
-    off-grid operands call ``_and_ratio``, 2·n per operand for n grid
-    points, instead of two calls per triple, on the (numerator,
-    denominator) keys of the table, with no Fraction built.  The kernel
-    returns lowest terms, so its products are interned by their pairs into
-    the same ids as the ranks, a value outside grid ∪ table getting a fresh
-    id, and two products have the same id exactly when they are equal.
-    For each p, the products p & D[d] sit in one list, those of the grid
-    operands read from p's row of the table and the off-grid ones from
-    ``_and_ratio``.  For each q, one
-    ``itemgetter`` over q's row, built once, reads from that list the row
-    of p & (q & u) over u, which is compared as an int tuple with the row
-    of (p & q) & u.  The pairs are taken in (p, q) order and the first
-    differing u is the witness, so it is the first failing triple of the
-    grid³ sweep, with the same sides.  Fractions are rebuilt from the ids
-    only for witnesses.
+    p & D[d] are entries of the table and are read from it.  Only the
+    off-grid operands call ``_and_col``, on the (numerator, denominator)
+    pairs of the table, with no Fraction built: one call per grid point u
+    gives the column of D[d] & u over the off-grid D[d], and one call per
+    off-grid D[d] the column of p & D[d] over p, 2·n evaluations per
+    operand for n grid points instead of two per triple.  The products are
+    compared as pairs, not ranks: the kernel returns lowest terms with a
+    positive denominator, and so do the keys of the table, so two products
+    are equal exactly when their pairs are, and an off-grid product needs
+    no id.  For each p, the products p & D[d] sit in one tuple, those of
+    the grid operands read from p's row of the table and the off-grid ones
+    from the kernel.  For each q, one ``itemgetter`` over q's row, built
+    once, reads from that tuple the row of p & (q & u) over u, which is
+    compared with the row of (p & q) & u.  The pairs are taken in (p, q)
+    order and the first differing u is the witness, so it is the first
+    failing triple of the grid³ sweep, with the same sides.  Fractions are
+    rebuilt from the pairs only for witnesses.
 
     The table is built here, for this call only; ``_condition_sweeps``
     builds it once and hands it to this sweep and the C1 and C2 sweeps.
@@ -653,11 +661,14 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     """The sweeps of ``verify_tnorm_axioms`` over the sorted grid ``pts``
     and its ``_rank_products`` table ``(g, table, keys)``, which they only
     read."""
-    for i, (p, row) in enumerate(zip(pts, table)):
-        if apply(t, ONE, p) != p:
+    grid_keys = [keys[r] for r in g]
+    one = [(1, 1)]  # 1 is the left operand: one evaluation per right operand p
+    for i, (p, p_key, row) in enumerate(zip(pts, grid_keys, table)):
+        unit, = _and_col(t, one, p_key)
+        if unit != p_key:
             return ConditionReport(
                 "axioms", False,
-                Witness((ONE, p), apply(t, ONE, p), p, note="unit"),
+                Witness((ONE, p), Fraction(*unit), p, note="unit"),
                 certified=True,
             )
         for j in range(i + 1, len(pts)):
@@ -677,43 +688,44 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
                             note="monotonicity"),
                     certified=True,
                 )
-    # off-grid products get fresh ids after the ranks
-    ids = defaultdict(count(len(keys)).__next__, zip(keys, count()))
     # each operand of an outer & has a slot in the row ``inner`` of p & D[d]:
     # grid point k has slot k, and the off-grid operands follow
     slot = {r: k for k, r in enumerate(g)}
     off_grid = sorted({r for row in table for r in row} - slot.keys())
     slot.update(zip(off_grid, count(len(pts))))
-    grid_keys = [keys[r] for r in g]
     off_keys = [keys[r] for r in off_grid]
+    # the row of D[d] & u over u, by the rank of D[d], as pairs
+    pairs = [tuple(map(keys.__getitem__, row)) for row in table]
     outer: list = [None] * len(keys)
-    for r, row in zip(g, table):
-        outer[r] = tuple(row)
-    for r, v in zip(off_grid, off_keys):
-        outer[r] = tuple(ids[_and_ratio(t, v, u)] for u in grid_keys)
+    for r, row in zip(g, pairs):
+        outer[r] = row
+    for r, row in zip(off_grid, zip(*[_and_col(t, off_keys, u) for u in grid_keys])):
+        outer[r] = row
+    # the products p & D[d] over the off-grid D[d], one tuple per p
+    off_rows = list(zip(*[_and_col(t, grid_keys, v) for v in off_keys])) or [()] * len(pts)
     # the row of p & (q & u) over u, read from inner by one getter per q
     rhs_getters = [_row_getter([slot[r] for r in q_row]) for q_row in table]
-    for p, p_key, row in zip(pts, grid_keys, table):
-        inner = row + [ids[_and_ratio(t, p_key, v)] for v in off_keys]
+    for p, row, pair_row, off_row in zip(pts, table, pairs, off_rows):
+        inner = pair_row + off_row
         for q, pq, rhs_getter in zip(pts, row, rhs_getters):
             lhs_row, rhs_row = outer[pq], rhs_getter(inner)
             if lhs_row != rhs_row:
                 k = next(k for k, (a, b) in enumerate(zip(lhs_row, rhs_row)) if a != b)
-                keys = list(ids)
                 return ConditionReport(
                     "axioms", False,
-                    Witness((p, q, pts[k]), Fraction(*keys[lhs_row[k]]),
-                            Fraction(*keys[rhs_row[k]]), note="associativity"),
+                    Witness((p, q, pts[k]), Fraction(*lhs_row[k]), Fraction(*rhs_row[k]),
+                            note="associativity"),
                     certified=True,
                 )
     bps = breakpoints(t)
-    for b in bps[1:]:  # bps[0] is 0
-        for q in pts:
-            limit, value = _left_limit(t, b, q, bps), apply(t, b, q)
+    bp_keys = [b.as_integer_ratio() for b in bps]
+    for b, b_key, c_key in zip(bps[1:], bp_keys[1:], bp_keys):  # bps[0] is 0
+        for q, q_key in zip(pts, grid_keys):
+            limit, value = _left_limit(t, b_key, c_key, q_key)
             if limit != value:
                 return ConditionReport(
                     "axioms", False,
-                    Witness((b, q), limit, value, note="left continuity"),
+                    Witness((b, q), Fraction(*limit), Fraction(*value), note="left continuity"),
                     certified=True,
                 )
     return ConditionReport(
@@ -730,8 +742,8 @@ def _condition_sweeps(
 
     The three sweeps read p & q over grid² from the same ``_rank_products``
     table, and none writes to it, so it is built once here instead of once
-    per check: n² ``_and_ratio`` calls for n grid points, the interning and
-    the sort are saved, and C1 and C2 call the & no further.  The table
+    per check: n² evaluations of & for n grid points, the ranking and the
+    sort are saved, and C1 and C2 call the & no further.  The table
     lives for this call only.  ``cmd_check_tnorm`` calls this.
     """
     pts = _sorted_grid(grid)
@@ -740,33 +752,37 @@ def _condition_sweeps(
             _axioms_sweep(t, pts, *ranked))
 
 
-def _left_limit(t: TNorm, b: Fraction, q: Fraction, bps: tuple[Fraction, ...]) -> Fraction:
-    """sup_{p<b} p & q for b > 0, exactly; ``bps`` is ``breakpoints(t)``.
+def _left_limit(
+    t: TNorm, b: tuple[int, int], c: tuple[int, int], q: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``(sup_{p<b} p & q, b & q)`` for b > 0, exactly, as lowest-terms pairs.
 
-    For fixed q every family is affine in p between consecutive points of
-    breakpoints(t) ∪ {q, 1-q}: the case split of ``_and_ratio`` changes only
-    there.  So on (c, b), with c the last such point below b, p & q is affine
-    and its limit at b extrapolates two samples.  Samples at a third and two
-    thirds of the way from c to b are spaced like b itself, so the limit is
-    2 y2 - y1.
+    b, q and c, the breakpoint before b in ``breakpoints(t)``, are
+    ``(numerator, denominator)`` pairs.  For fixed q every family is affine
+    in p between consecutive points of breakpoints(t) ∪ {q, 1-q}: the case
+    split of ``_and_col`` changes only there.  So on (c, b), with c the
+    last such point below b, p & q is affine and its limit at b
+    extrapolates two samples.  Samples at a third and two thirds of the way
+    from c to b are spaced like b itself, so the limit is 2 y2 - y1.
 
-    c is the max of three candidates: the last breakpoint below b, and q
-    and 1 - q when they lie below b.  ``bps`` is sorted and starts at 0 < b,
-    so ``bisect_left`` finds the breakpoint.  Every other comparison and
-    every sum is taken on the integers of ``as_integer_ratio()``: with
-    positive denominators, x/y < z/w iff x·w < z·y, and 1 - q = (qd - qn)/qd.
-    With c = cn/cd and b = bn/bd, the samples are
-    (2·cn·bd + bn·cd)/(3·cd·bd) and (cn·bd + 2·bn·cd)/(3·cd·bd), which
-    ``_reduced`` brings to lowest terms for ``_and_ratio``, and
-    2 y2 - y1 = (2·y2n·y1d - y1n·y2d)/(y1d·y2d), built as one Fraction from
-    these integers, which reduces it to lowest terms.
+    c becomes the max of three candidates: the breakpoint before b, and q
+    and 1 - q when they lie below b.  Every comparison and every sum is
+    taken on integers: with positive denominators, x/y < z/w iff
+    x·w < z·y, and 1 - q = (qd - qn)/qd.  With c = cn/cd and b = bn/bd, the
+    samples are (2·cn·bd + bn·cd)/(3·cd·bd) and (cn·bd + 2·bn·cd)/(3·cd·bd),
+    which ``_reduced`` brings to lowest terms.  One ``_and_col`` call with
+    right operand q gives y1, y2 and b & q, and
+    2 y2 - y1 = (2·y2n·y1d - y1n·y2d)/(y1d·y2d), which ``_reduced`` brings
+    to lowest terms, so the two values are equal exactly when their pairs
+    are.
     """
-    bn, bd = b.as_integer_ratio()
-    cn, cd = bps[bisect_left(bps, b) - 1].as_integer_ratio()
-    qn, qd = q_key = q.as_integer_ratio()
+    bn, bd = b
+    cn, cd = c
+    qn, qd = q
     for vn in (qn, qd - qn):
         if vn * bd < bn * qd and vn * cd > cn * qd:
             cn, cd = vn, qd
-    y1n, y1d = _and_ratio(t, _reduced(2 * cn * bd + bn * cd, 3 * cd * bd), q_key)
-    y2n, y2d = _and_ratio(t, _reduced(cn * bd + 2 * bn * cd, 3 * cd * bd), q_key)
-    return Fraction(2 * y2n * y1d - y1n * y2d, y1d * y2d)
+    samples = [_reduced(2 * cn * bd + bn * cd, 3 * cd * bd),
+               _reduced(cn * bd + 2 * bn * cd, 3 * cd * bd), b]
+    (y1n, y1d), (y2n, y2d), value = _and_col(t, samples, q)
+    return _reduced(2 * y2n * y1d - y1n * y2d, y1d * y2d), value

@@ -14,26 +14,34 @@ from tnormcat import RCat, apply, interval_collapse, lukasiewicz, \
 
 F = Fraction
 
-_KERNEL = tnorms._and_ratio
+_KERNEL = tnorms._and_col
 
 
 def real_and(t, p, q):
-    """The real p & q on Fractions, also while ``install_and`` replaces it."""
-    return Fraction(*_KERNEL(t, p.as_integer_ratio(), q.as_integer_ratio()))
+    """The real p & q on Fractions, also while ``install_and`` replaces it:
+    the kernel as it was at import, on the one-element column of p."""
+    key, = _KERNEL(t, [p.as_integer_ratio()], q.as_integer_ratio())
+    return Fraction(*key)
 
 
 def install_and(mp, amp):
     """Make ``amp(t, p, q)``, a & on Fractions, the & of tnormcat.
 
     It is installed on ``mp`` (a ``pytest.MonkeyPatch``) as
-    ``tnorms._and_ratio``, the one & kernel, converting its pairs to
-    Fractions on the way in and its value back to a pair on the way out.
-    Every & of ``tnorms``, ``categories`` and ``tests/oracles.py`` reaches
-    that kernel, through ``apply`` or directly.  ``amp`` must compute the
-    real & with ``real_and``, not ``apply``, which would call it again.
+    ``tnorms._and_col``, the one & kernel, which then calls ``amp`` once
+    for each element p of its column, with the column's right operand q,
+    converting the pairs to Fractions on the way in and each value back to
+    a pair on the way out.  So every evaluation of & is one call of
+    ``amp``, however the kernel's callers group them.  Every & of
+    ``tnorms``, ``categories`` and ``tests/oracles.py`` reaches that
+    kernel, through ``apply`` or directly.  ``amp`` must compute the real &
+    with ``real_and``, not ``apply``, which would call it again.
     """
-    mp.setattr(tnorms, "_and_ratio",
-               lambda t, p, q: amp(t, Fraction(*p), Fraction(*q)).as_integer_ratio())
+    def kernel(t, ps, q):
+        q = Fraction(*q)
+        return [amp(t, Fraction(*p), q).as_integer_ratio() for p in ps]
+
+    mp.setattr(tnorms, "_and_col", kernel)
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +90,8 @@ def broken_ands(draw, t, pts):
     Three fixed kinds break unit, commutativity and left continuity; "pair"
     changes one value at a pair of grid points or products of grid points,
     and "off-grid pair" changes p & u only where p is a product of grid
-    points that lies off the grid and u is a grid point.
+    points that lies off the grid and u is a grid point, and also u & p
+    unless it draws an asymmetric break.  Either kind may be asymmetric.
     """
     kind = draw(st.sampled_from(
         ["real", "unit", "commutativity", "left continuity", "pair", "off-grid pair"]
@@ -106,7 +115,8 @@ def broken_ands(draw, t, pts):
         assume(off_grid)
         x, y = draw(st.sampled_from(off_grid)), draw(st.sampled_from(pts))
         z = (apply(t, x, y) + 1) / 2
-        symmetric = True
+        # asymmetric: only the outer D & u changes, and u & D stays real
+        symmetric = draw(st.booleans())
 
     def broken(t, p, q):
         if (p, q) == (x, y) or (symmetric and (q, p) == (x, y)):

@@ -135,6 +135,27 @@ def power_hom_bruteforce(base: RCat, fiber: RCat, f_map, g_map, grid=()) -> Frac
     return best
 
 
+def validate_reference(cat: RCat, t: TNorm) -> Witness | None:
+    """``categories.validate`` on Fractions: reflexivity, then one
+    ``tnorms.apply`` and one Fraction comparison per triple of distinct
+    elements, in ``itertools.permutations`` order over the sorted labels.
+
+    Calls ``tnorms.apply``, so a patched & is seen.
+    """
+    order = cat._sorted_indices
+    for i in order:
+        if cat.hom[i][i] != 1:
+            return Witness((cat.elements[i],), cat.hom[i][i], Fraction(1), note="reflexivity")
+    for i, j, k in itertools.permutations(order, 3):
+        composed = apply(t, cat.hom[j][k], cat.hom[i][j])
+        if composed > cat.hom[i][k]:
+            return Witness(
+                (cat.elements[i], cat.elements[j], cat.elements[k]),
+                composed, cat.hom[i][k], note="transitivity",
+            )
+    return None
+
+
 def power_sweep(t: TNorm, x: RCat, y: RCat) -> Witness | None:
     """The first violation of the category laws in the power y^x under ``t``.
 

@@ -120,6 +120,7 @@ from oracles import (
     power_sweep,
     product_bilimit_sweep,
     tail_value_bruteforce,
+    validate_reference,
 )
 
 F = Fraction
@@ -472,6 +473,40 @@ def test_validate_matches_full_triple_sweep(all_families, family, data):
     labels = data.draw(st.permutations([f"v{i}" for i in range(len(hom))]))
     cat = RCat(tuple(labels), hom)
     assert validate(cat, t) == _validate_reference(cat, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.lists(UNITS, min_size=1, max_size=4, unique=True), data=st.data())
+def test_validate_matches_the_fraction_sweep(all_families, grid, data):
+    # a broken & may make any triple fail, and may not commute
+    t = data.draw(st.one_of(st.sampled_from(list(all_families.values())), collapse_norms()))
+    hom = data.draw(reflexive_matrices(grid, 5))
+    labels = data.draw(st.permutations([f"v{i}" for i in range(len(hom))]))
+    cat = RCat(tuple(labels), hom)
+    broken = data.draw(broken_ands(t, sorted({*grid, F(1)})))
+    with pytest.MonkeyPatch.context() as mp:
+        if broken is not None:
+            install_and(mp, broken)
+        assert validate(cat, t) == validate_reference(cat, t)
+
+
+def test_validate_composes_hom_jk_on_the_left(all_families, monkeypatch):
+    # a non-commutative &: hom(b,c) & hom(a,b) = 1 & 1/2 = 1/2 > 1/4 =
+    # hom(a,c), while the swapped order gives (1/2)**2 * 1 = 1/4
+    install_and(monkeypatch, lambda t, p, q: q if p == 1 else p * p * q)
+    cat = RCat(("a", "b", "c"), ((1, F(1, 2), F(1, 4)), (0, 1, 1), (0, 0, 1)))
+    w = validate(cat, all_families["minimum"])
+    assert w == validate_reference(cat, all_families["minimum"])
+    assert w == Witness(("a", "b", "c"), F(1, 2), F(1, 4), note="transitivity")
+
+
+def test_validate_composes_only_triples_of_distinct_elements(all_families, monkeypatch):
+    # under & = max, hom(b,b) & hom(a,b) = 1 > 1/2 = hom(a,b) at the
+    # repeated triple (a, b, b); two elements have no triple of distinct ones
+    install_and(monkeypatch, lambda t, p, q: max(p, q))
+    cat = RCat(("a", "b"), ((1, F(1, 2)), (0, 1)))
+    assert validate(cat, all_families["minimum"]) is None
+    assert validate_reference(cat, all_families["minimum"]) is None
 
 
 def _outcome(check, *args):

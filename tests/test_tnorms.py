@@ -112,8 +112,21 @@ class TestApply:
         assert apply(t, apply(t, p, q), u) == apply(t, p, apply(t, q, u))
 
 
-class TestAndRatio:
-    """``_and_ratio``, the one & kernel, on ``as_integer_ratio()`` pairs."""
+def returns_an_argument(t, p, q):
+    """Whether the closed form of ``t`` gives min(p, q) at (p, q): minimum
+    always, nilpotent minimum where p + q > 1, interval-collapse unless
+    p and q lie in one interval."""
+    if t.family == "minimum":
+        return True
+    if t.family == "nilpotent-minimum":
+        return p + q > 1
+    if t.family == "interval-collapse":
+        return not any(a <= min(p, q) and max(p, q) <= b for a, b in t.intervals)
+    return False
+
+
+class TestAndCol:
+    """``_and_col``, the one & kernel, on ``as_integer_ratio()`` pairs."""
 
     @given(t=st.one_of(family_strategy, collapse_norms()), p=units, q=units)
     @example(t=product_tnorm(), p=F(0), q=F(3, 4))
@@ -127,14 +140,29 @@ class TestAndRatio:
     @example(t=interval_collapse([(F(1, 5), F(1, 2))]), p=F(1, 5), q=F(1, 2))
     @example(t=interval_collapse([(F(0), F(1, 4)), (F(1, 2), F(7, 8))]), p=F(1, 4), q=F(1, 2))
     def test_equals_closed_form_in_lowest_terms(self, t, p, q):
-        # 0, 1 and the interval endpoints are breakpoints: every pair of them
-        # and of p, q is checked
-        points = {p, q, *breakpoints(t)}
-        for x, y in itertools.product(points, repeat=2):
-            n, d = tnorms._and_ratio(t, x.as_integer_ratio(), y.as_integer_ratio())
-            # lowest terms, positive denominator: _rank_products interns on it
-            assert math.gcd(n, d) == 1 and d > 0
-            assert F(n, d) == closed_form_apply(t, x, y)
+        # 0, 1 and the interval endpoints are breakpoints: one column per
+        # right operand y over all of them and p, q
+        points = sorted({p, q, *breakpoints(t)})
+        keys = [x.as_integer_ratio() for x in points]
+        for y, y_key in zip(points, keys):
+            column = tnorms._and_col(t, keys, y_key)
+            assert len(column) == len(points)
+            for x, x_key, value in zip(points, keys, column):
+                n, d = value
+                # lowest terms, positive denominator: equal pairs are equal values
+                assert math.gcd(n, d) == 1 and d > 0
+                assert F(n, d) == closed_form_apply(t, x, y)
+                if returns_an_argument(t, x, y):
+                    # the argument's own pair object, as apply relies on
+                    assert value is (x_key if x <= y else y_key)
+
+    @pytest.mark.parametrize("t", [
+        minimum(), product_tnorm(), lukasiewicz(), nilpotent_minimum(),
+        interval_collapse([(F(1, 5), F(1, 2))]),
+    ], ids=lambda t: t.family)
+    def test_empty_column(self, t):
+        for q in (F(0), F(3, 10), F(1)):
+            assert tnorms._and_col(t, [], q.as_integer_ratio()) == []
 
 
 class TestResiduum:
@@ -363,8 +391,12 @@ class TestAxioms:
     def test_left_limit_matches_fraction_oracle(self, t, q):
         # the examples put q or 1 - q between the last breakpoint below b and b
         bps = breakpoints(t)
-        for b in bps[1:]:
-            assert tnorms._left_limit(t, b, q, bps) == left_limit(t, b, q, bps)
+        for c, b in zip(bps, bps[1:]):
+            limit, value = tnorms._left_limit(
+                t, b.as_integer_ratio(), c.as_integer_ratio(), q.as_integer_ratio())
+            # both in lowest terms: the sweep compares them as pairs
+            assert limit == left_limit(t, b, q, bps).as_integer_ratio()
+            assert value == closed_form_apply(t, b, q).as_integer_ratio()
 
     @settings(max_examples=60, deadline=None)
     @given(t=family_strategy, q=units)
@@ -410,6 +442,20 @@ class TestAxiomFailures:
         assert not report.verdict and report.certified
         assert report.witness == Witness(
             (F(1, 2), F(1, 2), F(1, 2)), F(0), F(1, 8), "associativity"
+        )
+
+    def test_associativity_inner_off_grid_product(self, monkeypatch):
+        # product, except that 1/2 & 1/4 is 0 while 1/4 & 1/2 stays 1/8: the
+        # inner p & D and the outer D & u are not shared by commutativity
+        install_and(
+            monkeypatch,
+            lambda t, p, q: F(0) if (p, q) == (F(1, 2), F(1, 4)) else real_and(t, p, q),
+        )
+        grid = [F(0), F(1, 2), F(1)]
+        report = verify_tnorm_axioms(product_tnorm(), grid)
+        assert report == axioms_bruteforce(product_tnorm(), grid)
+        assert report.witness == Witness(
+            (F(1, 2), F(1, 2), F(1, 2)), F(1, 8), F(0), "associativity"
         )
 
     def test_left_continuity(self, monkeypatch):
