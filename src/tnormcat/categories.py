@@ -24,6 +24,8 @@ builds categories and counts the maps its budget bounds only for the size
 classes whose sizes cannot settle that bound.  Category generation reads
 p & q from the grid² rank table of ``tnorms._rank_products``, and the sweep
 builds that table once and shares it between C1 and the generation.
+``check_exponentiable`` reads one such table too, over the grid and the
+category's hom values, and calls no Fraction-level &.
 
 All witness searches scan elements in lexicographic label order, so verdicts
 are reproducible byte for byte.
@@ -375,36 +377,41 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
     all grid pairs (p,q) and element pairs (x,z).  The companion frame
     condition is recorded, not searched: [0,1] with pointwise minimum
     distributes over arbitrary joins.
+
+    The grid is checked first, so its errors come before any other work.
+    Every operand of & lies in V, the sorted grid ∪ hom values: V is
+    closed under ∧, and on the sorted V, a ∧ b is the value at the smaller
+    of their two indices.  So one ``_rank_products`` table over V² gives
+    every product as a rank.  Ranks are injective and order-preserving on
+    V ∪ table, so the rank of the left side is the min of the ranks of
+    p & q and hom(x,z), and that of the right side the max of the ranks of
+    its terms: where there is a pair (x, z) there is a term, and every term
+    is at least 0, so the join is their max.  Comparing ranks then decides
+    the Fraction comparison.  The loops keep (p, q, x, z) order, so the
+    witness is the first failing tuple of the full sweep; its sides are
+    rebuilt as Fractions from their ranks.
     """
     pts = _sorted_grid(grid)
+    vals = _sorted_grid([*pts, *itertools.chain.from_iterable(cat.hom)])
+    g, table, keys = _rank_products(t, vals)
+    index = {v.as_integer_ratio(): i for i, v in enumerate(vals)}
+    h = [[index[v.as_integer_ratio()] for v in row] for row in cat.hom]
     order = cat._sorted_indices
-    n = len(cat.elements)
     for p in pts:
+        i = index[p.as_integer_ratio()]
+        # per z, the rows of p ∧ hom(y,z) over y
+        left = [[table[min(i, row[z])] for row in h] for z in range(len(h))]
         for q in pts:
-            pq = apply(t, p, q)
-            for xi in order:
-                for zi in order:
-                    lhs = min(pq, cat.hom[xi][zi])
-                    rhs = ZERO
-                    for yi in range(n):
-                        term = apply(
-                            t,
-                            min(p, cat.hom[yi][zi]),
-                            min(q, cat.hom[xi][yi]),
-                        )
-                        if term > rhs:
-                            rhs = term
+            j = index[q.as_integer_ratio()]
+            for x in order:
+                right = [min(j, k) for k in h[x]]
+                for z in order:
+                    lhs = min(table[i][j], g[h[x][z]])
+                    rhs = max(map(list.__getitem__, left[z], right))
                     if lhs != rhs:
-                        return ConditionReport(
-                            "exponentiable",
-                            False,
-                            Witness(
-                                (p, q, cat.elements[xi], cat.elements[zi]),
-                                lhs,
-                                rhs,
-                            ),
-                            certified=True,
-                        )
+                        w = Witness((p, q, cat.elements[x], cat.elements[z]),
+                                    Fraction(*keys[lhs]), Fraction(*keys[rhs]))
+                        return ConditionReport("exponentiable", False, w, certified=True)
     return ConditionReport(
         "exponentiable",
         True,

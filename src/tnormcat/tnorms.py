@@ -17,9 +17,11 @@ comparison exactly; there is no floating point anywhere.  The one & kernel
 is ``_and_col(t, ps, q)``: it returns ``[p & q for p in ps]`` on
 ``(numerator, denominator)`` pairs in lowest terms, one call per fixed
 right operand q, and builds no Fraction.  ``apply`` wraps a one-element
-call, and ``_rank_products``, the off-grid rows, unit check and left
-limits of ``_axioms_sweep`` and ``categories.validate`` call it directly
-on ``as_integer_ratio()`` pairs.  Every & in the package goes through
+call and builds the Fraction of its value; ``check_c2``'s lazy sweep,
+``categories.counterexample`` and the test oracles call it.
+``_rank_products``, the off-grid rows, unit check and left limits of
+``_axioms_sweep`` and ``categories.validate`` call the kernel directly on
+``as_integer_ratio()`` pairs.  Every & in the package goes through
 ``_and_col``, looked up as a global of this module, so it is the seam that
 a test patches to install a different &.  Grids are deduplicated and
 sorted on those integer pairs too (``_ascending``).  The sweeps read p & q
@@ -29,7 +31,9 @@ build their own, and ``_condition_sweeps``, which ``check-tnorm`` runs,
 builds one and shares it between C1, C2 and the axioms; ``check_c2`` alone
 stays a lazy sweep that calls ``apply``.  Category generation in
 ``categories`` reads the same table, and ``check_ccc``, which
-``ccc-suite`` runs, shares one between the C1 sweep and the generation.
+``ccc-suite`` runs, shares one between the C1 sweep and the generation;
+``categories.check_exponentiable`` builds one over the grid and the
+category's hom values.
 No table outlives the call that built it.  The module also decides three
 equivalent conditions on a t-norm (tags ``C1``, ``C2``, ``C3-form``) that
 characterize when the function-space construction on [0,1]-enriched
@@ -149,19 +153,16 @@ HALF = Fraction(1, 2)
 def apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     """p & q.  Commutative, associative, monotone, with unit 1.
 
-    The arguments are Fractions (or ints).  This is the Fraction wrapper of
-    ``_and_col``, the one & kernel, called on the one-element column of
-    p's ``as_integer_ratio()`` pair with right operand q's pair; it builds
-    the Fraction of the pair the kernel returns.  When the kernel returns
-    an argument's own pair object, as minimum, nilpotent minimum and
-    interval-collapse do, that argument is returned instead of a rebuilt
-    equal Fraction, which would cost more than the kernel.  The kernel is
-    looked up as a global at each call, so a & installed as ``_and_col`` is
-    the & of ``apply`` too, and of everything that calls it.
+    The arguments are Fractions (or ints), and the value is a Fraction for
+    every family.  This is the Fraction wrapper of ``_and_col``, the one &
+    kernel, called on the one-element column of p's ``as_integer_ratio()``
+    pair with right operand q's pair.  The kernel is looked up as a global
+    at each call, so a & installed as ``_and_col`` is the & of ``apply``
+    too, and of everything that calls it: ``check_c2``'s lazy sweep,
+    ``categories.counterexample`` and the test oracles.
     """
-    p_key, q_key = p.as_integer_ratio(), q.as_integer_ratio()
-    key, = _and_col(t, [p_key], q_key)
-    return p if key is p_key else q if key is q_key else Fraction(*key)
+    key, = _and_col(t, [p.as_integer_ratio()], q.as_integer_ratio())
+    return Fraction(*key)
 
 
 def _and_col(t: TNorm, ps: list[tuple[int, int]], q: tuple[int, int]) -> list[tuple[int, int]]:
@@ -171,11 +172,12 @@ def _and_col(t: TNorm, ps: list[tuple[int, int]], q: tuple[int, int]) -> list[tu
     denominator, as ``as_integer_ratio()`` gives it, so two values are
     equal exactly when their pairs are.  This is the one & kernel: it holds
     the five closed forms, and every & of the package runs in it, one call
-    per fixed right operand q.  ``apply`` wraps a one-element call; the
-    columns of ``_rank_products``, the off-grid rows of ``_axioms_sweep``,
-    its unit check, the samples of ``_left_limit`` and the (i, j) loop of
-    ``categories.validate`` call it on integer pairs, with no Fraction
-    built.  The family is dispatched once per call.
+    per fixed right operand q.  ``apply`` wraps a one-element call and
+    builds a Fraction of the value; the columns of ``_rank_products``, the
+    off-grid rows of ``_axioms_sweep``, its unit check, the samples of
+    ``_left_limit`` and the (i, j) loop of ``categories.validate`` call it
+    on integer pairs, with no Fraction built.  The family is dispatched
+    once per call.
 
     With p = pn/pd and q = qn/qd and positive denominators, p <= q iff
     pn·qd <= qn·pd: both sides are the values scaled by pd·qd > 0.  Scaling

@@ -156,6 +156,41 @@ def validate_reference(cat: RCat, t: TNorm) -> Witness | None:
     return None
 
 
+def exponentiable_bruteforce(t: TNorm, cat: RCat, grid) -> ConditionReport:
+    """``categories.check_exponentiable`` on Fractions: one ``tnorms.apply``
+    per (p, q, x, z, y), in (p, q, x, z) order over the sorted grid and
+    the sorted labels, with the join computed from 0 upwards.
+
+    Calls ``tnorms.apply``, so a patched & is seen.
+    """
+    pts = sorted_grid_reference(grid)
+    order = cat._sorted_indices
+    n = len(cat.elements)
+    for p in pts:
+        for q in pts:
+            pq = apply(t, p, q)
+            for xi in order:
+                for zi in order:
+                    lhs = min(pq, cat.hom[xi][zi])
+                    rhs = Fraction(0)
+                    for yi in range(n):
+                        term = apply(t, min(p, cat.hom[yi][zi]), min(q, cat.hom[xi][yi]))
+                        if term > rhs:
+                            rhs = term
+                    if lhs != rhs:
+                        return ConditionReport(
+                            "exponentiable",
+                            False,
+                            Witness((p, q, cat.elements[xi], cat.elements[zi]), lhs, rhs),
+                            certified=True,
+                        )
+    return ConditionReport(
+        "exponentiable",
+        True,
+        notes=("join-distributivity of ∧ holds analytically on [0,1]; not enumerated",),
+    )
+
+
 def power_sweep(t: TNorm, x: RCat, y: RCat) -> Witness | None:
     """The first violation of the category laws in the power y^x under ``t``.
 

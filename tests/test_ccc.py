@@ -57,6 +57,18 @@ class TestCheckExponentiable:
         for t in all_families.values():
             assert check_exponentiable(t, one, canonical_grid(t, 8)).verdict
 
+    def test_one_product_table_over_grid_and_hom_values(self, monkeypatch, two_chain):
+        # V = {1/4, 1/2} ∪ {0, 1/2, 1}: & runs once per pair of V
+        calls = []
+
+        def counted(t, p, q):
+            calls.append((p, q))
+            return real_and(t, p, q)
+
+        install_and(monkeypatch, counted)
+        assert check_exponentiable(minimum(), two_chain, [F(1, 4), F(1, 2)]).verdict
+        assert len(calls) == 4**2
+
 
 class TestCheckCurrying:
     def test_terminal_base_always_passes(self, all_families, two_chain):

@@ -53,8 +53,9 @@ One fact concerns categories alone and holds for every t-norm:
     ``validate`` composes only triples of distinct elements.
 
 It is checked on random reflexive matrices over ``EIGHT_GRID`` for the five
-families.  Hypothesis properties also compare ``validate``,
-``enumerate_categories`` (also under broken ``&`` functions), ``check_ccc``,
+families.  Hypothesis properties also compare ``validate`` and
+``check_exponentiable`` (both also under broken ``&`` functions, and on
+any matrix), ``enumerate_categories`` (also under broken ``&`` functions), ``check_ccc``,
 ``check_power_completeness``, ``is_cauchy_complete`` and
 ``check_product_bilimit`` with references that sweep every instance; the
 last two on any matrix, category or not.  A last one compares the check of
@@ -88,6 +89,7 @@ from tnormcat import (
     check_c1,
     check_ccc,
     check_currying,
+    check_exponentiable,
     check_power_completeness,
     check_product_bilimit,
     cli,
@@ -116,6 +118,7 @@ from oracles import (
     categories_bruteforce,
     cauchy_complete_sweep,
     check_laws_scan,
+    exponentiable_bruteforce,
     power_hom_bruteforce,
     power_sweep,
     product_bilimit_sweep,
@@ -507,6 +510,37 @@ def test_validate_composes_only_triples_of_distinct_elements(all_families, monke
     cat = RCat(("a", "b"), ((1, F(1, 2)), (0, 1)))
     assert validate(cat, all_families["minimum"]) is None
     assert validate_reference(cat, all_families["minimum"]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.lists(UNITS, min_size=1, max_size=4, unique=True), data=st.data())
+def test_check_exponentiable_matches_the_fraction_sweep(all_families, grid, data):
+    # any square matrix, a category or not, and the empty one; a broken &
+    # is drawn on V, the grid and hom values, and may not commute
+    t = data.draw(st.one_of(st.sampled_from(list(all_families.values())), collapse_norms()))
+    n = data.draw(st.integers(0, 3))
+    values = data.draw(st.lists(st.one_of(st.sampled_from(grid), UNITS), min_size=1, max_size=3))
+    hom = [[data.draw(st.sampled_from(values)) for _ in range(n)] for _ in range(n)]
+    labels = data.draw(st.permutations([f"v{i}" for i in range(n)]))
+    cat = RCat(tuple(labels), hom)
+    broken = data.draw(broken_ands(t, sorted({*grid, *values})))
+    with pytest.MonkeyPatch.context() as mp:
+        if broken is not None:
+            install_and(mp, broken)
+        assert check_exponentiable(t, cat, grid) == exponentiable_bruteforce(t, cat, grid)
+
+
+def test_check_exponentiable_composes_the_p_side_on_the_left(all_families, monkeypatch):
+    # a non-commutative &: at (p, q, x, z) = (1/2, 1, a, a) the left side is
+    # 1/2 & 1 = 1/4, and the y = a term (1/2 ∧ 1) & (1 ∧ 1) = 1/4 while the
+    # y = b term is 0 & (1 ∧ 1/2) = 0, so the law holds; with the operands
+    # of the terms swapped, the y = a term would be 1 & 1/2 = 1/2
+    install_and(monkeypatch, lambda t, p, q: q if p == 1 else p * p * q)
+    t = all_families["minimum"]
+    cat = RCat(("a", "b"), ((1, F(1, 2)), (0, 1)))
+    report = check_exponentiable(t, cat, [F(1, 2), F(1)])
+    assert report.verdict
+    assert report == exponentiable_bruteforce(t, cat, [F(1, 2), F(1)])
 
 
 def _outcome(check, *args):

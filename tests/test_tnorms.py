@@ -82,6 +82,18 @@ class TestApply:
         assert value == closed_form_apply(t, p, q)
         assert type(value) is Fraction
 
+    @pytest.mark.parametrize("t", [
+        minimum(), product_tnorm(), lukasiewicz(), nilpotent_minimum(),
+        interval_collapse([(F(1, 5), F(1, 2))]),
+    ], ids=lambda t: t.family)
+    def test_value_is_a_fraction_for_int_arguments(self, t):
+        # ints are accepted arguments; the value is a Fraction all the same,
+        # also where the closed form returns an argument
+        for p, q in itertools.product([0, 1, F(0), F(1, 3), F(1, 2), F(1)], repeat=2):
+            value = apply(t, p, q)
+            assert type(value) is Fraction
+            assert value == closed_form_apply(t, F(p), F(q))
+
     def test_lukasiewicz_arithmetic(self):
         assert apply(lukasiewicz(), F(9, 10), F(9, 10)) == F(8, 10)
         # oracle: direct evaluation of max(p + q - 1, 0)
@@ -153,7 +165,7 @@ class TestAndCol:
                 assert math.gcd(n, d) == 1 and d > 0
                 assert F(n, d) == closed_form_apply(t, x, y)
                 if returns_an_argument(t, x, y):
-                    # the argument's own pair object, as apply relies on
+                    # the argument's own pair object: no new pair is built
                     assert value is (x_key if x <= y else y_key)
 
     @pytest.mark.parametrize("t", [
