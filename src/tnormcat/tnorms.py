@@ -17,7 +17,7 @@ comparison exactly; there is no floating point anywhere.  The one & kernel
 is ``_and_col(t, ps, q)``: it returns ``[p & q for p in ps]`` on
 ``(numerator, denominator)`` pairs in lowest terms, one call per fixed
 right operand q, and builds no Fraction.  ``apply`` wraps a one-element
-call and builds the Fraction of its value; ``check_c2``'s lazy sweep,
+call and builds the Fraction of its value; ``extract_intervals``,
 ``categories.counterexample`` and the test oracles call it.
 ``_rank_products``, the off-grid rows, unit check and left limits of
 ``_axioms_sweep`` and ``categories.validate`` call the kernel directly on
@@ -26,14 +26,14 @@ call and builds the Fraction of its value; ``check_c2``'s lazy sweep,
 a test patches to install a different &.  Grids are deduplicated and
 sorted on those integer pairs too (``_ascending``).  The sweeps read p & q
 over grid² from one table of ranks, built by ``_rank_products``, the only
-builder of such a table: ``check_c1`` and ``verify_tnorm_axioms`` each
-build their own, and ``_condition_sweeps``, which ``check-tnorm`` runs,
-builds one and shares it between C1, C2 and the axioms; ``check_c2`` alone
-stays a lazy sweep that calls ``apply``.  Category generation in
-``categories`` reads the same table, and ``check_ccc``, which
-``ccc-suite`` runs, shares one between the C1 sweep and the generation;
-``categories.check_exponentiable`` builds one over the grid and the
-category's hom values.
+builder of such a table: ``check_c1``, ``check_c2`` and
+``verify_tnorm_axioms`` each build their own, and ``_condition_sweeps``,
+which ``check-tnorm`` runs, builds one and shares it between C1, C2 and
+the axioms.  Category generation in ``categories`` reads the same table,
+and ``check_ccc``, which ``ccc-suite`` runs, shares one between the C1
+sweep and the generation; ``categories.check_exponentiable`` builds one
+over the grid and the category's hom values.  ``extract_intervals`` sweeps
+no grid: its C3-form witness is a fixed C2 violation of each family.
 No table outlives the call that built it.  The module also decides three
 equivalent conditions on a t-norm (tags ``C1``, ``C2``, ``C3-form``) that
 characterize when the function-space construction on [0,1]-enriched
@@ -158,7 +158,7 @@ def apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     kernel, called on the one-element column of p's ``as_integer_ratio()``
     pair with right operand q's pair.  The kernel is looked up as a global
     at each call, so a & installed as ``_and_col`` is the & of ``apply``
-    too, and of everything that calls it: ``check_c2``'s lazy sweep,
+    too, and of everything that calls it: ``extract_intervals``,
     ``categories.counterexample`` and the test oracles.
     """
     key, = _and_col(t, [p.as_integer_ratio()], q.as_integer_ratio())
@@ -457,6 +457,17 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
     witness is the first failing triple of the full grid³ sweep; its sides
     are rebuilt as Fractions from their ranks.
 
+    Symmetric table.  When the table equals its transpose, as it does for a
+    commutative &, row i is swept only over j >= i.  At (i, j, k) the sides
+    are min(g[k], table[i][j]) and max(table[k][j], table[i][k]), and at
+    (j, i, k) they are min(g[k], table[j][i]) and
+    max(table[k][i], table[j][k]): by symmetry the same min and the same
+    max.  So (i, j, k) fails exactly when (j, i, k) does, with the same
+    sides.  A failing triple with j < i therefore comes after the failing
+    (j, i, k) in (p, q, u) order, so the first failing triple of the full
+    sweep has i <= j, and the shortened sweep meets it first, with the same
+    witness.
+
     The table is built here, for this call only; ``_condition_sweeps``
     builds it once and hands it to this sweep, the C2 sweep and the axioms
     sweep, and ``categories.check_ccc`` to this sweep and category
@@ -470,8 +481,11 @@ def _c1_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     """The sweep of ``check_c1`` over the sorted grid ``pts`` and its
     ``_rank_products`` table ``(g, table, keys)``, which it only reads."""
     columns = list(zip(*table))
+    symmetric = columns == list(map(tuple, table))
     for i, (p, row) in enumerate(zip(pts, table)):
-        for j, (q, pq, column) in enumerate(zip(pts, row, columns)):
+        start = i if symmetric else 0
+        for j, (q, pq, column) in enumerate(
+                zip(pts[start:], row[start:], columns[start:]), start):
             m = min(i, j)
             c = bisect_left(g, pq, 0, m)
             lhs = g[:c] + [pq] * (m - c)
@@ -491,26 +505,13 @@ def check_c2(t: TNorm, grid) -> ConditionReport:
     """Dominance law: u <= p & p implies u & p = u, on grid².
 
     Only the pairs with u <= p & p are swept: the grid is sorted, so the u
-    loop ends at the first u > p & p.  This sweep is lazy, calling ``apply``
-    per pair it visits: ``extract_intervals`` runs it on the canonical grid,
-    where it stops after a few pairs.  ``_condition_sweeps`` runs the same
-    sweep on its shared table (``_c2_sweep``).
+    loop ends at the first u > p & p.  The products are read from a table
+    of p & q over grid², built on integer ranks by ``_rank_products`` for
+    this call only; ``_condition_sweeps`` builds one table and hands it to
+    this sweep, the C1 sweep and the axioms sweep.
     """
     pts = _sorted_grid(grid)
-    for p in pts:
-        pp = apply(t, p, p)
-        for u in pts:
-            if u > pp:
-                break
-            up = apply(t, u, p)
-            if up != u:
-                return ConditionReport(
-                    "C2",
-                    False,
-                    Witness((p, u), up, u),
-                    certified=True,
-                )
-    return ConditionReport("C2", True, certified=_c1_holds_on_unit_interval(t))
+    return _c2_sweep(t, pts, *_rank_products(t, pts))
 
 
 def _c2_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
@@ -520,8 +521,8 @@ def _c2_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     With p = pts[i] and u = pts[k], p & p is ``table[i][i]`` and u & p is
     ``table[k][i]``, and ranks are order-preserving on grid ∪ table, so
     ``g[k] > table[i][i]`` decides u > p & p and ``table[k][i] != g[k]``
-    decides u & p != u.  The pairs come in the order of ``check_c2``, so the
-    witness is the same; its left side is rebuilt from its rank.
+    decides u & p != u.  The pairs come in (p, u) order, and the witness's
+    left side is rebuilt from its rank.
     """
     for i, p in enumerate(pts):
         pp = table[i][i]
@@ -581,6 +582,14 @@ class IntervalExtraction:
         return self.intervals is not None
 
 
+# (p, u) of the C3-form witness of each family that fails C2
+_C2_VIOLATIONS = {
+    PRODUCT: (Fraction(7, 40), Fraction(1, 40)),
+    LUKASIEWICZ: (Fraction(21, 40), Fraction(1, 40)),
+    NILPOTENT_MINIMUM: (Fraction(21, 40), Fraction(1, 40)),
+}
+
+
 def extract_intervals(t: TNorm) -> IntervalExtraction:
     """Recover the family {[a, â]} of non-degenerate collapsing intervals.
 
@@ -590,15 +599,33 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
     minimum and interval-collapse: there x & x = a exactly for x in
     [a_i, b_i] when a = a_i, so â = b_i, and minimum has no intervals.  For
     the other families the dominance law C2 fails and there is no such
-    family; the violating (p, u) pair found on the canonical grid is
-    returned instead.
+    family; a violating (p, u) pair is returned instead, with sides
+    (u & p, u) from one ``apply`` call.  No grid is swept.
+
+    The pair is ``_C2_VIOLATIONS[t.family]``, the first C2 violation that
+    ``check_c2`` finds on ``canonical_grid(t)``.  That grid is k/40 for
+    k = 0..40 under the three families: their breakpoints 0, 1/2 and 1 and
+    the midpoints 1/4 and 3/4 all lie on it.  Take p = m/40 in ascending
+    order; u = 0 never fails, since 0 & p = 0.
+
+    * Product: p & p = m²/1600, and u = k/40 <= p & p iff 40·k <= m²;
+      u & p = u·p = u fails for every u > 0 when p < 1.  So the first p
+      with a grid u in (0, p & p] has m² >= 40, m = 7, and u = 1/40:
+      (7/40, 1/40), with sides (7/1600, 1/40).
+    * Łukasiewicz: p & p = max(2p - 1, 0) is 0 for m <= 20 and 1/20 at
+      m = 21, and 1/40 & 21/40 = max(22/40 - 1, 0) = 0: (21/40, 1/40),
+      with sides (0, 1/40).
+    * Nilpotent minimum: p & p is 0 for m <= 20 (2p <= 1) and 21/40 at
+      m = 21, and 1/40 & 21/40 = 0 since 1/40 + 21/40 <= 1:
+      (21/40, 1/40), with sides (0, 1/40).
+
+    ``tests/test_tnorms.py`` checks each pair against ``check_c2`` on
+    ``canonical_grid(t)``.
     """
     if _c1_holds_on_unit_interval(t):
         return IntervalExtraction(t.intervals)
-    report = check_c2(t, canonical_grid(t))
-    if report.verdict:  # pragma: no cover - the three other families always fail
-        raise RuntimeError(f"no C2 witness found on the canonical grid for {t.family}")
-    return IntervalExtraction(None, report.witness)
+    p, u = _C2_VIOLATIONS[t.family]
+    return IntervalExtraction(None, Witness((p, u), apply(t, u, p), u))
 
 
 def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
@@ -644,6 +671,18 @@ def verify_tnorm_axioms(t: TNorm, grid) -> ConditionReport:
     failing triple of the grid³ sweep, with the same sides.  Fractions are
     rebuilt from the pairs only for witnesses.
 
+    Closed grids.  When every product of two grid points is a grid point,
+    ranks and grid indices coincide (g[i] = i), and commutativity, already
+    checked, makes the table symmetric.  Let M_j be the matrix whose row a
+    is ``table[table[j][a]]``, so M_j[a][b] = (q_j & x_a) & x_b.  Then
+    (p_i & q_j) & u_k = (q_j & p_i) & u_k = M_j[i][k], and
+    p_i & (q_j & u_k) = (q_j & u_k) & p_i = M_j[k][i], each by
+    commutativity on the grid.  So associativity holds on grid³ exactly
+    when each of the n matrices M_j equals its transpose, which is decided
+    without the triple sweep.  The ordered sweep above runs only when the
+    grid is not closed or some M_j is not symmetric, and it alone gives the
+    witness.
+
     The table is built here, for this call only; ``_condition_sweeps``
     builds it once and hands it to this sweep and the C1 and C2 sweeps.
     """
@@ -657,6 +696,11 @@ def _row_getter(indices):
         k, = indices
         return lambda seq: (seq[k],)
     return itemgetter(*indices)
+
+
+def _symmetric(rows) -> bool:
+    """Whether the square matrix ``rows`` equals its transpose."""
+    return list(zip(*rows)) == list(map(tuple, rows))
 
 
 def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
@@ -690,6 +734,35 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
                             note="monotonicity"),
                     certified=True,
                 )
+    # commutativity holds, so the table is symmetric; on a closed grid the
+    # matrices M_j of the docstring decide associativity
+    if not (len(keys) == len(pts)
+            and all(_symmetric(list(map(table.__getitem__, row))) for row in table)):
+        failure = _associativity_sweep(t, pts, g, table, keys, grid_keys)
+        if failure is not None:
+            return failure
+    bps = breakpoints(t)
+    bp_keys = [b.as_integer_ratio() for b in bps]
+    for b, b_key, c_key in zip(bps[1:], bp_keys[1:], bp_keys):  # bps[0] is 0
+        for q, q_key in zip(pts, grid_keys):
+            limit, value = _left_limit(t, b_key, c_key, q_key)
+            if limit != value:
+                return ConditionReport(
+                    "axioms", False,
+                    Witness((b, q), Fraction(*limit), Fraction(*value), note="left continuity"),
+                    certified=True,
+                )
+    return ConditionReport(
+        "axioms", True,
+        notes=("grid evidence; left continuity decided exactly at breakpoints",),
+    )
+
+
+def _associativity_sweep(t: TNorm, pts, g, table, keys, grid_keys) -> ConditionReport | None:
+    """The ordered associativity sweep of ``verify_tnorm_axioms`` over the
+    sorted grid ``pts``, its ``_rank_products`` table ``(g, table, keys)``
+    and the pairs ``grid_keys`` of the grid points: the failing report of
+    the first failing triple, or None."""
     # each operand of an outer & has a slot in the row ``inner`` of p & D[d]:
     # grid point k has slot k, and the off-grid operands follow
     slot = {r: k for k, r in enumerate(g)}
@@ -719,21 +792,7 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
                             note="associativity"),
                     certified=True,
                 )
-    bps = breakpoints(t)
-    bp_keys = [b.as_integer_ratio() for b in bps]
-    for b, b_key, c_key in zip(bps[1:], bp_keys[1:], bp_keys):  # bps[0] is 0
-        for q, q_key in zip(pts, grid_keys):
-            limit, value = _left_limit(t, b_key, c_key, q_key)
-            if limit != value:
-                return ConditionReport(
-                    "axioms", False,
-                    Witness((b, q), Fraction(*limit), Fraction(*value), note="left continuity"),
-                    certified=True,
-                )
-    return ConditionReport(
-        "axioms", True,
-        notes=("grid evidence; left continuity decided exactly at breakpoints",),
-    )
+    return None
 
 
 def _condition_sweeps(

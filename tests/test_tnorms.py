@@ -298,16 +298,39 @@ class TestConditions:
 
     def test_c1_reads_the_left_factor_first(self, monkeypatch):
         # a non-commutative &: minimum, except 1/4 & 1/2 = 3/4 & 1/4 = 0; each
-        # transposition of u & q or p & u moves the first failing triple
+        # transposition of u & q or p & u moves the first failing triple.  Its
+        # table is not symmetric, so the sweep also visits the pairs q < p,
+        # where this first failing triple lies
         install_and(
             monkeypatch,
             lambda t, p, q: F(0) if (p, q) in ((F(1, 4), F(1, 2)), (F(3, 4), F(1, 4)))
             else real_and(t, p, q),
         )
         t, grid = minimum(), [F(1, 4), F(1, 2), F(3, 4)]
+        table = tnorms._rank_products(t, grid)[1]
+        assert table != [list(column) for column in zip(*table)]
         report = check_c1(t, grid)
         assert report == c1_sweep(t, grid)
         assert report.witness == Witness((F(3, 4), F(1, 2), F(1, 4)), F(1, 4), F(0))
+
+    def test_c1_symmetric_table_fails_at_both_orders(self, monkeypatch):
+        # a commutative &: minimum, except 1/2 & 3/4 = 3/4 & 1/2 = 1/8.  Its
+        # table is symmetric, so the sweep visits only the pairs p <= q; C1
+        # fails at (1/2, 3/4, 1/4) and at (3/4, 1/2, 1/4), and the first of
+        # them is the witness
+        broken = {(F(1, 2), F(3, 4)), (F(3, 4), F(1, 2))}
+        install_and(
+            monkeypatch,
+            lambda t, p, q: F(1, 8) if (p, q) in broken else real_and(t, p, q),
+        )
+        t, grid = minimum(), [F(1, 4), F(1, 2), F(3, 4)]
+        table = tnorms._rank_products(t, grid)[1]
+        assert table == [list(column) for column in zip(*table)]
+        assert c1_sides(t, F(1, 2), F(3, 4), F(1, 4)) == (F(1, 8), F(1, 4))
+        assert c1_sides(t, F(3, 4), F(1, 2), F(1, 4)) == (F(1, 8), F(1, 4))
+        report = check_c1(t, grid)
+        assert report == c1_sweep(t, grid)
+        assert report.witness == Witness((F(1, 2), F(3, 4), F(1, 4)), F(1, 8), F(1, 4))
 
     def test_idempotent_square_closure(self, all_families):
         for name in ("minimum", "interval-collapse"):
@@ -338,6 +361,16 @@ class TestExtractIntervals:
         assert not extraction.ok
         p, u = extraction.witness.values
         assert not c2_holds(lukasiewicz(), p, u)
+
+    @pytest.mark.parametrize("t", [product_tnorm(), lukasiewicz(), nilpotent_minimum()],
+                             ids=["product", "lukasiewicz", "nilpotent"])
+    def test_witness_is_first_c2_violation_on_canonical_grid(self, t, monkeypatch):
+        # the pair is a constant; its sides take one evaluation of &
+        expected = check_c2(t, canonical_grid(t)).witness
+        calls = []
+        install_and(monkeypatch, lambda t, p, q: calls.append(None) or real_and(t, p, q))
+        assert extract_intervals(t).witness == expected
+        assert len(calls) <= 1
 
 
 class TestConstruction:
@@ -470,6 +503,38 @@ class TestAxiomFailures:
             (F(1, 2), F(1, 2), F(1, 2)), F(1, 8), F(0), "associativity"
         )
 
+    def test_associativity_on_a_closed_grid(self, monkeypatch):
+        # closed, commutative and monotone on {0, 1/4, 1/2, 1}: minimum, except
+        # 1/4 & 1/4 = 0 and 1/4 & 1/2 = 1/2 & 1/4 = 1/2 & 1/2 = 1/4.  The
+        # matrix M of q = 1/2 is not symmetric, so the ordered sweep names
+        # the triple: (1/4 & 1/2) & 1/2 = 1/4, 1/4 & (1/2 & 1/2) = 0
+        low = {(F(1, 4), F(1, 4)): F(0), (F(1, 4), F(1, 2)): F(1, 4),
+               (F(1, 2), F(1, 4)): F(1, 4), (F(1, 2), F(1, 2)): F(1, 4)}
+        install_and(monkeypatch,
+                    lambda t, p, q: low[p, q] if (p, q) in low else real_and(t, p, q))
+        grid = [F(0), F(1, 4), F(1, 2), F(1)]
+        report = verify_tnorm_axioms(minimum(), grid)
+        assert report == axioms_bruteforce(minimum(), grid)
+        assert report.witness == Witness(
+            (F(1, 4), F(1, 2), F(1, 2)), F(1, 4), F(0), "associativity"
+        )
+
+    @pytest.mark.parametrize("t, grid", [
+        (minimum(), [F(0), F(1, 4), F(1, 2), F(1)]),
+        (lukasiewicz(), [F(k, 4) for k in range(5)]),
+        (nilpotent_minimum(), canonical_grid(nilpotent_minimum(), 12)),
+    ], ids=["minimum", "lukasiewicz", "nilpotent"])
+    def test_closed_grid_skips_the_ordered_sweep(self, t, grid, monkeypatch):
+        # every product lies on the grid and & is associative: the symmetric
+        # matrices decide associativity, and the ordered sweep never runs
+        def ordered_sweep(*args):
+            raise AssertionError("ordered associativity sweep ran")
+
+        monkeypatch.setattr(tnorms, "_associativity_sweep", ordered_sweep)
+        report = verify_tnorm_axioms(t, grid)
+        assert report.verdict
+        assert report == axioms_bruteforce(t, grid)
+
     def test_left_continuity(self, monkeypatch):
         # nilpotent minimum with p + q >= 1: on {0, 1/2, 1} it agrees with
         # minimum, but it jumps at p = 1/2 for q = 1/2
@@ -536,14 +601,13 @@ class TestSharedTableMatchesStandaloneChecks:
         lukasiewicz(), nilpotent_minimum(),
     ], ids=["minimum", "collapse", "lukasiewicz", "nilpotent"])
     def test_check_tnorm_calls_apply_for_c2_only_in_the_table(self, t, tmp_path, monkeypatch):
-        # every product of two grid points lies on these grids, so besides
-        # extract_intervals, the & kernel runs only for the table, the unit
-        # check and left continuity: C1 and C2 read the table
+        # every product of two grid points lies on these grids, so the &
+        # kernel runs only for the table, the unit check and left continuity,
+        # and once for the sides of the C3-form witness where C1 fails: C1
+        # and C2 read the table, and extract_intervals sweeps no grid
         calls = []
         install_and(monkeypatch, lambda t, p, q: calls.append(None) or real_and(t, p, q))
-        extract_intervals(t)
-        extraction_calls = len(calls)
-        calls.clear()
+        extraction_calls = 0 if tnorms._c1_holds_on_unit_interval(t) else 1
         grid = canonical_grid(t, 24)
         n = len(grid)
         path = tmp_path / "tnorm.json"
