@@ -18,12 +18,12 @@ the functors z×x -> y onto the functors z -> y^x, whether or not the power
 y^x is a category (proof in ``check_currying``).  So the verdict turns on
 whether each power validates, and C1 on the grid decides that for every
 pair of categories with hom values in the grid (proof in ``check_ccc``):
-the sweep builds no power.  It counts the categories of each size by
-backtracking on grid ranks (proof in ``enumerate_categories``), and it
-builds categories and counts the maps its budget bounds only for the size
-classes whose sizes cannot settle that bound.  Category generation reads
-p & q from the grid² rank table of ``tnorms._rank_products``, and the sweep
-builds that table once and shares it between C1 and the generation.
+the sweep builds no category, power or functor.  It only counts the
+categories of each size by backtracking on grid ranks (proof in
+``enumerate_categories``), and the budget bounds that count alone.
+Category generation reads p & q from the grid² rank table of
+``tnorms._rank_products``, and the sweep builds that table once and shares
+it between C1 and the generation.
 ``check_exponentiable`` reads one such table too, over the grid and the
 category's hom values, and calls no Fraction-level &.
 
@@ -262,7 +262,7 @@ def _functor_images(src: RCat, dst: RCat, budget: int):
     comparison of their values.  The rank of 1 is ``len(values) - 1``,
     also for two empty categories.
     """
-    _check_map_budget(len(dst), (len(src),), budget)
+    _check_map_budget(len(dst), len(src), budget)
     values = sorted({ONE, *(v for row in src.hom + dst.hom for v in row)})
     rank = {v: r for r, v in enumerate(values)}
     src_m = [[rank[v] for v in row] for row in src.hom]
@@ -421,15 +421,14 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
     )
 
 
-def _check_map_budget(power_size: int, z_sizes, budget: int) -> None:
-    """Raise where enumerating the functors z -> y^x would exceed ``budget``.
+def _check_map_budget(targets: int, sources: int, budget: int) -> None:
+    """Raise where the maps from ``sources`` elements to ``targets`` exceed ``budget``.
 
-    That enumeration needs power_size**len(z) candidates; the first z size in
-    ``z_sizes`` whose count is over budget is reported.
+    Enumerating those maps takes targets**sources candidates.
     """
-    for size in z_sizes:
-        if power_size**size > budget:
-            raise BudgetError(power_size**size, budget, "map enumeration")
+    count = targets**sources
+    if count > budget:
+        raise BudgetError(count, budget, "map enumeration")
 
 
 def check_currying(
@@ -468,7 +467,7 @@ def check_currying(
     w = _validate_power(t, power)
     if w is not None:
         return replace(w, note=f"power object fails category axioms ({w.note})")
-    _check_map_budget(len(power), (len(z),), budget)
+    _check_map_budget(len(power), len(z), budget)
     return None
 
 
@@ -609,18 +608,6 @@ def _rank_fills(g: list[int], table: list[list[int]], size: int):
                 s += 1
 
 
-def _categories(pts: list[Fraction], g: list[int], table: list[list[int]], size: int):
-    """Yield the categories of ``_rank_fills(g, table, size)``, with hom values
-    read from the sorted grid ``pts``."""
-    labels = tuple(f"e{i}" for i in range(size))
-    slots = _off_diagonal(size)
-    for fill in _rank_fills(g, table, size):
-        hom = [[ONE] * size for _ in range(size)]
-        for (i, j), r in zip(slots, fill):
-            hom[i][j] = pts[r]
-        yield RCat(labels, tuple(map(tuple, hom)))
-
-
 def enumerate_categories(
     t: TNorm, grid, size: int, budget: int = DEFAULT_BUDGET
 ) -> list[RCat]:
@@ -659,7 +646,15 @@ def enumerate_categories(
     pts = _sorted_grid(grid)
     _check_generation_budget(len(pts), size, budget)
     g, table, _ = _rank_products(t, pts)
-    return list(_categories(pts, g, table, size))
+    labels = tuple(f"e{i}" for i in range(size))
+    slots = _off_diagonal(size)
+    cats = []
+    for fill in _rank_fills(g, table, size):
+        hom = [[ONE] * size for _ in range(size)]
+        for (i, j), r in zip(slots, fill):
+            hom[i][j] = pts[r]
+        cats.append(RCat(labels, tuple(map(tuple, hom))))
+    return cats
 
 
 def min_transitive_closure(hom) -> tuple[tuple[Fraction, ...], ...]:
@@ -689,9 +684,10 @@ class CccReport:
 
     ``triples_checked`` is the number of triples (x, y, z) of generated
     categories that the theorem settles: ``categories**3`` after a C1 pass,
-    0 after a C1 failure.  ``witness`` is kept for the report key; it is
-    None after a C1 pass, since then every power validates (``check_ccc``),
-    and a C1 failure is witnessed by ``bundle``.
+    0 after a C1 failure.  It counts no work, and no budget bounds it: none
+    of those triples is enumerated.  ``witness`` is kept for the report
+    key; it is None after a C1 pass, since then every power validates
+    (``check_ccc``), and a C1 failure is witnessed by ``bundle``.
     """
 
     verdict: bool
@@ -739,21 +735,12 @@ def check_ccc(
     read p & q from it, so the & kernel runs once per grid pair.  The table
     lives for this call only.
 
-    The budget bounds the categories of each size, the ``categories**3``
-    triples, the maps x -> y of each pair and the maps z -> y^x that
-    currying relates (``check_currying``).  The categories of each size are
-    only counted, on grid ranks (``enumerate_categories`` proves that the
-    rank generator keeps exactly the fills ``validate`` accepts).  The
-    sizes settle most pairs: there are |y|**|x| candidate maps x -> y, so
-    y^x has at most that many elements and there are at most
-    |y|**(|x|·|z|) maps z -> y^x.  If |y|**(|x|·max |z|) <= budget, neither
-    budget can be exceeded for the pair (max |z| >= 1).  That test depends
-    only on the two sizes, so it is decided once per pair of sizes.  Only
-    the categories of the sizes in a failing class are built, from the same
-    table, and only the pairs of those classes have their functors
-    counted.  They are visited in the order of ``itertools.product`` over
-    all categories in size order, so the first ``BudgetError`` is that of
-    the pair-by-pair sweep.
+    The categories of each size are only counted, on grid ranks
+    (``enumerate_categories`` proves that the rank generator keeps exactly
+    the fills ``validate`` accepts).  That count is the one piece of work
+    left after a C1 pass, so the budget bounds it alone: the generation at
+    each size, checked in size order before its count.  No triple, power or
+    functor is enumerated, so nothing else is bounded.
     """
     if max_size < 1:
         raise InputError(f"max size must be >= 1, got {max_size}")
@@ -764,22 +751,8 @@ def check_ccc(
         bundle = counterexample(t, *c1.witness.values)
         return CccReport(False, c1, bundle, 0, 0)
 
-    counts = {}
+    n = 0
     for size in range(1, max_size + 1):
         _check_generation_budget(len(pts), size, budget)
-        counts[size] = sum(1 for _ in _rank_fills(g, table, size))
-    n = sum(counts.values())
-    triples = n**3
-    if triples > budget:
-        raise BudgetError(triples, budget, "category triple sweep")
-
-    z_sizes = [size for size, count in counts.items() if count]
-    failing = {
-        (sx, sy) for sx in z_sizes for sy in z_sizes if sy ** (sx * z_sizes[-1]) > budget
-    }
-    built = sorted({size for pair in failing for size in pair})
-    cats = [cat for size in built for cat in _categories(pts, g, table, size)]
-    for x, y in itertools.product(cats, repeat=2):
-        if (len(x), len(y)) in failing:
-            _check_map_budget(len(_functor_images(x, y, budget)[3]), z_sizes, budget)
-    return CccReport(True, c1, None, n, triples)
+        n += sum(1 for _ in _rank_fills(g, table, size))
+    return CccReport(True, c1, None, n, n**3)

@@ -228,7 +228,7 @@ def cmd_power_completeness(args) -> RunReport:
     report.inputs["cycle_budget"] = args.max_size
     if args.max_size < 1:
         raise InputError(f"cycle budget must be >= 1, got {args.max_size}")
-    w = check_power_completeness(t, base, fiber, args.budget)
+    w = check_power_completeness(t, base, fiber)
     report.add("power-completeness", w, w is None)
     return report
 
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-size", type=int, default=3,
                    help="cycle budget: recorded in the report; the verdict "
                         "does not depend on it")
-    _add_budget(s)
     _add_common(s)
     s.set_defaults(handler=cmd_power_completeness)
 

@@ -50,13 +50,10 @@ from fractions import Fraction
 
 from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, format_rational
-from .tnorms import (TNorm, Witness, _c1_holds_on_unit_interval, canonical_grid, check_c1,
-                     interval_collapse)
+from .tnorms import _C1_VIOLATIONS, TNorm, Witness, _c1_holds_on_unit_interval, interval_collapse
 from .categories import (
-    DEFAULT_BUDGET,
     RCat,
     RFunctor,
-    _check_map_budget,
     _require_valid,
     is_functor,
     product,
@@ -321,20 +318,14 @@ def check_product_bilimit(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
     return None
 
 
-def check_power_completeness(
-    t: TNorm,
-    base: RCat,
-    fiber: RCat,
-    budget: int = DEFAULT_BUDGET,
-) -> Witness | None:
+def check_power_completeness(t: TNorm, base: RCat, fiber: RCat) -> Witness | None:
     """Function spaces over a C1-passing t-norm stay Cauchy complete.
 
     Every Cauchy functor cycle has a bilimit in the power, and taking the
     bilimit of f_n(a) in the fiber for each a yields a functor isomorphic
     (mutual hom 1) to it.  That holds for every t-norm once base and fiber
-    are categories, so after validating both and checking the budget
-    nothing is left to check, and neither the power nor its functors are
-    built:
+    are categories, so after validating both nothing is left to check, and
+    neither the power nor its functors are built or counted:
 
     * f = cycle[0] is a bilimit of a Cauchy cycle f_n, by the
       finite-completeness lemma (module docstring).  The lemma applies since
@@ -355,22 +346,16 @@ def check_power_completeness(
     So g is a power element isomorphic to the power bilimit, whatever the
     cycle.  ``tests/test_proofs.py`` checks the last point by brute force.
 
-    The budget bounds the enumeration of the functors base -> fiber, the
-    first step of building the power.  That enumeration raises
-    ``BudgetError`` exactly when its len(fiber)**len(base) candidate maps
-    exceed ``budget``, and it raises nothing else, so ``_check_map_budget``
-    on that count raises the same error without enumerating.  The C1
+    Since no functor is enumerated, no budget applies.  The C1
     precondition is kept as the contract of the check, although the proof
-    does not use it.  ``_c1_holds_on_unit_interval`` decides it, and
-    ``check_c1`` on the canonical grid runs only when it fails, to name the
-    witness.
+    does not use it.  ``_c1_holds_on_unit_interval`` decides it, and the
+    error names the family's triple in ``tnorms._C1_VIOLATIONS``, the first
+    C1 violation that ``check_c1`` finds on ``canonical_grid(t)``.
     """
     if not _c1_holds_on_unit_interval(t):
-        c1 = check_c1(t, canonical_grid(t))
-        triple = ", ".join(map(format_rational, c1.witness.values))
+        triple = ", ".join(map(format_rational, _C1_VIOLATIONS[t.family]))
         raise PreconditionError(f"t-norm {t.describe()} fails C1 at ({triple})")
     _require_valid(t, base, fiber)
-    _check_map_budget(len(fiber), (len(base),), budget)
     return None
 
 

@@ -566,6 +566,20 @@ def _c1_holds_on_unit_interval(t: TNorm) -> bool:
     (3/4, 3/4, 1/2), (1/2, 1/4); nilpotent minimum at (3/4, 3/4, 1/5),
     (1/5, 0).  ``tests/test_tnorms.py`` checks these triples and that this
     predicate equals the verdict of ``check_c1`` on ``canonical_grid(t)``.
+
+    ``_C1_VIOLATIONS`` holds the first failing triple of ``check_c1`` on
+    ``canonical_grid(t)``, which is k/40 for k = 0..40 under these three
+    families.  The sweep runs in (p, q, u) order over u < p ∧ q, and u = 0
+    never fails (both sides are 0), so the first candidate is p = 1/20,
+    u = 1/40, with q ascending from 1/20:
+
+    * Product: q = 1/20 fails, with sides (1/400, 1/800).
+    * Łukasiewicz: u & q = max(q - 39/40, 0), p & u = 0 and
+      p & q = max(q - 38/40, 0), so both sides are 0 up to q = 38/40 and
+      q = 39/40 fails, with sides (1/40, 0).
+    * Nilpotent minimum: p & u = 0, and u & q = 0 for q < 1, while
+      p & q = 0 up to q = 38/40 and 1/20 at q = 39/40, which fails, with
+      sides (1/40, 0).
     """
     return t.family in (MINIMUM, INTERVAL_COLLAPSE)
 
@@ -581,6 +595,14 @@ class IntervalExtraction:
     def ok(self) -> bool:
         return self.intervals is not None
 
+
+# (p, q, u) of the first C1 violation that check_c1 finds on canonical_grid(t),
+# for each family that fails C1 (derivation in _c1_holds_on_unit_interval)
+_C1_VIOLATIONS = {
+    PRODUCT: (Fraction(1, 20), Fraction(1, 20), Fraction(1, 40)),
+    LUKASIEWICZ: (Fraction(1, 20), Fraction(39, 40), Fraction(1, 40)),
+    NILPOTENT_MINIMUM: (Fraction(1, 20), Fraction(39, 40), Fraction(1, 40)),
+}
 
 # (p, u) of the C3-form witness of each family that fails C2
 _C2_VIOLATIONS = {

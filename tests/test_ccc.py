@@ -182,32 +182,34 @@ class TestCheckCcc:
         with pytest.raises(InputError, match="max size must be >= 1"):
             check_ccc(tnorm, (F(0), F(1, 2), F(1)), 0)
 
-    @pytest.mark.parametrize("budget, message", [
-        (7, "category triple sweep needs 8 candidates but the budget is 7"),
-        (8, "map enumeration needs 16 candidates but the budget is 8"),
-        (15, "map enumeration needs 16 candidates but the budget is 15"),
-    ])
-    def test_sweep_budget(self, budget, message):
-        # the discrete categories of sizes 1 and 2; the power of the
-        # 2-element one over itself has 4 elements, so 4**2 maps from z = it
+    @pytest.mark.parametrize("budget", [1, 7, 8, 15])
+    def test_sweep_budget(self, budget):
+        # the discrete categories of sizes 1 and 2, one fill each: the budget
+        # bounds only their generation, not the 8 triples or any maps
+        report = check_ccc(minimum(), [F(0)], 2, budget)
+        assert (report.categories, report.triples_checked) == (2, 8)
+
+    def test_sweep_budget_bounds_generation(self):
         with pytest.raises(BudgetError) as exc:
-            check_ccc(minimum(), [F(0)], 2, budget)
-        assert str(exc.value) == message
+            check_ccc(minimum(), [F(0)], 2, 0)
+        assert str(exc.value) == (
+            "category generation at size 1 needs 1 candidates but the budget is 0")
 
     def test_sweep_fits_budget(self):
         report = check_ccc(minimum(), [F(0)], 2, 16)
         assert report.verdict and report.triples_checked == 8
 
     def test_sizes_settle_the_readme_sweep(self, monkeypatch):
-        # at budget 10**9 no size class needs functor counts, so the sweep
-        # only counts categories on ranks: nothing is built or validated
+        # at the default budget the sweep only counts categories on ranks:
+        # nothing is built, validated or mapped
         def unused(*args):
-            raise AssertionError("the sizes settle every pair of the sweep")
+            raise AssertionError("C1 settles every pair of the sweep")
 
-        for name in ("enumerate_categories", "validate", "enumerate_functors"):
+        for name in ("enumerate_categories", "validate", "enumerate_functors",
+                     "_functor_images"):
             monkeypatch.setattr(categories, name, unused)
         t = interval_collapse([(F(1, 4), F(1, 2))])
-        report = check_ccc(t, (F(0), F(1, 4), F(1, 2), F(1)), 3, 10**9)
+        report = check_ccc(t, (F(0), F(1, 4), F(1, 2), F(1)), 3)
         assert report.verdict and report.categories == 878
 
     @pytest.mark.parametrize("tnorm, grid", [
@@ -232,7 +234,7 @@ class TestCheckCcc:
         grid = (F(0), F(1, 4), F(1, 2), F(1))
         sizes = [len(enumerate_categories(t, grid, size)) for size in (1, 2, 3)]
         assert sizes == [1, 16, 861]
-        report = check_ccc(t, grid, 3, 10**9)
+        report = check_ccc(t, grid, 3)
         assert report.verdict
         assert (report.categories, report.triples_checked) == (878, 878**3)
 

@@ -269,6 +269,14 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert "error: argument --budget: must be >= 0, got -5" in err
 
+    def test_default_flags_count_the_canonical_grid(self, files, capsys):
+        # 41 grid points: 1 category of size 1 and 41**2 of size 2, within
+        # the default budget; no bound applies to the 1682**3 triples
+        code, out, _ = run(capsys, "ccc-suite", files["minimum"])
+        assert code == 0
+        ccc = parse_report(out)["verdicts"][0]
+        assert ccc["ok"] and ccc["result"]["categories"] == 1682
+
     def test_zero_budget_exit_3(self, files, capsys):
         code, out, err = run(capsys, "ccc-suite", files["minimum"], "--values", "0,1",
                              "--budget", "0")
@@ -417,7 +425,8 @@ def base_argv(files, command):
 FLAG_VALUES = {"--budget": "5", "--grid": "3", "--values": "0,1/2,1", "--max-size": "2"}
 # (subcommand, flag) pairs whose handler does not read the flag
 UNREAD_FLAGS = (
-    [(c, "--budget") for c in ("check-tnorm", "product", "counterexample", "limits")]
+    [(c, "--budget")
+     for c in ("check-tnorm", "product", "counterexample", "limits", "power-completeness")]
     + [(c, f) for f in ("--grid", "--values")
        for c in ("product", "exp", "counterexample", "limits", "power-completeness")]
     + [(c, "--max-size")
@@ -456,8 +465,8 @@ class TestCommandLine:
     def test_help_exits_0_and_lists_only_read_flags(self, capsys):
         code, out, _ = run(capsys, "power-completeness", "-h")
         assert code == 0
-        assert "--max-size" in out and "--budget" in out
-        assert "--grid" not in out and "--values" not in out
+        assert "--max-size" in out
+        assert "--budget" not in out and "--grid" not in out and "--values" not in out
         code, out, _ = run(capsys, "-h")
         assert code == 0 and "ccc-suite" in out
 

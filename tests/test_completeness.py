@@ -32,7 +32,7 @@ from tnormcat import (
     terminal,
     unit_interval_category,
 )
-from tnormcat import completeness
+from tnormcat import completeness, tnorms
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 from conftest import EIGHT_GRID, make_random_category
@@ -319,7 +319,7 @@ class TestPowerCompleteness:
         def sweep(*args):
             raise AssertionError("check_c1 ran")
 
-        monkeypatch.setattr(completeness, "check_c1", sweep)
+        monkeypatch.setattr(tnorms, "_c1_sweep", sweep)
         assert check_power_completeness(all_families[family], two_chain, two_chain) is None
 
     @pytest.mark.parametrize("family, values", [

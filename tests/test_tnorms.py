@@ -641,6 +641,13 @@ class TestC1OnUnitInterval:
         assert not tnorms._c1_holds_on_unit_interval(t)
         assert c1_sides(t, *triple) == sides
 
+    @pytest.mark.parametrize("t", [product_tnorm(), lukasiewicz(), nilpotent_minimum()],
+                             ids=["product", "lukasiewicz", "nilpotent"])
+    def test_c1_violations_are_first_on_canonical_grid(self, t):
+        witness = check_c1(t, canonical_grid(t)).witness
+        assert tnorms._C1_VIOLATIONS[t.family] == witness.values
+        assert c1_sides(t, *witness.values) == (witness.lhs, witness.rhs)
+
 
 class TestAxiomsReadOnGridOperandsFromTheTable:
     @pytest.mark.parametrize("t, resolution", [
