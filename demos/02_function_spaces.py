@@ -55,7 +55,7 @@ print("currying bijection on sample triples (fiber rebuilt per t-norm,")
 print("since the residuum hom depends on the t-norm):")
 for tn in (minimum(), t):
     own_fiber = unit_interval_category(tn, [F(0), F(1, 4), F(1, 2), F(1)])
-    w = check_currying(tn, two_chain, own_fiber, two_chain)
+    w = check_currying(tn, two_chain, own_fiber)
     print(f"  under {tn.describe()}: {'ok' if w is None else w.note}")
 print()
 

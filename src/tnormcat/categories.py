@@ -260,9 +260,12 @@ def _functor_images(src: RCat, dst: RCat, budget: int):
     source element) of the maps that never shrink a hom.  Ranks are
     injective and order-preserving, so comparing two ranks decides the
     comparison of their values.  The rank of 1 is ``len(values) - 1``,
-    also for two empty categories.
+    also for two empty categories.  ``BudgetError`` is raised where the
+    len(dst)**len(src) maps to try exceed ``budget``.
     """
-    _check_map_budget(len(dst), len(src), budget)
+    count = len(dst) ** len(src)
+    if count > budget:
+        raise BudgetError(count, budget, "map enumeration")
     values = sorted({ONE, *(v for row in src.hom + dst.hom for v in row)})
     rank = {v: r for r, v in enumerate(values)}
     src_m = [[rank[v] for v in row] for row in src.hom]
@@ -421,18 +424,8 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
     )
 
 
-def _check_map_budget(targets: int, sources: int, budget: int) -> None:
-    """Raise where the maps from ``sources`` elements to ``targets`` exceed ``budget``.
-
-    Enumerating those maps takes targets**sources candidates.
-    """
-    count = targets**sources
-    if count > budget:
-        raise BudgetError(count, budget, "map enumeration")
-
-
 def check_currying(
-    t: TNorm, x: RCat, y: RCat, z: RCat, budget: int = DEFAULT_BUDGET
+    t: TNorm, x: RCat, y: RCat, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
     """Adjunction check: functors z×x -> y correspond exactly to z -> y^x.
 
@@ -459,15 +452,13 @@ def check_currying(
     in V-categories", 2006, give the general criterion).
     ``tests/test_proofs.py`` checks the bijection by brute force.
 
-    ``z`` is only counted: enumerating the functors z -> y^x needs
-    len(y^x)**len(z) candidates, and ``BudgetError`` is raised when that
-    exceeds ``budget`` on a valid power.
+    So no z is needed: the verdict is that of the power alone.  ``budget``
+    bounds the enumeration of the functors x -> y that build it.
     """
     power = exponential(t, x, y, budget)
     w = _validate_power(t, power)
     if w is not None:
         return replace(w, note=f"power object fails category axioms ({w.note})")
-    _check_map_budget(len(power), len(z), budget)
     return None
 
 

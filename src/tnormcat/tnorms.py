@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import count
 from operator import itemgetter
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .rationals import ONE, ZERO, check_unit, format_rational
 
 MINIMUM = "minimum"
@@ -335,7 +335,7 @@ class ConditionReport:
 
     def __post_init__(self):
         if not self.verdict and self.witness is None:
-            raise ValueError("a failing report must carry a witness")
+            raise InvariantError("a failing report must carry a witness")
 
 
 def _ascending(keys) -> list[tuple[int, int]]:

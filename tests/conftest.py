@@ -33,9 +33,10 @@ def install_and(mp, amp):
     converting the pairs to Fractions on the way in and each value back to
     a pair on the way out.  So every evaluation of & is one call of
     ``amp``, however the kernel's callers group them.  Every & of
-    ``tnorms``, ``categories`` and ``tests/oracles.py`` reaches that
-    kernel, through ``apply`` or directly.  ``amp`` must compute the real &
-    with ``real_and``, not ``apply``, which would call it again.
+    ``tnorms`` and ``categories``, and the default & of the sweeps of
+    ``tests/oracles.py``, reaches that kernel, through ``apply`` or
+    directly.  ``amp`` must compute the real & with ``real_and``, not
+    ``apply``, which would call it again.
     """
     def kernel(t, ps, q):
         q = Fraction(*q)

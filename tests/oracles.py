@@ -2,10 +2,17 @@
 
 Everything here recomputes values from the defining formulas, deliberately
 avoiding the closed forms under test.
+
+``closed_form_apply`` is the one kernel-independent & of the tests.  The
+sweeps below take their & as an argument ``amp(t, p, q)``: by default
+``tnorms.apply``, so that a & installed by ``conftest.install_and`` is
+seen, or ``closed_form_apply``, so that the sweep shares no code with the
+kernel it checks (``tests/test_scale.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -66,7 +73,8 @@ def interval_collapse_apply(intervals, p: Fraction, q: Fraction) -> Fraction:
 
 
 def closed_form_apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
-    """p & q from the family's defining formula, with Fraction operators."""
+    """p & q from the family's defining formula, with Fraction operators:
+    the one & of the tests that does not reach ``tnorms._and_col``."""
     if t.family == tnorms.MINIMUM:
         return min(p, q)
     if t.family == tnorms.PRODUCT:
@@ -78,15 +86,18 @@ def closed_form_apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     return interval_collapse_apply(t.intervals, p, q)
 
 
-def left_limit(t: TNorm, b: Fraction, q: Fraction, bps) -> Fraction:
+def left_limit(t: TNorm, b: Fraction, q: Fraction, bps, amp=apply, step=None) -> Fraction:
     """sup_{p<b} p & q, by the argument of ``tnorms._left_limit`` on
-    Fraction operators: extrapolate two samples of the affine piece (c, b).
+    Fraction operators: extrapolate two samples of the affine piece (c, b),
+    at b - 2·step and b - step.
 
-    Calls ``tnorms.apply``, so a patched & is seen.
+    c is the largest of the breakpoints, q and 1 - q below b, and ``step``
+    defaults to (b - c)/3; a given ``step`` must keep both samples in (c, b).
     """
-    c = max(v for v in bps + (q, 1 - q) if v < b)
-    y1 = tnorms.apply(t, (2 * c + b) / 3, q)
-    y2 = tnorms.apply(t, (c + 2 * b) / 3, q)
+    if step is None:
+        step = (b - max(v for v in bps + (q, 1 - q) if v < b)) / 3
+    y1 = amp(t, b - 2 * step, q)
+    y2 = amp(t, b - step, q)
     return 2 * y2 - y1
 
 
@@ -135,19 +146,17 @@ def power_hom_bruteforce(base: RCat, fiber: RCat, f_map, g_map, grid=()) -> Frac
     return best
 
 
-def validate_reference(cat: RCat, t: TNorm) -> Witness | None:
-    """``categories.validate`` on Fractions: reflexivity, then one
-    ``tnorms.apply`` and one Fraction comparison per triple of distinct
-    elements, in ``itertools.permutations`` order over the sorted labels.
-
-    Calls ``tnorms.apply``, so a patched & is seen.
+def validate_reference(cat: RCat, t: TNorm, amp=apply) -> Witness | None:
+    """``categories.validate`` on Fractions: reflexivity, then one & and
+    one Fraction comparison per triple of distinct elements, in
+    ``itertools.permutations`` order over the sorted labels.
     """
     order = cat._sorted_indices
     for i in order:
         if cat.hom[i][i] != 1:
             return Witness((cat.elements[i],), cat.hom[i][i], Fraction(1), note="reflexivity")
     for i, j, k in itertools.permutations(order, 3):
-        composed = apply(t, cat.hom[j][k], cat.hom[i][j])
+        composed = amp(t, cat.hom[j][k], cat.hom[i][j])
         if composed > cat.hom[i][k]:
             return Witness(
                 (cat.elements[i], cat.elements[j], cat.elements[k]),
@@ -156,25 +165,23 @@ def validate_reference(cat: RCat, t: TNorm) -> Witness | None:
     return None
 
 
-def exponentiable_bruteforce(t: TNorm, cat: RCat, grid) -> ConditionReport:
-    """``categories.check_exponentiable`` on Fractions: one ``tnorms.apply``
-    per (p, q, x, z, y), in (p, q, x, z) order over the sorted grid and
-    the sorted labels, with the join computed from 0 upwards.
-
-    Calls ``tnorms.apply``, so a patched & is seen.
+def exponentiable_bruteforce(t: TNorm, cat: RCat, grid, amp=apply) -> ConditionReport:
+    """``categories.check_exponentiable`` on Fractions: one & per
+    (p, q, x, z, y), in (p, q, x, z) order over the sorted grid and the
+    sorted labels, with the join computed from 0 upwards.
     """
     pts = sorted_grid_reference(grid)
     order = cat._sorted_indices
     n = len(cat.elements)
     for p in pts:
         for q in pts:
-            pq = apply(t, p, q)
+            pq = amp(t, p, q)
             for xi in order:
                 for zi in order:
                     lhs = min(pq, cat.hom[xi][zi])
                     rhs = Fraction(0)
                     for yi in range(n):
-                        term = apply(t, min(p, cat.hom[yi][zi]), min(q, cat.hom[xi][yi]))
+                        term = amp(t, min(p, cat.hom[yi][zi]), min(q, cat.hom[xi][yi]))
                         if term > rhs:
                             rhs = term
                     if lhs != rhs:
@@ -284,8 +291,9 @@ def keeps_category_laws(cat: RCat) -> bool:
     return True
 
 
-def categories_bruteforce(t: TNorm, grid, size: int, budget: int) -> list[RCat]:
-    """``enumerate_categories`` as a loop: every fill, kept if ``validate`` accepts it.
+def categories_bruteforce(t: TNorm, grid, size: int, budget: int, amp=apply) -> list[RCat]:
+    """``enumerate_categories`` as a loop: every fill, kept if
+    ``validate_reference`` accepts it under ``amp``.
 
     The fills of the off-diagonal slots, row by row, in ``itertools.product``
     order over the sorted grid.
@@ -302,7 +310,7 @@ def categories_bruteforce(t: TNorm, grid, size: int, budget: int) -> list[RCat]:
         for (i, j), v in zip(slots, fill):
             hom[i][j] = v
         cat = RCat(labels, tuple(tuple(row) for row in hom))
-        if validate(cat, t) is None:
+        if validate_reference(cat, t, amp) is None:
             cats.append(cat)
     return cats
 
@@ -360,36 +368,34 @@ def c1_sides(t: TNorm, p, q, u):
     return lhs, rhs
 
 
-def c1_sweep(t: TNorm, grid) -> ConditionReport:
+def c1_sweep(t: TNorm, grid, amp=apply) -> ConditionReport:
     """``check_c1`` swept directly: one & per side at each triple u < p ∧ q.
 
-    Calls ``tnorms.apply`` at each use, so a patched & is seen.  The triples
-    come in (p, q, u) order over the sorted grid; the lemma of ``check_c1``
-    drops the others.
+    The triples come in (p, q, u) order over the sorted grid; the lemma of
+    ``check_c1`` drops the others.
     """
-    amp = lambda p, q: tnorms.apply(t, p, q)
+    tand = functools.partial(amp, t)
     pts = sorted({Fraction(g) for g in grid})
     for p, q, u in itertools.product(pts, repeat=3):
         if u < min(p, q):
-            lhs = min(amp(p, q), u)
-            rhs = max(amp(min(p, u), q), amp(p, min(q, u)))
+            lhs = min(tand(p, q), u)
+            rhs = max(tand(min(p, u), q), tand(p, min(q, u)))
             if lhs != rhs:
                 return ConditionReport("C1", False, Witness((p, q, u), lhs, rhs), True)
     return ConditionReport("C1", True, certified=tnorms._c1_holds_on_unit_interval(t))
 
 
-def c2_sweep(t: TNorm, grid) -> ConditionReport:
+def c2_sweep(t: TNorm, grid, amp=apply) -> ConditionReport:
     """``check_c2`` swept directly: one & per use at each pair (p, u).
 
-    Calls ``tnorms.apply`` at each use, so a patched & is seen.  The pairs
-    come in (p, u) order over the sorted grid, and those with u > p & p are
-    skipped.
+    The pairs come in (p, u) order over the sorted grid, and those with
+    u > p & p are skipped.
     """
-    amp = lambda p, q: tnorms.apply(t, p, q)
+    tand = functools.partial(amp, t)
     pts = sorted({Fraction(g) for g in grid})
     for p, u in itertools.product(pts, repeat=2):
-        if u <= amp(p, p) and amp(u, p) != u:
-            return ConditionReport("C2", False, Witness((p, u), amp(u, p), u), True)
+        if u <= tand(p, p) and tand(u, p) != u:
+            return ConditionReport("C2", False, Witness((p, u), tand(u, p), u), True)
     return ConditionReport("C2", True, certified=tnorms._c1_holds_on_unit_interval(t))
 
 
@@ -397,40 +403,41 @@ def c2_holds(t: TNorm, p, u) -> bool:
     return not (u <= apply(t, p, p)) or apply(t, u, p) == u
 
 
-def axioms_bruteforce(t: TNorm, grid) -> ConditionReport:
+def axioms_bruteforce(t: TNorm, grid, amp=apply, step=None) -> ConditionReport:
     """``verify_tnorm_axioms`` swept directly: one & per side at every tuple.
 
-    Calls ``tnorms.apply`` at each use, so a patched & is seen.  The sweeps
-    and their order are those of the docstring of ``verify_tnorm_axioms``;
-    left continuity compares ``left_limit`` with b & q.
+    The sweeps and their order are those of the docstring of
+    ``verify_tnorm_axioms``; left continuity compares ``left_limit`` (with
+    ``step``) with b & q.
     """
     def fail(values, lhs, rhs, note):
         return ConditionReport("axioms", False, Witness(values, lhs, rhs, note), True)
 
-    amp = lambda p, q: tnorms.apply(t, p, q)
+    tand = functools.partial(amp, t)
     pts = sorted({Fraction(g) for g in grid})
     one = Fraction(1)
     for i, p in enumerate(pts):
-        if amp(one, p) != p:
-            return fail((one, p), amp(one, p), p, "unit")
+        if tand(one, p) != p:
+            return fail((one, p), tand(one, p), p, "unit")
         for q in pts[i + 1:]:
-            if amp(p, q) != amp(q, p):
-                return fail((p, q), amp(p, q), amp(q, p), "commutativity")
+            if tand(p, q) != tand(q, p):
+                return fail((p, q), tand(p, q), tand(q, p), "commutativity")
     for p, p2 in zip(pts, pts[1:]):
         for q in pts:
-            if amp(p, q) > amp(p2, q):
-                return fail((p, p2, q), amp(p, q), amp(p2, q), "monotonicity")
+            if tand(p, q) > tand(p2, q):
+                return fail((p, p2, q), tand(p, q), tand(p2, q), "monotonicity")
     for p in pts:
         for q in pts:
             for u in pts:
-                lhs, rhs = amp(amp(p, q), u), amp(p, amp(q, u))
+                lhs, rhs = tand(tand(p, q), u), tand(p, tand(q, u))
                 if lhs != rhs:
                     return fail((p, q, u), lhs, rhs, "associativity")
     bps = tnorms.breakpoints(t)
     for b in bps[1:]:
         for q in pts:
-            if left_limit(t, b, q, bps) != amp(b, q):
-                return fail((b, q), left_limit(t, b, q, bps), amp(b, q), "left continuity")
+            limit = left_limit(t, b, q, bps, amp, step)
+            if limit != tand(b, q):
+                return fail((b, q), limit, tand(b, q), "left continuity")
     return ConditionReport(
         "axioms", True,
         notes=("grid evidence; left continuity decided exactly at breakpoints",),

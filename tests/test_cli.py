@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import UNITS, broken_ands, collapse_norms, install_and
 from tnormcat import (
+    ConditionReport,
     InvariantError,
     breakpoints,
     cli,
@@ -333,6 +334,13 @@ class TestOtherCommands:
         assert (code, out) == (4, "")
         assert f"internal error: {type(fault).__name__}: {fault}" in err
 
+    def test_failing_report_without_witness_exit_4(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_condition_sweeps",
+                            lambda t, grid: (ConditionReport("C1", False),) * 3)
+        code, out, err = run(capsys, "check-tnorm", files["minimum"])
+        assert (code, out) == (4, "")
+        assert err == "internal error: InvariantError: a failing report must carry a witness\n"
+
     def test_output_file(self, files, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "check-tnorm", files["minimum"],
@@ -583,9 +591,12 @@ def ascii_env():
 def test_files_are_utf8_under_an_ascii_locale(files, tmp_path, ascii_env):
     """``-o`` reports and input files are UTF-8 whatever the locale's encoding."""
     env = ascii_env
+    # labels with a quote, a backslash, a comma and a non-ASCII letter
     labels = tmp_path / "labels.json"
-    labels.write_text(json.dumps({"elements": ["é", 'q"\\,'], "hom": [["1", "0"], ["0", "1"]]},
+    labels.write_text(json.dumps({"elements": ['q"', "b\\s", "c,é"],
+                                  "hom": [["1", "1/2", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
                                  ensure_ascii=False), encoding="utf-8")
+    reports = {}
     runs = {
         "counterexample": [files["lukasiewicz"], "9/10", "9/10", "1/2"],
         "product": [str(labels), files["chain"], "--tnorm", files["minimum"]],
@@ -596,11 +607,19 @@ def test_files_are_utf8_under_an_ascii_locale(files, tmp_path, ascii_env):
                               env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         text = target.read_bytes().decode("utf-8")
-        report = json.loads(text)
+        report = reports[command] = json.loads(text)
         assert text == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert report["command"] == command
-    assert "∧" in (tmp_path / "counterexample.json").read_text(encoding="utf-8")
-    assert '(é,x)' in (tmp_path / "product.json").read_text(encoding="utf-8")
+    # the bundle replays with the defining formula of Łukasiewicz
+    bundle = reports["counterexample"]["verdicts"][0]["result"]
+    d_fg, d_gh, d_fh, u = (Fraction(bundle[k]) for k in ("d_fg", "d_gh", "d_fh", "u"))
+    lhs = min(oracles.closed_form_apply(lukasiewicz(), d_fg, d_gh), u)
+    rhs = min(d_fh, u)
+    violated = bundle["violated"]
+    assert violated["inequality"] == "(d_fg & d_gh) ∧ u <= d_fh ∧ u"
+    assert (Fraction(violated["lhs"]), Fraction(violated["rhs"])) == (lhs, rhs) and lhs > rhs
+    assert reports["product"]["verdicts"][0]["result"]["elements"] == [
+        f"({a},{b})" for a in ('q"', "b\\\\s", "c\\,é") for b in "xy"]
 
 
 def test_stdout_is_utf8_under_an_ascii_locale(files, ascii_env):
