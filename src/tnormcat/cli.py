@@ -78,12 +78,16 @@ def _budget(raw: str) -> int:
 
 
 def _parse_values(raw: str) -> list:
+    """The distinct values of a --values list, in input order; of equal
+    values the first is kept, deduplicated on ``as_integer_ratio()`` as
+    ``tnorms._sorted_grid`` does, so that ``len`` counts the grid points."""
     if not raw.strip():
         raise InputError("--values must list at least one rational")
-    vals = []
+    vals = {}
     for k, chunk in enumerate(raw.split(",")):
-        vals.append(parse_rational(chunk, f"--values[{k}]"))
-    return vals
+        v = parse_rational(chunk, f"--values[{k}]")
+        vals.setdefault(v.as_integer_ratio(), v)
+    return list(vals.values())
 
 
 def _grid_inputs(args, command: str):

@@ -44,7 +44,6 @@ violating tuple with both evaluated sides.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -448,25 +447,31 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
     grid ∪ table, so the rank of each side is the min or max of the ranks
     of its parts, and comparing ranks decides the Fraction comparison.
 
-    For p = pts[i], q = pts[j] and m = min(i, j), both sides are compared
-    as int lists over u = pts[k], k < m.  The grid ranks g are increasing,
-    so with c the number of g[k] < rank(p & q), the left side is
-    g[:c] followed by rank(p & q) (m - c) times.  The right side takes the
-    max of (u & q, p & u) = (table[k][j], table[i][k]) at each k, the left
-    factor first as in the law.  The sweep keeps (p, q, u) order, so the
-    witness is the first failing triple of the full grid³ sweep; its sides
-    are rebuilt as Fractions from their ranks.
+    For p = pts[i], q = pts[j] and u = pts[k], the swept triples are those
+    with k < min(i, j), and there the sides are min(g[k], table[i][j]) and
+    max(table[k][j], table[i][k]): u & q, then p & u, the left factor first
+    as in the law.  Each row i of the grid, p = pts[i], is decided by one
+    comparison of two flat int lists in (u, q) order: for each k < i, the j
+    from lo = max(start, k + 1) to the end, with start = i on a symmetric
+    table (below) and 0 otherwise.  The left list reads min(g[k], row[j])
+    from ``row[lo:]``, the right one max(table[k][j], row[k]) from
+    ``table[k][lo:]``.  Since k < min(i, j) holds iff k < i and j >= k + 1,
+    these are exactly the triples k < min(i, j) with j >= start.  On a
+    mismatch the witness is the mismatch with the smallest (j, k), not the
+    first in the lists' (k, j) order, so it is the first failing triple of
+    the full grid³ sweep in (p, q, u) order, with the same sides; they are
+    rebuilt as Fractions from their ranks.
 
     Symmetric table.  When the table equals its transpose, as it does for a
-    commutative &, row i is swept only over j >= i.  At (i, j, k) the sides
-    are min(g[k], table[i][j]) and max(table[k][j], table[i][k]), and at
-    (j, i, k) they are min(g[k], table[j][i]) and
-    max(table[k][i], table[j][k]): by symmetry the same min and the same
-    max.  So (i, j, k) fails exactly when (j, i, k) does, with the same
-    sides.  A failing triple with j < i therefore comes after the failing
-    (j, i, k) in (p, q, u) order, so the first failing triple of the full
-    sweep has i <= j, and the shortened sweep meets it first, with the same
-    witness.
+    commutative &, row i is swept only over j >= i: start = i, so lo = i
+    for every k < i.  At (i, j, k) the sides are min(g[k], table[i][j])
+    and max(table[k][j], table[i][k]), and at (j, i, k) they are
+    min(g[k], table[j][i]) and max(table[k][i], table[j][k]): by symmetry
+    the same min and the same max.  So (i, j, k) fails exactly when
+    (j, i, k) does, with the same sides.  A failing triple with j < i
+    therefore comes after the failing (j, i, k) in (p, q, u) order, so the
+    first failing triple of the full sweep has i <= j, and the shortened
+    sweep meets it first, with the same witness.
 
     The table is built here, for this call only; ``_condition_sweeps``
     builds it once and hands it to this sweep, the C2 sweep and the axioms
@@ -480,24 +485,21 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
 def _c1_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     """The sweep of ``check_c1`` over the sorted grid ``pts`` and its
     ``_rank_products`` table ``(g, table, keys)``, which it only reads."""
-    columns = list(zip(*table))
-    symmetric = columns == list(map(tuple, table))
-    for i, (p, row) in enumerate(zip(pts, table)):
-        start = i if symmetric else 0
-        for j, (q, pq, column) in enumerate(
-                zip(pts[start:], row[start:], columns[start:]), start):
-            m = min(i, j)
-            c = bisect_left(g, pq, 0, m)
-            lhs = g[:c] + [pq] * (m - c)
-            rhs = list(map(max, column[:m], row[:m]))
-            if lhs != rhs:
-                k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                return ConditionReport(
-                    "C1",
-                    False,
-                    Witness((p, q, pts[k]), Fraction(*keys[lhs[k]]), Fraction(*keys[rhs[k]])),
-                    certified=True,
-                )
+    symmetric = list(zip(*table)) == list(map(tuple, table))
+    for i, row in enumerate(table):
+        # lo = max(start, k + 1) for k < i: start = i if symmetric, else 0
+        los = [i] * i if symmetric else range(1, i + 1)
+        lhs = [x if x < gk else gk for gk, lo in zip(g, los) for x in row[lo:]]
+        rhs = [x if x > pu else pu for pu, uq, lo in zip(row, table, los) for x in uq[lo:]]
+        if lhs != rhs:
+            jks = ((j, k) for k, lo in enumerate(los) for j in range(lo, len(row)))
+            (j, k), a, b = min(m for m in zip(jks, lhs, rhs) if m[1] != m[2])
+            return ConditionReport(
+                "C1",
+                False,
+                Witness((pts[i], pts[j], pts[k]), Fraction(*keys[a]), Fraction(*keys[b])),
+                certified=True,
+            )
     return ConditionReport("C1", True, certified=_c1_holds_on_unit_interval(t))
 
 

@@ -12,6 +12,7 @@ kernel it checks (``tests/test_scale.py``).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from fractions import Fraction
@@ -382,6 +383,38 @@ def c1_sweep(t: TNorm, grid, amp=apply) -> ConditionReport:
             rhs = max(tand(min(p, u), q), tand(p, min(q, u)))
             if lhs != rhs:
                 return ConditionReport("C1", False, Witness((p, q, u), lhs, rhs), True)
+    return ConditionReport("C1", True, certified=tnorms._c1_holds_on_unit_interval(t))
+
+
+def c1_rank_sweep_reference(t: TNorm, pts, g, table, keys) -> ConditionReport:
+    """``tnorms._c1_sweep`` one (p, q) pair at a time, on the same rank table.
+
+    For p = pts[i] and q = pts[j], j >= i on a symmetric table and any j
+    otherwise, both sides are compared as int lists over u = pts[k],
+    k < m = min(i, j).  The grid ranks g are increasing, so with c the
+    number of g[k] < rank(p & q), the left side is g[:c] followed by
+    rank(p & q) (m - c) times; the right side is the max of
+    (table[k][j], table[i][k]) at each k.  The pairs come in (p, q) order
+    and the witness is the first mismatching k of the first failing pair.
+    """
+    columns = list(zip(*table))
+    symmetric = columns == list(map(tuple, table))
+    for i, (p, row) in enumerate(zip(pts, table)):
+        start = i if symmetric else 0
+        for j, (q, pq, column) in enumerate(
+                zip(pts[start:], row[start:], columns[start:]), start):
+            m = min(i, j)
+            c = bisect.bisect_left(g, pq, 0, m)
+            lhs = g[:c] + [pq] * (m - c)
+            rhs = list(map(max, column[:m], row[:m]))
+            if lhs != rhs:
+                k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return ConditionReport(
+                    "C1",
+                    False,
+                    Witness((p, q, pts[k]), Fraction(*keys[lhs[k]]), Fraction(*keys[rhs[k]])),
+                    certified=True,
+                )
     return ConditionReport("C1", True, certified=tnorms._c1_holds_on_unit_interval(t))
 
 

@@ -504,6 +504,13 @@ class TestCommandLine:
         code, out, _ = run(capsys, "check-tnorm", files["minimum"], "--values", "0,0.25,1")
         assert code == 0 and parse_report(out)["inputs"]["grid_points"] == 3
 
+    @pytest.mark.parametrize("command", ["check-tnorm", "ccc-suite"])
+    @pytest.mark.parametrize("values, points", [("0,0,1", 2), ("0,1/2,2/4,1", 3),
+                                                ("1,0.5,0,1/2", 3)])
+    def test_grid_points_counts_distinct_values(self, files, capsys, command, values, points):
+        code, out, _ = run(capsys, command, files["minimum"], "--values", values)
+        assert code == 0 and parse_report(out)["inputs"]["grid_points"] == points
+
     def test_input_that_is_not_utf8_exits_1(self, files, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"elements": ["é"], "hom": [["1"]]}'.encode("latin-1"))

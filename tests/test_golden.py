@@ -24,6 +24,12 @@ Every run also checks the raw report bytes against ``json.dumps`` with
 ``indent=2, sort_keys=True, ensure_ascii=False`` and a trailing newline,
 the report format.
 
+The files are also checked against the law, not only against earlier
+output: every C1 and C2 witness in them is replayed from the report's own
+t-norm with ``oracles.closed_form_apply``, which shares no code with the
+& kernel.  The triple or pair must violate the law, with the recorded
+sides.
+
 The files are written by this module's ``__main__`` block; rewrite them only
 when a report is meant to change:
 
@@ -33,12 +39,16 @@ when a report is meant to change:
 import contextlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import pytest
 
+from tnormcat import jsonio
 from tnormcat.cli import main
+
+from oracles import closed_form_apply
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -170,6 +180,72 @@ def test_power_report_matches_golden(name):
 @pytest.mark.parametrize("name", OTHER_CASES)
 def test_other_report_matches_golden(name):
     assert case_output(*OTHER_CASES[name]) == case_golden_path(name).read_text(encoding="utf-8")
+
+
+def condition_witnesses(node):
+    """Every failing C1 or C2 report of a JSON report, at any depth."""
+    if isinstance(node, list):
+        return [w for item in node for w in condition_witnesses(item)]
+    if not isinstance(node, dict):
+        return []
+    if node.get("condition") in ("C1", "C2") and node.get("witness") is not None:
+        return [node]
+    return [w for value in node.values() for w in condition_witnesses(value)]
+
+
+def replay(report: dict) -> int:
+    """Replay the C1 and C2 witnesses of a report on its own t-norm; the
+    number replayed.  Each must break the law with the recorded sides."""
+    t = jsonio.tnorm_from_dict(report["inputs"]["tnorm"])
+
+    def tand(p, q):
+        return closed_form_apply(t, p, q)
+
+    found = condition_witnesses(report)
+    for node in found:
+        w = node["witness"]
+        values = [Fraction(v) for v in w["values"]]
+        if node["condition"] == "C1":
+            p, q, u = values
+            lhs = min(tand(p, q), u)
+            rhs = max(tand(min(p, u), q), tand(p, min(q, u)))
+            assert lhs != rhs, values
+        else:
+            p, u = values
+            lhs, rhs = tand(u, p), u
+            assert u <= tand(p, p) and lhs != rhs, values
+        assert (lhs, rhs) == (Fraction(w["lhs"]), Fraction(w["rhs"])), values
+    return len(found)
+
+
+def golden_report(name: str) -> dict:
+    return json.loads(case_golden_path(name).read_text(encoding="utf-8"))
+
+
+WITNESS_FILES = sorted(path.stem for path in GOLDEN.glob("*.json")
+                       if condition_witnesses(json.loads(path.read_text(encoding="utf-8"))))
+
+
+def test_every_c1_failing_golden_run_has_a_witness_to_replay():
+    failing = {f"check-tnorm-{name}-{grid}" for name in ("product", "lukasiewicz",
+                                                        "nilpotent-minimum") for grid in GRIDS}
+    assert set(WITNESS_FILES) == failing | {"ccc-suite-lukasiewicz"}
+
+
+@pytest.mark.parametrize("name", WITNESS_FILES)
+def test_golden_c1_and_c2_witnesses_replay(name):
+    report = golden_report(name)
+    assert replay(report) == (1 if name.startswith("ccc-suite") else 2)
+
+
+@pytest.mark.parametrize("condition", ["C1", "C2"])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_replay_rejects_a_changed_side(condition, side):
+    report = golden_report("check-tnorm-product-values")
+    node, = (w for w in condition_witnesses(report) if w["condition"] == condition)
+    node["witness"][side] = str(Fraction(node["witness"][side]) / 2)
+    with pytest.raises(AssertionError):
+        replay(report)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,10 @@ One fact concerns the t-norm alone and holds for every t-norm:
 
 It is checked with ``oracles.c1_sides`` at every such triple of small
 canonical grids of the five families and of the three-interval norm of
-acceptance criterion 1.
+acceptance criterion 1.  ``tnorms._c1_sweep``, which decides each grid row
+with one comparison of two flat rank lists, is compared with the per-pair
+sweep ``oracles.c1_rank_sweep_reference`` on random rank tables (symmetric
+or not, failing in any row) and on canonical grids up to ``--grid 40``.
 
 One fact concerns categories alone and holds for every t-norm:
 
@@ -114,6 +117,7 @@ from tnormcat.tnorms import FAMILIES
 
 from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and
 from oracles import (
+    c1_rank_sweep_reference,
     c1_sides,
     categories_bruteforce,
     cauchy_complete_sweep,
@@ -431,6 +435,61 @@ def test_c1_holds_unless_u_is_below_both(all_families, family):
         if u >= min(p, q):
             lhs, rhs = c1_sides(t, p, q, u)
             assert lhs == rhs, (p, q, u)
+
+
+@st.composite
+def rank_tables(draw):
+    """``(pts, g, table, keys)`` as ``_c1_sweep`` reads them, on 0-8 points.
+
+    The grid ranks g increase strictly from a drawn set, so they are rarely
+    0..n-1.  The table is either random or the table of minimum, on which
+    C1 holds, with up to three entries changed, so that C1 can fail in any
+    row; it is symmetric or not.
+    """
+    n = draw(st.integers(0, 8))
+    top = 3 * n + 4
+    g = sorted(draw(st.lists(st.integers(0, top - 1), min_size=n, max_size=n, unique=True)))
+    ranks = st.integers(0, top - 1)
+    symmetric = draw(st.booleans())
+    if draw(st.booleans()):
+        table = [[min(a, b) for b in g] for a in g]
+        for _ in range(draw(st.integers(0, 3)) if n else 0):
+            i, j, r = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(ranks)
+            table[i][j] = r
+            if symmetric:
+                table[j][i] = r
+    else:
+        table = [[draw(ranks) for _ in g] for _ in g]
+        if symmetric:
+            table = [[table[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return [F(r, top) for r in g], g, table, [(r, top) for r in range(top)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(family=st.sampled_from(FAMILIES), ranked=rank_tables())
+def test_c1_row_sweep_matches_the_per_pair_sweep_on_rank_tables(all_families, family, ranked):
+    t = all_families[family]
+    assert tnorms._c1_sweep(t, *ranked) == c1_rank_sweep_reference(t, *ranked)
+
+
+def _c1_sweeps_on_canonical_grid(t, n):
+    pts = tnorms._sorted_grid(canonical_grid(t, n))
+    ranked = tnorms._rank_products(t, pts)
+    return tnorms._c1_sweep(t, pts, *ranked), c1_rank_sweep_reference(t, pts, *ranked)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_c1_row_sweep_matches_the_per_pair_sweep_on_canonical_grids(all_families, family):
+    for n in range(1, 41):
+        new, reference = _c1_sweeps_on_canonical_grid(all_families[family], n)
+        assert new == reference, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=collapse_norms(), n=st.integers(1, 40))
+def test_c1_row_sweep_matches_the_per_pair_sweep_under_collapse_norms(t, n):
+    new, reference = _c1_sweeps_on_canonical_grid(t, n)
+    assert new == reference
 
 
 @st.composite

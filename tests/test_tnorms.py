@@ -31,6 +31,7 @@ from tnormcat import cli, jsonio, tnorms
 from conftest import UNITS as units, broken_ands, collapse_norms, install_and, real_and
 from oracles import (
     axioms_bruteforce,
+    c1_rank_sweep_reference,
     c1_sides,
     c1_sweep,
     c2_holds,
@@ -331,6 +332,25 @@ class TestConditions:
         report = check_c1(t, grid)
         assert report == c1_sweep(t, grid)
         assert report.witness == Witness((F(1, 2), F(3, 4), F(1, 4)), F(1, 8), F(1, 4))
+
+    def test_c1_witness_is_the_smallest_failing_q_then_u_of_its_row(self):
+        # the rank table of minimum on ranks 10, 20, ..., 60, where C1 holds,
+        # with row 4 changed at q_3 and q_5: row 4 is the first to fail, at
+        # (j=5, k=0) and at (j=3, k=2).  The row's flat lists run in (u, q)
+        # order and first differ at (j=5, k=0), but the first failing triple
+        # in (p, q, u) order is (p_4, q_3, u_2)
+        g = [10, 20, 30, 40, 50, 60]
+        table = [[min(a, b) for b in g] for a in g]
+        table[4][3], table[4][5] = 25, 5
+        keys = [(r, 60) for r in range(61)]
+        pts = [F(r, 60) for r in g]
+        row = table[4]
+        failures = [(j, k) for k in range(4) for j in range(k + 1, 6)
+                    if min(g[k], row[j]) != max(table[k][j], row[k])]
+        assert failures == [(5, 0), (5, 1), (3, 2), (5, 2), (5, 3)]
+        report = tnorms._c1_sweep(minimum(), pts, g, table, keys)
+        assert report == c1_rank_sweep_reference(minimum(), pts, g, table, keys)
+        assert report.witness == Witness((pts[4], pts[3], pts[2]), F(25, 60), F(30, 60))
 
     def test_idempotent_square_closure(self, all_families):
         for name in ("minimum", "interval-collapse"):
