@@ -50,13 +50,9 @@ from .categories import (
     enumerate_categories,
     enumerate_functors,
     exponential,
-    functor,
     is_functor,
     label_text,
-    min_transitive_closure,
-    pair_functors,
     product,
-    projections,
     terminal,
     unit_interval_category,
     validate,
@@ -75,7 +71,6 @@ from .completeness import (
     is_cauchy,
     is_cauchy_complete,
     is_forward_cauchy,
-    pair_sequences,
     tail_value,
 )
 

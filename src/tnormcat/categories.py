@@ -183,14 +183,6 @@ class RFunctor:
     def __call__(self, label):
         return self.mapping[self.source.index(label)]
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.source.elements, self.mapping))
-
-
-def functor(source: RCat, target: RCat, assignment: dict) -> RFunctor:
-    mapping = tuple(assignment[x] for x in source.elements)
-    return RFunctor(source, target, mapping)
-
 
 def is_functor(f: RFunctor) -> Witness | None:
     """None if the map never shrinks hom values; else the first violating pair."""
@@ -222,19 +214,6 @@ def product(a: RCat, b: RCat) -> RCat:
         for b_row in b.hom
     )
     return RCat(elements, hom)
-
-
-def projections(a: RCat, b: RCat, prod: RCat) -> tuple[RFunctor, RFunctor]:
-    first = tuple(lbl[0] for lbl in prod.elements)
-    second = tuple(lbl[1] for lbl in prod.elements)
-    return RFunctor(prod, a, first), RFunctor(prod, b, second)
-
-
-def pair_functors(f: RFunctor, g: RFunctor, prod: RCat) -> RFunctor:
-    if f.source is not g.source and f.source.elements != g.source.elements:
-        raise InputError("paired functors must share a source")
-    mapping = tuple((f.mapping[i], g.mapping[i]) for i in range(len(f.mapping)))
-    return RFunctor(f.source, prod, mapping)
 
 
 def unit_interval_category(t: TNorm, points) -> RCat:
@@ -634,6 +613,8 @@ def enumerate_categories(
     ``tests/test_proofs.py`` compares the result with the product-then-
     ``validate`` loop of ``oracles.categories_bruteforce``.
     """
+    if size < 0:
+        raise InputError(f"category size must be >= 0, got {size}")
     pts = _sorted_grid(grid)
     _check_generation_budget(len(pts), size, budget)
     g, table, _ = _rank_products(t, pts)
@@ -646,27 +627,6 @@ def enumerate_categories(
             hom[i][j] = pts[r]
         cats.append(RCat(labels, tuple(map(tuple, hom))))
     return cats
-
-
-def min_transitive_closure(hom) -> tuple[tuple[Fraction, ...], ...]:
-    """Smallest pointwise enlargement that is reflexive and min-transitive.
-
-    Useful for manufacturing valid categories from arbitrary matrices; a
-    min-transitive matrix is transitive for every t-norm.  One
-    Floyd-Warshall pass, k outermost, gives the max-min closure: after round
-    k, m[i][j] is the best max-min path from i to j through intermediates
-    among the first k elements, since (max, min) is an idempotent semiring
-    and m[k][k] = 1 leaves row and column k unchanged in round k.
-    """
-    n = len(hom)
-    m = [[Fraction(v) for v in row] for row in hom]
-    for i in range(n):
-        m[i][i] = ONE
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = max(m[i][j], min(m[i][k], m[k][j]))
-    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ checks only its preconditions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -56,7 +55,6 @@ from .categories import (
     RFunctor,
     _require_valid,
     is_functor,
-    product,
     validate,
 )
 
@@ -79,11 +77,6 @@ class TailSeq:
             raise InputError("cycle must be nonempty")
         for lbl in self.prefix + self.cycle:
             self.carrier.index(lbl)
-
-    def element_at(self, i: int):
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
 
 def tail_value(seq: TailSeq, x, direction: str = FROM_SEQ) -> Fraction:
@@ -280,18 +273,6 @@ def is_cauchy_complete(cat: RCat) -> Witness | None:
     return None
 
 
-def pair_sequences(a_seq: TailSeq, b_seq: TailSeq) -> TailSeq:
-    """Index-aligned pairing in the product category (cycle length = lcm)."""
-    prod = product(a_seq.carrier, b_seq.carrier)
-    lead = max(len(a_seq.prefix), len(b_seq.prefix))
-    cyc = math.lcm(len(a_seq.cycle), len(b_seq.cycle))
-    prefix = tuple((a_seq.element_at(i), b_seq.element_at(i)) for i in range(lead))
-    cycle = tuple(
-        (a_seq.element_at(lead + k), b_seq.element_at(lead + k)) for k in range(cyc)
-    )
-    return TailSeq(prod, prefix, cycle)
-
-
 def check_product_bilimit(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
     """Componentwise bilimits must pair into a bilimit of the paired sequence.
 
@@ -301,13 +282,15 @@ def check_product_bilimit(a_seq: TailSeq, b_seq: TailSeq) -> Witness | None:
 
     * Each Cauchy sequence has a bilimit (finite-completeness lemma), so the
       componentwise bilimits a and b exist.
-    * The prefix of ``pair_sequences(a_seq, b_seq)`` is at least as long as
-      both prefixes, so each element of its cycle is a pair (c, d) of cycle
-      elements.  Under the min hom of the product, hom((a, b), (c, d)) =
-      min(hom(a, c), hom(b, d)) = 1, and likewise back, so (a, b) is a
-      bilimit of the paired sequence.
+    * The paired sequence n ↦ (a_n, b_n) lives in the product of the
+      carriers.  Past both prefixes each of its terms is a pair (c, d) of
+      cycle elements, so its cycle holds only such pairs, and its tail
+      values are minima over them.  Under the min hom of the product,
+      hom((a, b), (c, d)) = min(hom(a, c), hom(b, d)) = 1, and likewise
+      back, so (a, b) is a bilimit of the paired sequence.
 
-    ``tests/test_proofs.py`` compares this with the paired-sequence check.
+    ``tests/test_proofs.py`` compares this with
+    ``oracles.product_bilimit_sweep``, which builds the paired sequence.
     """
     for name, seq in (("first", a_seq), ("second", b_seq)):
         w = is_cauchy(seq)

@@ -48,6 +48,8 @@ def _load_json_file(path) -> object:
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep a nesting
+        raise InputError(f"{path}: cannot parse JSON: {exc}") from exc
 
 
 def tnorm_from_dict(data) -> TNorm:

@@ -19,17 +19,18 @@ is ``_and_col(t, ps, q)``: it returns ``[p & q for p in ps]`` on
 right operand q, and builds no Fraction.  ``apply`` wraps a one-element
 call and builds the Fraction of its value; ``extract_intervals``,
 ``categories.counterexample`` and the test oracles call it.
-``_rank_products``, the off-grid rows, unit check and left limits of
-``_axioms_sweep`` and ``categories.validate`` call the kernel directly on
-``as_integer_ratio()`` pairs.  Every & in the package goes through
-``_and_col``, looked up as a global of this module, so it is the seam that
-a test patches to install a different &.  Grids are deduplicated and
-sorted on those integer pairs too (``_ascending``).  The sweeps read p & q
-over grid² from one table of ranks, built by ``_rank_products``, the only
-builder of such a table: ``check_c1``, ``check_c2`` and
-``verify_tnorm_axioms`` each build their own, and ``_condition_sweeps``,
-which ``check-tnorm`` runs, builds one and shares it between C1, C2 and
-the axioms.  Category generation in ``categories`` reads the same table,
+``_rank_products``, the unit check and left limits of ``_axioms_sweep``,
+the off-grid rows of ``_associativity_sweep`` and ``categories.validate``
+call the kernel directly on ``as_integer_ratio()`` pairs.  Every & in the
+package goes through ``_and_col``, looked up as a global of this module,
+so it is the seam that a test patches to install a different &.  Grids
+are deduplicated and sorted on those integer pairs too (``_ascending``).
+The sweeps read p & q over grid² from one table of ranks, built by
+``_rank_products``, the only builder of such a table: ``check_c1``,
+``check_c2`` and ``verify_tnorm_axioms`` each build their own, and
+``_condition_sweeps``, which ``check-tnorm`` runs, builds one and shares it
+between C1, C2 and the axioms.
+Category generation in ``categories`` reads the same table,
 and ``check_ccc``, which ``ccc-suite`` runs, shares one between the C1
 sweep and the generation; ``categories.check_exponentiable`` builds one
 over the grid and the category's hom values.  ``extract_intervals`` sweeps
@@ -173,10 +174,10 @@ def _and_col(t: TNorm, ps: list[tuple[int, int]], q: tuple[int, int]) -> list[tu
     the five closed forms, and every & of the package runs in it, one call
     per fixed right operand q.  ``apply`` wraps a one-element call and
     builds a Fraction of the value; the columns of ``_rank_products``, the
-    off-grid rows of ``_axioms_sweep``, its unit check, the samples of
-    ``_left_limit`` and the (i, j) loop of ``categories.validate`` call it
-    on integer pairs, with no Fraction built.  The family is dispatched
-    once per call.
+    off-grid rows of ``_associativity_sweep``, the unit check of
+    ``_axioms_sweep``, the samples of ``_left_limit`` and the (i, j) loop
+    of ``categories.validate`` call it on integer pairs, with no Fraction
+    built.  The family is dispatched once per call.
 
     With p = pn/pd and q = qn/qd and positive denominators, p <= q iff
     pn·qd <= qn·pd: both sides are the values scaled by pd·qd > 0.  Scaling
@@ -485,7 +486,7 @@ def check_c1(t: TNorm, grid) -> ConditionReport:
 def _c1_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     """The sweep of ``check_c1`` over the sorted grid ``pts`` and its
     ``_rank_products`` table ``(g, table, keys)``, which it only reads."""
-    symmetric = list(zip(*table)) == list(map(tuple, table))
+    symmetric = _symmetric(table)
     for i, row in enumerate(table):
         # lo = max(start, k + 1) for k < i: start = i if symmetric, else 0
         los = [i] * i if symmetric else range(1, i + 1)

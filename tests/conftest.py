@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tnormcat import RCat, apply, interval_collapse, lukasiewicz, \
-    min_transitive_closure, minimum, nilpotent_minimum, product_tnorm, tnorms
+    minimum, nilpotent_minimum, product_tnorm, tnorms
+
+from oracles import min_transitive_closure
 
 F = Fraction
 

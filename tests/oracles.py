@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from tnormcat import (
@@ -35,7 +36,7 @@ from tnormcat import (
     find_yoneda_limit,
     is_cauchy,
     is_forward_cauchy,
-    pair_sequences,
+    product,
     tnorms,
     validate,
 )
@@ -209,6 +210,66 @@ def power_sweep(t: TNorm, x: RCat, y: RCat) -> Witness | None:
     return validate(exponential(t, x, y).as_rcat(), t)
 
 
+def functor(source: RCat, target: RCat, assignment: dict) -> RFunctor:
+    """The map that sends each source element x to ``assignment[x]``."""
+    return RFunctor(source, target, tuple(assignment[x] for x in source.elements))
+
+
+def projections(a: RCat, b: RCat, prod: RCat) -> tuple[RFunctor, RFunctor]:
+    """The two projections of ``prod = product(a, b)``."""
+    first = tuple(lbl[0] for lbl in prod.elements)
+    second = tuple(lbl[1] for lbl in prod.elements)
+    return RFunctor(prod, a, first), RFunctor(prod, b, second)
+
+
+def pair_functors(f: RFunctor, g: RFunctor, prod: RCat) -> RFunctor:
+    """The map c ↦ (f(c), g(c)) into ``prod``; f and g share a source."""
+    if f.source is not g.source and f.source.elements != g.source.elements:
+        raise InputError("paired functors must share a source")
+    return RFunctor(f.source, prod, tuple(zip(f.mapping, g.mapping)))
+
+
+def min_transitive_closure(hom) -> tuple[tuple[Fraction, ...], ...]:
+    """Smallest pointwise enlargement that is reflexive and min-transitive.
+
+    Useful for manufacturing valid categories from arbitrary matrices; a
+    min-transitive matrix is transitive for every t-norm.  One
+    Floyd-Warshall pass, k outermost, gives the max-min closure: after round
+    k, m[i][j] is the best max-min path from i to j through intermediates
+    among the first k elements, since (max, min) is an idempotent semiring
+    and m[k][k] = 1 leaves row and column k unchanged in round k.
+    ``min_transitive_closure_fixpoint`` repeats passes until none changes.
+    """
+    n = len(hom)
+    m = [[Fraction(v) for v in row] for row in hom]
+    for i in range(n):
+        m[i][i] = Fraction(1)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                m[i][j] = max(m[i][j], min(m[i][k], m[k][j]))
+    return tuple(tuple(row) for row in m)
+
+
+def element_at(seq: TailSeq, i: int):
+    """The i-th term of the eventually periodic sequence, counting from 0."""
+    if i < len(seq.prefix):
+        return seq.prefix[i]
+    return seq.cycle[(i - len(seq.prefix)) % len(seq.cycle)]
+
+
+def pair_sequences(a_seq: TailSeq, b_seq: TailSeq) -> TailSeq:
+    """Index-aligned pairing in the product category (cycle length = lcm)."""
+    prod = product(a_seq.carrier, b_seq.carrier)
+    lead = max(len(a_seq.prefix), len(b_seq.prefix))
+    cyc = math.lcm(len(a_seq.cycle), len(b_seq.cycle))
+    prefix = tuple((element_at(a_seq, i), element_at(b_seq, i)) for i in range(lead))
+    cycle = tuple(
+        (element_at(a_seq, lead + k), element_at(b_seq, lead + k)) for k in range(cyc)
+    )
+    return TailSeq(prod, prefix, cycle)
+
+
 def tail_value_bruteforce(seq: TailSeq, x, direction: str, cycles: int = 3) -> Fraction:
     """sup-inf over a truncated horizon of prefix + the given number of cycles."""
     cat = seq.carrier
@@ -218,7 +279,7 @@ def tail_value_bruteforce(seq: TailSeq, x, direction: str, cycles: int = 3) -> F
     for lam in range(horizon - len(seq.cycle) + 1):
         vals = []
         for mu in range(lam, horizon):
-            ci = cat.index(seq.element_at(mu))
+            ci = cat.index(element_at(seq, mu))
             vals.append(cat.hom[ci][xi] if direction == FROM_SEQ else cat.hom[xi][ci])
         inf = min(vals)
         if best is None or inf > best:

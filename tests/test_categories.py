@@ -9,23 +9,25 @@ from tnormcat import (
     InputError,
     RCat,
     RFunctor,
-    functor,
     interval_collapse,
     is_functor,
     lukasiewicz,
-    min_transitive_closure,
     minimum,
-    pair_functors,
     product,
     product_tnorm,
-    projections,
     terminal,
     unit_interval_category,
     validate,
 )
 
 from conftest import EIGHT_GRID, make_random_category
-from oracles import min_transitive_closure_fixpoint
+from oracles import (
+    functor,
+    min_transitive_closure,
+    min_transitive_closure_fixpoint,
+    pair_functors,
+    projections,
+)
 
 F = Fraction
 

@@ -177,6 +177,15 @@ class TestCheckCcc:
         with pytest.raises(InputError, match="grid must be nonempty"):
             enumerate_categories(minimum(), [], 2)
 
+    @pytest.mark.parametrize("size", [-1, -3])
+    def test_category_generation_rejects_negative_size(self, size):
+        # raised before the budget check, which would count 6**(size*(size-1)) fills
+        with pytest.raises(InputError, match=f"^category size must be >= 0, got {size}$"):
+            enumerate_categories(minimum(), GRID6, size, budget=1)
+
+    def test_category_generation_at_size_0(self):
+        assert enumerate_categories(minimum(), GRID6, 0) == [RCat((), ())]
+
     @pytest.mark.parametrize("tnorm", [minimum(), lukasiewicz()], ids=lambda t: t.family)
     def test_rejects_empty_sweep(self, tnorm):
         with pytest.raises(InputError, match="max size must be >= 1"):

@@ -415,6 +415,18 @@ class TestOtherCommands:
         code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("1" * 5000, "integer string conversion", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["int-digits", "deep-array"])
+    def test_unparsable_json_exit_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check-tnorm", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: cannot parse JSON: ") and message in err
+
 
 def base_argv(files, command):
     pair = ["--tnorm", files["collapse"], "--base", files["chain"],

@@ -25,19 +25,19 @@ from tnormcat import (
     is_cauchy_complete,
     is_forward_cauchy,
     lukasiewicz,
-    min_transitive_closure,
     minimum,
-    pair_sequences,
     tail_value,
     terminal,
     unit_interval_category,
 )
-from tnormcat import completeness, tnorms
+from tnormcat import categories, completeness, tnorms
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 from conftest import EIGHT_GRID, make_random_category
 from oracles import (
     keeps_category_laws,
+    min_transitive_closure,
+    pair_sequences,
     tail_value_bruteforce,
     yoneda_continuity_reference,
 )
@@ -285,8 +285,7 @@ class TestProductBilimit:
         def unused(*args):
             raise AssertionError("the product pairing needs no construction")
 
-        monkeypatch.setattr(completeness, "product", unused)
-        monkeypatch.setattr(completeness, "pair_sequences", unused)
+        monkeypatch.setattr(categories, "product", unused)
         other = RCat(("p", "q"), ((1, 1), (1, 1)))
         s1 = TailSeq(iso_pair_cat, ("x",), ("a", "b"))
         s2 = TailSeq(other, ("q",), ("p", "q", "p"))

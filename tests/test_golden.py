@@ -28,7 +28,14 @@ The files are also checked against the law, not only against earlier
 output: every C1 and C2 witness in them is replayed from the report's own
 t-norm with ``oracles.closed_form_apply``, which shares no code with the
 & kernel.  The triple or pair must violate the law, with the recorded
-sides.
+sides.  The failing ``power-validates`` witness (f, g, h) of
+``exp-product-counterexample`` is replayed the same way: d(g,h), d(f,g)
+and d(f,h) are looked up in the report's own ``functors`` and ``d``, each
+is recomputed from the report's base and fiber with
+``oracles.power_hom_bruteforce``, and d(g,h) & d(f,g) must exceed d(f,h),
+with the recorded sides.  Every certificate row of ``limits`` is
+recomputed from the report's carrier and cycle: the homs with the witness
+and the cycle minima of the homs.
 
 The files are written by this module's ``__main__`` block; rewrite them only
 when a report is meant to change:
@@ -48,7 +55,7 @@ import pytest
 from tnormcat import jsonio
 from tnormcat.cli import main
 
-from oracles import closed_form_apply
+from oracles import closed_form_apply, power_hom_bruteforce
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -246,6 +253,99 @@ def test_replay_rejects_a_changed_side(condition, side):
     node["witness"][side] = str(Fraction(node["witness"][side]) / 2)
     with pytest.raises(AssertionError):
         replay(report)
+
+
+def replay_power_witness(report: dict) -> tuple[Fraction, Fraction]:
+    """Replay the failing ``power-validates`` row of an ``exp`` report from
+    its own ``functors`` and ``d``; the sides (d(g,h) & d(f,g), d(f,h))."""
+    inputs = report["inputs"]
+    t = jsonio.tnorm_from_dict(inputs["tnorm"])
+    base = jsonio.category_from_dict(inputs["base"])
+    fiber = jsonio.category_from_dict(inputs["fiber"])
+    power, w = (v["result"] for v in report["verdicts"])
+    functors = power["functors"]
+
+    def d(f, g):
+        value = Fraction(power["d"][functors.index(f)][functors.index(g)])
+        assert value == power_hom_bruteforce(base, fiber, f, g), (f, g)
+        return value
+
+    f, g, h = w["values"]
+    lhs, rhs = closed_form_apply(t, d(g, h), d(f, g)), d(f, h)
+    assert w["note"] == "transitivity" and lhs > rhs
+    assert (lhs, rhs) == (Fraction(w["lhs"]), Fraction(w["rhs"]))
+    return lhs, rhs
+
+
+def replay_certificates(report: dict) -> int:
+    """Recompute every certificate row of a ``limits`` report from its carrier
+    and cycle; the number of rows replayed."""
+    carrier, cycle = report["inputs"]["carrier"], report["inputs"]["cycle"]
+    labels = carrier["elements"]
+    hom = {(x, y): Fraction(v)
+           for x, row in zip(labels, carrier["hom"]) for y, v in zip(labels, row)}
+    rows = 0
+    for verdict in report["verdicts"]:
+        result = verdict["result"]
+        if not result or "certificate" not in result:
+            continue
+        a = result["witness"]
+        assert [row["element"] for row in result["certificate"]] == labels
+        for row in result["certificate"]:
+            x = row["element"]
+            from_seq = [hom[a, x], min(hom[c, x] for c in cycle)]
+            to_seq = [hom[x, a], min(hom[x, c] for c in cycle)]
+            assert from_seq[0] == from_seq[1] and to_seq[0] == to_seq[1], x
+            if result["kind"] != "bilimit":
+                to_seq = [None, None]
+            recorded = [None if v is None else Fraction(v)
+                        for v in (row["hom_from_witness"], row["tail_from_seq"],
+                                  row["hom_to_witness"], row["tail_to_seq"])]
+            assert recorded == from_seq + to_seq, x
+            rows += 1
+    return rows
+
+
+def test_golden_power_validates_witness_replays():
+    report = golden_report("exp-product-counterexample")
+    assert replay_power_witness(report) == (Fraction(1, 8), Fraction(1, 16))
+
+
+@pytest.mark.parametrize("pair", [("g", "h"), ("f", "g"), ("f", "h")],
+                         ids=lambda pair: "d({},{})".format(*pair))
+def test_power_witness_replay_rejects_a_changed_d_entry(pair):
+    report = golden_report("exp-product-counterexample")
+    power, validates = (v["result"] for v in report["verdicts"])
+    fgh = dict(zip("fgh", (power["functors"].index(v) for v in validates["values"])))
+    row = power["d"][fgh[pair[0]]]
+    row[fgh[pair[1]]] = str(Fraction(row[fgh[pair[1]]]) / 2)
+    with pytest.raises(AssertionError):
+        replay_power_witness(report)
+
+
+def test_golden_limit_certificates_replay():
+    assert replay_certificates(golden_report("limits")) == 4
+
+
+# (verdict, element, field) of every value in the certificates of ``limits``
+CERTIFICATE_VALUES = [
+    (verdict["name"], row["element"], field)
+    for verdict in golden_report("limits")["verdicts"] if verdict["result"] is not None
+    for row in verdict["result"]["certificate"]
+    for field, value in row.items() if field != "element" and value is not None
+]
+
+
+@pytest.mark.parametrize("name, element, field", CERTIFICATE_VALUES,
+                         ids=["-".join(case) for case in CERTIFICATE_VALUES])
+def test_certificate_replay_rejects_a_changed_value(name, element, field):
+    report = golden_report("limits")
+    verdict, = (v for v in report["verdicts"] if v["name"] == name)
+    row, = (r for r in verdict["result"]["certificate"] if r["element"] == element)
+    assert row[field] != "1/3"
+    row[field] = "1/3"
+    with pytest.raises(AssertionError):
+        replay_certificates(report)
 
 
 if __name__ == "__main__":

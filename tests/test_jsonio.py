@@ -24,7 +24,6 @@ from tnormcat import (
     interval_collapse,
     label_text,
     lukasiewicz,
-    min_transitive_closure,
     minimum,
     parse_rational,
     product,
@@ -211,7 +210,7 @@ def test_json_round_trip_is_lossless(t, cat, data):
 
 # min-closed, so categories under every t-norm; at most 3**3 maps for ``exp``
 VALID_CATEGORIES = categories(max_n=3).map(
-    lambda cat: RCat(cat.elements, min_transitive_closure(cat.hom)))
+    lambda cat: RCat(cat.elements, oracles.min_transitive_closure(cat.hom)))
 
 
 def _report(argv):

@@ -103,7 +103,6 @@ from tnormcat import (
     interval_collapse,
     is_cauchy_complete,
     jsonio,
-    min_transitive_closure,
     minimum,
     parse_rational,
     product,
@@ -123,6 +122,7 @@ from oracles import (
     cauchy_complete_sweep,
     check_laws_scan,
     exponentiable_bruteforce,
+    min_transitive_closure,
     power_hom_bruteforce,
     power_sweep,
     product_bilimit_sweep,
