@@ -42,7 +42,7 @@ from . import tnorms
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
 from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _c1_sweep,
-                     _rank_products, _sorted_grid, apply, residuum)
+                     _failure, _rank_products, _sorted_grid, apply, residuum)
 
 DEFAULT_BUDGET = 10**6
 
@@ -391,9 +391,8 @@ def check_exponentiable(t: TNorm, cat: RCat, grid) -> ConditionReport:
                     lhs = min(table[i][j], g[h[x][z]])
                     rhs = max(map(list.__getitem__, left[z], right))
                     if lhs != rhs:
-                        w = Witness((p, q, cat.elements[x], cat.elements[z]),
-                                    Fraction(*keys[lhs]), Fraction(*keys[rhs]))
-                        return ConditionReport("exponentiable", False, w, certified=True)
+                        return _failure("exponentiable", (p, q, cat.elements[x], cat.elements[z]),
+                                        keys[lhs], keys[rhs])
     return ConditionReport(
         "exponentiable",
         True,

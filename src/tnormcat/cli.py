@@ -26,6 +26,7 @@ from .rationals import parse_rational
 from .tnorms import (
     DEFAULT_GRID_N,
     _condition_sweeps,
+    _sorted_grid,
     canonical_grid,
     extract_intervals,
 )
@@ -78,16 +79,12 @@ def _budget(raw: str) -> int:
 
 
 def _parse_values(raw: str) -> list:
-    """The distinct values of a --values list, in input order; of equal
-    values the first is kept, deduplicated on ``as_integer_ratio()`` as
-    ``tnorms._sorted_grid`` does, so that ``len`` counts the grid points."""
+    """The distinct values of a --values list, ascending (``_sorted_grid``),
+    so that ``len`` counts the grid points."""
     if not raw.strip():
         raise InputError("--values must list at least one rational")
-    vals = {}
-    for k, chunk in enumerate(raw.split(",")):
-        v = parse_rational(chunk, f"--values[{k}]")
-        vals.setdefault(v.as_integer_ratio(), v)
-    return list(vals.values())
+    return _sorted_grid([parse_rational(chunk, f"--values[{k}]")
+                         for k, chunk in enumerate(raw.split(","))])
 
 
 def _grid_inputs(args, command: str):

@@ -258,28 +258,26 @@ def residuum(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class Piece:
-    """One maximal run of idempotents: an interval with open/closed ends."""
+    """One maximal run of idempotents: an interval from ``lo``, open there
+    unless ``lo_closed``, to ``hi``, which it always contains (``idempotents``
+    proves that every maximal run contains its right end)."""
 
     lo: Fraction
     hi: Fraction
     lo_closed: bool = True
-    hi_closed: bool = True
 
     def contains(self, v: Fraction) -> bool:
         if v < self.lo or v > self.hi:
             return False
         if v == self.lo and not self.lo_closed:
             return False
-        if v == self.hi and not self.hi_closed:
-            return False
         return True
 
     def __str__(self):
         left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
         if self.lo == self.hi:
             return f"{{{format_rational(self.lo)}}}"
-        return f"{left}{format_rational(self.lo)},{format_rational(self.hi)}{right}"
+        return f"{left}{format_rational(self.lo)},{format_rational(self.hi)}]"
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,20 @@ class IdempotentSet:
 
 
 def idempotents(t: TNorm) -> IdempotentSet:
-    """Exact description of {p : p & p = p}, per family."""
+    """Exact description of {p : p & p = p}, per family.
+
+    Every maximal piece contains its right end, so ``Piece`` has no open
+    right end.  Let p_n ↑ p with p_n & p_n = p_n, and & left-continuous.
+    For m <= n, p_m = p_m & p_m <= p_m & p_n <= p_m by monotonicity and
+    x & y <= x, so p_m & p_n = p_m.  Left continuity in each argument and
+    monotonicity give p & p = sup_{m,n} p_m & p_n = sup_n p_n = p, since
+    p_m & p_n = p_{min(m,n)}.  So the idempotents contain the supremum of
+    each increasing sequence of idempotents, and a maximal run of them
+    contains its supremum hi: either hi is in the run, or it is the limit
+    of an increasing sequence from the run, so hi is idempotent and, by
+    maximality, in the run.  ``tests/test_tnorms.py`` checks that the right
+    end of every piece is idempotent.
+    """
     fam = t.family
     if fam == MINIMUM:
         return IdempotentSet((Piece(ZERO, ONE),))
@@ -336,6 +347,20 @@ class ConditionReport:
     def __post_init__(self):
         if not self.verdict and self.witness is None:
             raise InvariantError("a failing report must carry a witness")
+
+
+def _failure(condition: str, values: tuple, lhs: tuple[int, int], rhs: tuple[int, int],
+             note: str = "") -> ConditionReport:
+    """The certified failing report of ``condition`` at ``values``.
+
+    The sides are ``(numerator, denominator)`` pairs, as the sweeps hold
+    them, and become the witness's Fractions here.  Every failing
+    ``ConditionReport`` of the package is built by this function, which
+    ``tests/test_package.py`` checks on the source.
+    """
+    return ConditionReport(
+        condition, False, Witness(values, Fraction(*lhs), Fraction(*rhs), note), certified=True
+    )
 
 
 def _ascending(keys) -> list[tuple[int, int]]:
@@ -495,12 +520,7 @@ def _c1_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
         if lhs != rhs:
             jks = ((j, k) for k, lo in enumerate(los) for j in range(lo, len(row)))
             (j, k), a, b = min(m for m in zip(jks, lhs, rhs) if m[1] != m[2])
-            return ConditionReport(
-                "C1",
-                False,
-                Witness((pts[i], pts[j], pts[k]), Fraction(*keys[a]), Fraction(*keys[b])),
-                certified=True,
-            )
+            return _failure("C1", (pts[i], pts[j], pts[k]), keys[a], keys[b])
     return ConditionReport("C1", True, certified=_c1_holds_on_unit_interval(t))
 
 
@@ -525,7 +545,7 @@ def _c2_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     ``table[k][i]``, and ranks are order-preserving on grid ∪ table, so
     ``g[k] > table[i][i]`` decides u > p & p and ``table[k][i] != g[k]``
     decides u & p != u.  The pairs come in (p, u) order, and the witness's
-    left side is rebuilt from its rank.
+    sides u & p and u are rebuilt from their ranks.
     """
     for i, p in enumerate(pts):
         pp = table[i][i]
@@ -534,9 +554,7 @@ def _c2_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
                 break
             up = table[k][i]
             if up != r:
-                return ConditionReport(
-                    "C2", False, Witness((p, u), Fraction(*keys[up]), u), certified=True
-                )
+                return _failure("C2", (p, u), keys[up], keys[r])
     return ConditionReport("C2", True, certified=_c1_holds_on_unit_interval(t))
 
 
@@ -737,28 +755,15 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     for i, (p, p_key, row) in enumerate(zip(pts, grid_keys, table)):
         unit, = _and_col(t, one, p_key)
         if unit != p_key:
-            return ConditionReport(
-                "axioms", False,
-                Witness((ONE, p), Fraction(*unit), p, note="unit"),
-                certified=True,
-            )
+            return _failure("axioms", (ONE, p), unit, p_key, "unit")
         for j in range(i + 1, len(pts)):
             if row[j] != table[j][i]:
-                return ConditionReport(
-                    "axioms", False,
-                    Witness((p, pts[j]), Fraction(*keys[row[j]]), Fraction(*keys[table[j][i]]),
-                            note="commutativity"),
-                    certified=True,
-                )
+                return _failure("axioms", (p, pts[j]), keys[row[j]], keys[table[j][i]],
+                                "commutativity")
     for p, p2, row, row2 in zip(pts, pts[1:], table, table[1:]):
         for q, lo, hi in zip(pts, row, row2):
             if lo > hi:
-                return ConditionReport(
-                    "axioms", False,
-                    Witness((p, p2, q), Fraction(*keys[lo]), Fraction(*keys[hi]),
-                            note="monotonicity"),
-                    certified=True,
-                )
+                return _failure("axioms", (p, p2, q), keys[lo], keys[hi], "monotonicity")
     # commutativity holds, so the table is symmetric; on a closed grid the
     # matrices M_j of the docstring decide associativity
     if not (len(keys) == len(pts)
@@ -772,11 +777,7 @@ def _axioms_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
         for q, q_key in zip(pts, grid_keys):
             limit, value = _left_limit(t, b_key, c_key, q_key)
             if limit != value:
-                return ConditionReport(
-                    "axioms", False,
-                    Witness((b, q), Fraction(*limit), Fraction(*value), note="left continuity"),
-                    certified=True,
-                )
+                return _failure("axioms", (b, q), limit, value, "left continuity")
     return ConditionReport(
         "axioms", True,
         notes=("grid evidence; left continuity decided exactly at breakpoints",),
@@ -811,12 +812,8 @@ def _associativity_sweep(t: TNorm, pts, g, table, keys, grid_keys) -> ConditionR
             lhs_row, rhs_row = outer[pq], rhs_getter(inner)
             if lhs_row != rhs_row:
                 k = next(k for k, (a, b) in enumerate(zip(lhs_row, rhs_row)) if a != b)
-                return ConditionReport(
-                    "axioms", False,
-                    Witness((p, q, pts[k]), Fraction(*lhs_row[k]), Fraction(*rhs_row[k]),
-                            note="associativity"),
-                    certified=True,
-                )
+                return _failure("axioms", (p, q, pts[k]), lhs_row[k], rhs_row[k],
+                                "associativity")
     return None
 
 

@@ -73,6 +73,14 @@ class TestIsFunctor:
         assert is_functor(RFunctor(two_chain, two_chain, ("x", "y"))) is None
         assert is_functor(RFunctor(two_chain, two_chain, ("y", "y"))) is None
 
+    def test_short_mapping_rejected(self, two_chain):
+        with pytest.raises(InputError, match="mapping must assign every source element"):
+            RFunctor(two_chain, two_chain, ("x",))
+
+    def test_unit_interval_category_needs_a_point(self):
+        with pytest.raises(InputError, match="needs at least one point"):
+            unit_interval_category(minimum(), [])
+
     def test_hom_image_map_into_unit_interval(self, two_chain):
         # w -> hom(x, w) lands in the unit-interval category functorially
         t = lukasiewicz()

@@ -270,6 +270,12 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert "error: argument --budget: must be >= 0, got -5" in err
 
+    def test_non_integer_budget_exit_1(self, files, capsys):
+        code, out, err = run(capsys, "ccc-suite", files["minimum"],
+                             "--values", "0,1", "--budget", "abc")
+        assert (code, out) == (1, "")
+        assert "error: argument --budget: invalid int value: 'abc'" in err
+
     def test_default_flags_count_the_canonical_grid(self, files, capsys):
         # 41 grid points: 1 category of size 1 and 41**2 of size 2, within
         # the default budget; no bound applies to the 1682**3 triples

@@ -101,6 +101,15 @@ class TestTailValue:
         with pytest.raises(InputError):
             TailSeq(iso_pair_cat, (), ("nope",))
 
+    def test_rejects_an_empty_cycle(self, iso_pair_cat):
+        with pytest.raises(InputError, match="cycle must be nonempty"):
+            TailSeq(iso_pair_cat, ("a",), ())
+
+    def test_rejects_an_unknown_direction(self, iso_pair_cat):
+        seq = TailSeq(iso_pair_cat, (), ("a",))
+        with pytest.raises(InputError, match="unknown direction 'sideways'"):
+            tail_value(seq, "x", "sideways")
+
 
 class TestCauchyConditions:
     def test_constant_is_cauchy(self, iso_pair_cat):

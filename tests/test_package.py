@@ -65,3 +65,28 @@ def test_test_only_helpers_are_not_in_the_package(name):
 def test_test_only_methods_are_gone():
     assert not hasattr(tnormcat.RFunctor, "as_dict")
     assert not hasattr(tnormcat.TailSeq, "element_at")
+
+
+def _builds_failing_report(node) -> bool:
+    """Whether ``node`` calls ``ConditionReport`` with the verdict ``False``."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    verdicts = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "verdict"]
+    return name == "ConditionReport" and any(
+        isinstance(v, ast.Constant) and v.value is False for v in verdicts
+    )
+
+
+def test_failing_condition_reports_are_built_only_by_failure():
+    # every failing verdict's witness is built in one place, tnorms._failure
+    builders = []
+    for path in sorted(Path(tnormcat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        builders += [(path.name, owner.get(node, "<module>"))
+                     for node in ast.walk(tree) if _builds_failing_report(node)]
+    assert builders == [("tnorms.py", "_failure")]

@@ -229,6 +229,38 @@ class TestIdempotents:
     def test_membership_matches_direct_evaluation(self, t, p):
         assert idempotents(t).contains(p) == (apply(t, p, p) == p)
 
+    @pytest.mark.parametrize("t, described, rendered", [
+        (minimum(), "minimum", "[0,1]"),
+        (product_tnorm(), "product", "{0} ∪ {1}"),
+        (lukasiewicz(), "lukasiewicz", "{0} ∪ {1}"),
+        (nilpotent_minimum(), "nilpotent-minimum", "{0} ∪ (1/2,1]"),
+        (interval_collapse([(F(1, 5), F(1, 2))]),
+         "interval-collapse{[1/5,1/2]}", "[0,1/5] ∪ (1/2,1]"),
+        (interval_collapse([(F(0), F(1, 8)), (F(1, 4), F(1, 2)), (F(3, 4), F(9, 10))]),
+         "interval-collapse{[0,1/8], [1/4,1/2], [3/4,9/10]}",
+         "{0} ∪ (1/8,1/4] ∪ (1/2,3/4] ∪ (9/10,1]"),
+        (interval_collapse([(F(1, 3), F(1, 3))]), "interval-collapse{}", "[0,1]"),
+    ], ids=["minimum", "product", "lukasiewicz", "nilpotent-minimum", "collapse", "collapse3",
+            "collapse-degenerate"])
+    def test_describe_and_rendering_are_pinned(self, t, described, rendered):
+        # the demos print both strings
+        assert t.describe() == described
+        assert str(idempotents(t)) == rendered
+
+    @staticmethod
+    def _assert_right_ends_idempotent(t):
+        for piece in idempotents(t).pieces:
+            assert piece.contains(piece.hi)
+            assert closed_form_apply(t, piece.hi, piece.hi) == piece.hi
+
+    def test_right_end_of_every_piece_is_idempotent(self, all_families):
+        for t in all_families.values():
+            self._assert_right_ends_idempotent(t)
+
+    @given(t=collapse_norms())
+    def test_right_end_of_every_collapse_piece_is_idempotent(self, t):
+        self._assert_right_ends_idempotent(t)
+
 
 class TestConditions:
     def test_c1_minimum_passes(self, all_families):
@@ -401,6 +433,10 @@ class TestConstruction:
     def test_touching_intervals_rejected(self):
         with pytest.raises(InputError):
             interval_collapse([(F(1, 5), F(1, 2)), (F(1, 2), F(3, 5))])
+
+    def test_interval_must_be_a_pair(self):
+        with pytest.raises(InputError, match="is not a pair"):
+            interval_collapse([(F(1, 4),)])
 
     def test_right_endpoint_must_stay_below_one(self):
         with pytest.raises(InputError):
