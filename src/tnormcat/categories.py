@@ -34,11 +34,11 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from . import tnorms
+from ._records import Record, replace
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
 from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _c1_sweep,
@@ -67,8 +67,7 @@ def label_text(label) -> str:
     return str(label)
 
 
-@dataclass(frozen=True)
-class RCat:
+class RCat(Record):
     """A finite [0,1]-enriched category: ordered labels + hom matrix."""
 
     elements: tuple
@@ -165,8 +164,7 @@ def validate(cat: RCat, t: TNorm) -> Witness | None:
     return None
 
 
-@dataclass(frozen=True)
-class RFunctor:
+class RFunctor(Record):
     """A hom-nonexpanding map; ``mapping`` aligns with source element order."""
 
     source: RCat
@@ -288,8 +286,7 @@ def _power_hom(base_hom, fiber_hom, f_images, g_images, top):
     return d
 
 
-@dataclass(frozen=True)
-class PowerObject:
+class PowerObject(Record):
     """Function space: all functors base -> fiber with the sup-hom d."""
 
     base: RCat
@@ -440,8 +437,7 @@ def check_currying(
     return None
 
 
-@dataclass(frozen=True)
-class CounterexampleBundle:
+class CounterexampleBundle(Record):
     """Explicit witness that the function space cannot be a category.
 
     Carries a two-element category, a finite unit-interval category, three
@@ -628,8 +624,7 @@ def enumerate_categories(
     return cats
 
 
-@dataclass(frozen=True)
-class CccReport:
+class CccReport(Record):
     """Composite cartesian-closedness verdict for one t-norm.
 
     ``triples_checked`` is the number of triples (x, y, z) of generated

@@ -19,12 +19,12 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import BudgetError, InputError, PreconditionError
 from .rationals import parse_rational
 from .tnorms import (
     DEFAULT_GRID_N,
+    Witness,
     _condition_sweeps,
     _sorted_grid,
     canonical_grid,
@@ -50,14 +50,16 @@ from .completeness import (
 from . import jsonio
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict
-    verdicts: list = field(default_factory=list)
-    certified: bool = True
-    violation: bool = False
-    timing_ms: int = 0
+    """One run's report; ``vars(report)`` is the JSON document ``_emit`` writes."""
+
+    def __init__(self, command: str, inputs: dict):
+        self.command = command
+        self.inputs = inputs
+        self.verdicts = []
+        self.certified = True
+        self.violation = False
+        self.timing_ms = 0
 
     def add(self, name: str, result, ok: bool, certified: bool = True):
         self.verdicts.append({"name": name, "ok": ok, "result": jsonio.to_jsonable(result)})
@@ -241,15 +243,22 @@ def _render_text(report: RunReport) -> str:
         lines.append(f"  {v['name']}: {status}")
         result = v["result"]
         if isinstance(result, dict):
-            witness = result.get("witness")
+            # the row's witness: its result, when that is a Witness (exp's
+            # power-validates, the cauchy rows of limits), else its witness
+            # key, else that of its C1 report (ccc-suite)
+            if result.keys() == set(Witness._fields):
+                witness = result
+            else:
+                witness = result.get("witness") or (result.get("c1") or {}).get("witness")
             if witness:
                 lines.append(f"    witness: {json.dumps(witness, ensure_ascii=False)}")
-            if "d_fg" in result:
+            bundle = result.get("bundle") or result  # ccc-suite nests it; counterexample is one
+            if "d_fg" in bundle:
                 lines.append(
-                    f"    d(f,g)={result['d_fg']} d(g,h)={result['d_gh']} "
-                    f"d(f,h)={result['d_fh']}"
+                    f"    d(f,g)={bundle['d_fg']} d(g,h)={bundle['d_gh']} "
+                    f"d(f,h)={bundle['d_fh']}"
                 )
-                bad = result["violated"]
+                bad = bundle["violated"]
                 lines.append(
                     f"    violated: {bad['inequality']} "
                     f"({bad['lhs']} > {bad['rhs']})"

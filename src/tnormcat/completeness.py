@@ -44,9 +44,9 @@ checks only its preconditions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ._records import Record, replace
 from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, format_rational
 from .tnorms import _C1_VIOLATIONS, TNorm, Witness, _c1_holds_on_unit_interval, interval_collapse
@@ -62,8 +62,7 @@ FROM_SEQ = "from-seq"
 TO_SEQ = "to-seq"
 
 
-@dataclass(frozen=True)
-class TailSeq:
+class TailSeq(Record):
     """An eventually periodic sequence in a finite category."""
 
     carrier: RCat
@@ -117,8 +116,7 @@ def is_forward_cauchy(seq: TailSeq) -> Witness | None:
     return None if w is None else replace(w, note="forward-cauchy")
 
 
-@dataclass(frozen=True)
-class CertificateRow:
+class CertificateRow(Record):
     """One carrier element's hom-vs-tail comparison backing a limit verdict."""
 
     element: object
@@ -128,8 +126,7 @@ class CertificateRow:
     tail_to_seq: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class LimitVerdict:
+class LimitVerdict(Record):
     kind: str  # "bilimit" | "yoneda-limit" | "none"
     witness: object | None
     certificate: tuple[CertificateRow, ...] = ()

@@ -18,11 +18,11 @@ the report format (see its docstring).
 from __future__ import annotations
 
 import json
-from dataclasses import is_dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
+from ._records import Record
 from .errors import InputError
 from .rationals import format_rational, parse_rational
 from .tnorms import INTERVAL_COLLAPSE, TNorm
@@ -208,7 +208,8 @@ def bundle_to_dict(b: CounterexampleBundle) -> dict:
 
 
 def to_jsonable(obj):
-    """Recursively render report values: fractions as strings, dataclasses as dicts."""
+    """Recursively render report values: fractions as strings, records as
+    dicts of their fields (a boolean ``verdict`` as "pass" or "fail")."""
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, RCat):
@@ -217,8 +218,8 @@ def to_jsonable(obj):
         return power_to_dict(obj)
     if isinstance(obj, CounterexampleBundle):
         return bundle_to_dict(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Record):
+        out = {name: to_jsonable(getattr(obj, name)) for name in obj._fields}
         if "verdict" in out and isinstance(obj.verdict, bool):
             out["verdict"] = "pass" if obj.verdict else "fail"
         return out

@@ -45,11 +45,11 @@ violating tuple with both evaluated sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from operator import itemgetter
 
+from ._records import Record
 from .errors import InputError, InvariantError
 from .rationals import ONE, ZERO, check_unit, format_rational
 
@@ -66,20 +66,19 @@ DEFAULT_GRID_N = 40
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class TNorm:
+class TNorm(Record):
     """A left-continuous t-norm, one of the five supported families.
 
     ``intervals`` is only meaningful for the interval-collapse family; it is
     kept sorted by left endpoint, with degenerate [a,a] entries dropped at
     construction (they are no-ops) and remembered in ``dropped_intervals``.
+    That attribute is not a field: ``==``, ``hash`` and ``repr`` ignore it,
+    so a norm equals the same norm given without its degenerate intervals.
     """
 
     family: str
     intervals: tuple[Interval, ...] = ()
-    dropped_intervals: tuple[Interval, ...] = field(
-        default=(), compare=False, repr=False
-    )
+    dropped_intervals = ()  # set by __post_init__; not a field
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -256,8 +255,7 @@ def residuum(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(Record):
     """One maximal run of idempotents: an interval from ``lo``, open there
     unless ``lo_closed``, to ``hi``, which it always contains (``idempotents``
     proves that every maximal run contains its right end)."""
@@ -280,8 +278,7 @@ class Piece:
         return f"{left}{format_rational(self.lo)},{format_rational(self.hi)}]"
 
 
-@dataclass(frozen=True)
-class IdempotentSet:
+class IdempotentSet(Record):
     """Finite union of points and intervals: all p with p & p = p."""
 
     pieces: tuple[Piece, ...]
@@ -326,8 +323,7 @@ def idempotents(t: TNorm) -> IdempotentSet:
     return IdempotentSet(tuple(p for p in pieces if p.lo <= p.hi))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A concrete violating tuple together with both recomputed sides."""
 
     values: tuple
@@ -336,8 +332,7 @@ class Witness:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     condition: str
     verdict: bool
     witness: Witness | None = None
@@ -605,8 +600,7 @@ def _c1_holds_on_unit_interval(t: TNorm) -> bool:
     return t.family in (MINIMUM, INTERVAL_COLLAPSE)
 
 
-@dataclass(frozen=True)
-class IntervalExtraction:
+class IntervalExtraction(Record):
     """Either the collapsing-interval family, or the pair defeating it."""
 
     intervals: tuple[Interval, ...] | None

@@ -37,6 +37,9 @@ with the recorded sides.  Every certificate row of ``limits`` is
 recomputed from the report's carrier and cycle: the homs with the witness
 and the cycle minima of the homs.
 
+The text rendering of three failing runs is pinned line by line: in it,
+every failing row is followed by its witness.
+
 The files are written by this module's ``__main__`` block; rewrite them only
 when a report is meant to change:
 
@@ -346,6 +349,52 @@ def test_certificate_replay_rejects_a_changed_value(name, element, field):
     row[field] = "1/3"
     with pytest.raises(AssertionError):
         replay_certificates(report)
+
+
+# The text rendering (``--format text``) of failing runs: the line of each
+# failing row is followed by its witness, and a failing ``ccc`` row also by
+# its counterexample bundle's d values and violated inequality.
+CYCLE_SEQ = {"carrier": CHAIN2, "cycle": ["x", "y"]}  # hom(x,y) = 1/2: not Cauchy
+TEXT_CASES = {
+    "exp-product-counterexample": (
+        ["exp", "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],
+        {"tnorm": PRODUCT, "base": BUNDLE_BASE, "fiber": BUNDLE_FIBER},
+        ["  power-validates: FAIL",
+         '    witness: {"values": [["1", "1/2"], ["1/2", "1/4"], ["1/2", "1/16"]], '
+         '"lhs": "1/8", "rhs": "1/16", "note": "transitivity"}',
+         "certified: True"],
+    ),
+    "ccc-suite-product": (
+        ["ccc-suite", "tnorm", "--grid", "4"],
+        {"tnorm": PRODUCT},
+        ["  ccc: FAIL",
+         '    witness: {"values": ["1/2", "1/2", "1/4"], "lhs": "1/4", "rhs": "1/8", "note": ""}',
+         "    d(f,g)=1/2 d(g,h)=1/2 d(f,h)=1/8",
+         "    violated: (d_fg & d_gh) ∧ u <= d_fh ∧ u (1/4 > 1/8)",
+         "certified: True"],
+    ),
+    "limits-not-cauchy": (
+        ["limits", "--seq", "seq"],
+        {"seq": CYCLE_SEQ},
+        ["  cauchy: FAIL",
+         '    witness: {"values": ["x", "y"], "lhs": "1/2", "rhs": "1", "note": "cauchy"}',
+         "  forward-cauchy: FAIL",
+         '    witness: {"values": ["x", "y"], "lhs": "1/2", "rhs": "1", '
+         '"note": "forward-cauchy"}',
+         "  bilimit: FAIL",
+         "certified: True"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_text_report_prints_the_witness_of_every_failing_row(name):
+    argv, inputs, expected = TEXT_CASES[name]
+    code, out, err = run_cli([*argv, "--format", "text"], inputs)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    start = lines.index(expected[0])
+    assert lines[start:start + len(expected)] == expected
 
 
 if __name__ == "__main__":

@@ -74,7 +74,6 @@ import io
 import itertools
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -110,6 +109,7 @@ from tnormcat import (
     validate,
 )
 from tnormcat import completeness
+from tnormcat._records import replace
 from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
