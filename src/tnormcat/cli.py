@@ -382,12 +382,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(handler=cmd_power_completeness)
 
+    parser.commands = subs.choices  # subcommand name -> its parser, for ``main``
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` if ``argv`` is None); the exit code.
+
+    A command line that starts with a subcommand is parsed by that
+    subcommand's parser alone, which is what the top-level parser would
+    hand it; the top-level parser parses only command lines that name no
+    subcommand first (``-h``, an empty or unknown command, a leading
+    option).  So a usage error after a known subcommand prints that
+    subcommand's usage line.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return 0 if exc.code == 0 else 1
     start = time.perf_counter()

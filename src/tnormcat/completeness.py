@@ -117,7 +117,11 @@ def is_forward_cauchy(seq: TailSeq) -> Witness | None:
 
 
 class CertificateRow(Record):
-    """One carrier element's hom-vs-tail comparison backing a limit verdict."""
+    """One carrier element's hom-vs-tail comparison backing a limit verdict.
+
+    A "none" verdict has no witness: each row's element is a candidate
+    that fails, and its hom fields hold hom(element, element).
+    """
 
     element: object
     hom_from_witness: Fraction
@@ -183,20 +187,28 @@ def find_bilimit(seq: TailSeq) -> LimitVerdict:
 
 
 def _find_bilimit(seq: TailSeq) -> LimitVerdict:
-    """``find_bilimit`` on a carrier whose laws have been checked."""
+    """``find_bilimit`` on a carrier whose laws have been checked.
+
+    The "none" verdict's certificate has one row per element a, comparing
+    hom(a, a) = 1 with a's own from-tail and to-tail: at least one of them
+    is not 1, or a would be a bilimit.
+    """
     cat = seq.carrier
     a = next((e for e in cat.elements if is_bilimit(seq, e)), None)
     if a is None:
-        return LimitVerdict("none", None)
-    rows = tuple(
-        CertificateRow(x, cat.hom_of(a, x), tail_value(seq, x, FROM_SEQ),
-                       cat.hom_of(x, a), tail_value(seq, x, TO_SEQ))
-        for x in cat.elements
-    )
+        return LimitVerdict("none", None, tuple(_bilimit_row(seq, x, x) for x in cat.elements))
+    rows = tuple(_bilimit_row(seq, a, x) for x in cat.elements)
     for row in rows:
         if row.hom_from_witness != row.tail_from_seq or row.hom_to_witness != row.tail_to_seq:
             raise InvariantError(f"bilimit {a!r} fails its certificate at {row.element!r}")
     return LimitVerdict("bilimit", a, rows)
+
+
+def _bilimit_row(seq: TailSeq, a, x) -> CertificateRow:
+    """hom(a, x) and hom(x, a) against the from-tail and to-tail at x."""
+    cat = seq.carrier
+    return CertificateRow(x, cat.hom_of(a, x), tail_value(seq, x, FROM_SEQ),
+                          cat.hom_of(x, a), tail_value(seq, x, TO_SEQ))
 
 
 def _require_forward_cauchy(seq: TailSeq) -> None:

@@ -37,11 +37,23 @@ from .completeness import TailSeq
 
 
 def _load_json_file(path) -> object:
+    """The JSON value in the file at ``path``.
+
+    The file is read as raw bytes and decoded once, which skips the text
+    layer that ``open(path, encoding="utf-8").read()`` stacks on the file.
+    The text is the same: strict UTF-8 (a BOM is kept, so ``json.loads``
+    rejects it), and ``\r\n`` and a lone ``\r`` become ``\n`` as in text
+    mode, so every value and every error position is unchanged.  The bytes
+    are not handed to ``json.loads``, which would also accept UTF-16 and
+    UTF-32.
+    """
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb", buffering=0) as f:
+            text = f.readall().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -549,3 +550,22 @@ def parse_rational_reference(text: str, where: str = "rational") -> Fraction:
     if not 0 <= value <= 1:
         raise InputError(f"{where} must lie in [0,1], got {value}")
     return value
+
+
+def load_json_file_reference(path):
+    """``jsonio._load_json_file`` as it read before its raw-bytes read: the
+    file through the text layer (``open(path, encoding="utf-8").read()``,
+    with text mode's newline translation), then ``json.loads``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: cannot parse JSON: {exc}") from exc

@@ -460,6 +460,12 @@ UNREAD_FLAGS = (
 )
 
 
+def usage_prog(text):
+    """The program name on the usage line that starts ``text``."""
+    assert text.startswith("usage: ")
+    return text.removeprefix("usage: ").split(" [-h]")[0]
+
+
 class TestCommandLine:
     @pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
                              ids=[f"{c}{f}" for c, f in UNREAD_FLAGS])
@@ -476,25 +482,45 @@ class TestCommandLine:
         assert (code, out) == (1, "")
         assert "not allowed with argument" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["ccc-suite", "{collapse}", "--max-size", "abc"],
-        ["check-tnorm", "{minimum}", "--no-such-flag"],
-        ["no-such-command"],
-        ["exp", "--tnorm", "{minimum}"],
-        [],
-    ], ids=["bad-int", "unknown-flag", "unknown-command", "missing-required", "empty"])
-    def test_usage_error_exits_1(self, files, capsys, argv):
+    # a usage error after a known subcommand shows that subcommand's usage
+    # line; a command line that names no subcommand first shows the top
+    # level's
+    @pytest.mark.parametrize("argv, prog", [
+        (["ccc-suite", "{collapse}", "--max-size", "abc"], "tnormcat ccc-suite"),
+        (["check-tnorm", "{minimum}", "--no-such-flag"], "tnormcat check-tnorm"),
+        (["no-such-command"], "tnormcat"),
+        (["exp", "--tnorm", "{minimum}"], "tnormcat exp"),
+        ([], "tnormcat"),
+        (["--format", "json", "check-tnorm", "{minimum}"], "tnormcat"),
+    ], ids=["bad-int", "unknown-flag", "unknown-command", "missing-required", "empty",
+            "leading-option"])
+    def test_usage_error_exits_1(self, files, capsys, argv, prog):
         code, out, err = run(capsys, *[a.format(**files) for a in argv])
         assert (code, out) == (1, "")
-        assert "usage: tnormcat" in err
+        assert usage_prog(err) == prog
+        assert f"\n{prog}: error: " in err
 
     def test_help_exits_0_and_lists_only_read_flags(self, capsys):
         code, out, _ = run(capsys, "power-completeness", "-h")
-        assert code == 0
+        assert code == 0 and usage_prog(out) == "tnormcat power-completeness"
         assert "--max-size" in out
         assert "--budget" not in out and "--grid" not in out and "--values" not in out
         code, out, _ = run(capsys, "-h")
-        assert code == 0 and "ccc-suite" in out
+        assert code == 0 and usage_prog(out) == "tnormcat" and "ccc-suite" in out
+
+    def test_argv_none_reads_sys_argv(self, files, capsys, monkeypatch):
+        argv = base_argv(files, "counterexample")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(sys, "argv", ["tnormcat", *argv])
+        assert main() == 0
+        got = capsys.readouterr()
+        assert got.err == ""
+        assert {**parse_report(got.out), "timing_ms": 0} == {**parse_report(out), "timing_ms": 0}
+        monkeypatch.setattr(sys, "argv", ["tnormcat"])
+        assert main() == 1
+        got = capsys.readouterr()
+        assert got.out == "" and usage_prog(got.err) == "tnormcat"
 
     def test_max_size_defaults(self, files, capsys):
         code, out, _ = run(capsys, *base_argv(files, "ccc-suite"), "--values", "0,1/4,1/2,1")

@@ -35,7 +35,14 @@ is recomputed from the report's base and fiber with
 ``oracles.power_hom_bruteforce``, and d(g,h) & d(f,g) must exceed d(f,h),
 with the recorded sides.  Every certificate row of ``limits`` is
 recomputed from the report's carrier and cycle: the homs with the witness
-and the cycle minima of the homs.
+and the cycle minima of the homs.  So is each row of the failing
+``bilimit`` verdict of a cycle with no bilimit, where one of the element's
+own tails must differ from its hom(x, x) = 1.  The counterexample bundles
+of ``counterexample-lukasiewicz`` and ``ccc-suite-lukasiewicz`` are
+replayed from their own base and fiber: f, g and h must be functors,
+d(f,g), d(g,h) and d(f,h) are recomputed with
+``oracles.power_hom_bruteforce``, and the interchange, transitivity and
+capped sides with ``oracles.closed_form_apply``.
 
 The text rendering of three failing runs is pinned line by line: in it,
 every failing row is followed by its witness.
@@ -282,7 +289,9 @@ def replay_power_witness(report: dict) -> tuple[Fraction, Fraction]:
 
 def replay_certificates(report: dict) -> int:
     """Recompute every certificate row of a ``limits`` report from its carrier
-    and cycle; the number of rows replayed."""
+    and cycle; the number of rows replayed.  A bilimit or Yoneda limit must
+    agree with every row; under a "none" verdict each row's element is the
+    candidate, and one of its own tails must differ from its hom(x, x) = 1."""
     carrier, cycle = report["inputs"]["carrier"], report["inputs"]["cycle"]
     labels = carrier["elements"]
     hom = {(x, y): Fraction(v)
@@ -292,14 +301,21 @@ def replay_certificates(report: dict) -> int:
         result = verdict["result"]
         if not result or "certificate" not in result:
             continue
-        a = result["witness"]
+        kind = result["kind"]
+        assert verdict["ok"] == (kind != "none")
+        assert (result["witness"] is None) == (kind == "none")
         assert [row["element"] for row in result["certificate"]] == labels
         for row in result["certificate"]:
             x = row["element"]
+            a = x if kind == "none" else result["witness"]
             from_seq = [hom[a, x], min(hom[c, x] for c in cycle)]
             to_seq = [hom[x, a], min(hom[x, c] for c in cycle)]
-            assert from_seq[0] == from_seq[1] and to_seq[0] == to_seq[1], x
-            if result["kind"] != "bilimit":
+            agree = from_seq[0] == from_seq[1] and to_seq[0] == to_seq[1]
+            if kind == "none":
+                assert hom[x, x] == 1 and not agree, x
+            else:
+                assert agree, x
+            if kind == "yoneda-limit":
                 to_seq = [None, None]
             recorded = [None if v is None else Fraction(v)
                         for v in (row["hom_from_witness"], row["tail_from_seq"],
@@ -307,6 +323,89 @@ def replay_certificates(report: dict) -> int:
             assert recorded == from_seq + to_seq, x
             rows += 1
     return rows
+
+
+def golden_bundle(name: str) -> tuple[dict, list]:
+    """The counterexample bundle of a golden report, with the triple that
+    the report names: ``counterexample``'s input, or ``ccc-suite``'s C1
+    witness."""
+    report = golden_report(name)
+    result = report["verdicts"][0]["result"]
+    if report["command"] == "counterexample":
+        return result, report["inputs"]["triple"]
+    return result["bundle"], result["c1"]["witness"]["values"]
+
+
+def replay_bundle(bundle: dict, triple: list) -> tuple[Fraction, Fraction]:
+    """Replay a counterexample bundle from its own t-norm, base, fiber and
+    functors; the capped sides ((d_fg & d_gh) ∧ u, d_fh ∧ u)."""
+    t = jsonio.tnorm_from_dict(bundle["tnorm"])
+    base = jsonio.category_from_dict(bundle["base"])
+    fiber = jsonio.category_from_dict(bundle["fiber"])
+
+    def tand(a, b):
+        return closed_form_apply(t, a, b)
+
+    def recorded(node):
+        return Fraction(node["lhs"]), Fraction(node["rhs"])
+
+    assert [bundle["p"], bundle["q"], bundle["u"]] == triple
+    p, q, u = map(Fraction, triple)
+    n = len(base.elements)
+    for name in "fgh":
+        image = bundle[name]
+        assert len(image) == n, name
+        assert all(base.hom[i][j] <= fiber.hom_of(image[i], image[j])
+                   for i in range(n) for j in range(n)), name
+    d = {}
+    for key, a, b in (("d_fg", "f", "g"), ("d_gh", "g", "h"), ("d_fh", "f", "h")):
+        d[key] = power_hom_bruteforce(base, fiber, bundle[a], bundle[b])
+        assert Fraction(bundle[key]) == d[key], key
+    interchange = (min(tand(p, q), u), max(tand(min(p, u), q), tand(p, min(q, u))))
+    assert interchange[0] != interchange[1] and recorded(bundle["interchange"]) == interchange
+    transitivity = (tand(d["d_fg"], d["d_gh"]), d["d_fh"])
+    assert recorded(bundle["transitivity"]) == transitivity
+    capped = (min(transitivity[0], u), min(transitivity[1], u))
+    assert capped[0] > capped[1] and recorded(bundle["violated"]) == capped
+    return capped
+
+
+BUNDLE_FILES = {"counterexample-lukasiewicz": (Fraction(1, 2), Fraction(2, 5)),
+                "ccc-suite-lukasiewicz": (Fraction(1, 4), Fraction(0))}
+
+
+@pytest.mark.parametrize("name", BUNDLE_FILES)
+def test_golden_counterexample_bundle_replays(name):
+    assert replay_bundle(*golden_bundle(name)) == BUNDLE_FILES[name]
+
+
+# one recorded value of a bundle each; every d value and capped side of the
+# golden bundles is below 1
+BUNDLE_MUTATIONS = ["d_fg", "d_gh", "d_fh", "violated.lhs", "violated.rhs",
+                    "f=g", "g=h", "h=f"]
+
+
+def mutate(bundle: dict, mutation: str) -> None:
+    """"f=g" gives f the image of g, which makes d(f,g) 1; any other
+    mutation raises the value at its key path half way to 1."""
+    if "=" in mutation:
+        name, other = mutation.split("=")
+        bundle[name] = list(bundle[other])
+        return
+    *path, key = mutation.split(".")
+    node = bundle[path[0]] if path else bundle
+    node[key] = str((Fraction(node[key]) + 1) / 2)
+
+
+@pytest.mark.parametrize("mutation", BUNDLE_MUTATIONS)
+@pytest.mark.parametrize("name", BUNDLE_FILES)
+def test_bundle_replay_rejects_a_changed_value(name, mutation):
+    bundle, triple = golden_bundle(name)
+    before = json.dumps(bundle)
+    mutate(bundle, mutation)
+    assert json.dumps(bundle) != before
+    with pytest.raises(AssertionError):
+        replay_bundle(bundle, triple)
 
 
 def test_golden_power_validates_witness_replays():
@@ -351,10 +450,52 @@ def test_certificate_replay_rejects_a_changed_value(name, element, field):
         replay_certificates(report)
 
 
+CYCLE_SEQ = {"carrier": CHAIN2, "cycle": ["x", "y"]}  # hom(x,y) = 1/2: not Cauchy
+
+
+def failing_limits_report() -> dict:
+    """The ``limits`` report of a cycle with no bilimit."""
+    code, out, _ = run_cli(["limits", "--seq", "seq"], {"seq": CYCLE_SEQ})
+    assert code == 0
+    return json.loads(out)
+
+
+def test_failing_bilimit_certificate_replays():
+    report = failing_limits_report()
+    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
+    assert bilimit["result"]["kind"] == "none"
+    assert replay_certificates(report) == len(CHAIN2["elements"])
+
+
+@pytest.mark.parametrize("element", CHAIN2["elements"])
+@pytest.mark.parametrize("side", ["tails", "homs"])
+def test_none_certificate_replay_rejects_a_row_that_agrees(element, side):
+    report = failing_limits_report()
+    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
+    row, = (r for r in bilimit["result"]["certificate"] if r["element"] == element)
+    if side == "tails":
+        row["tail_from_seq"], row["tail_to_seq"] = row["hom_from_witness"], row["hom_to_witness"]
+    else:
+        row["hom_from_witness"], row["hom_to_witness"] = row["tail_from_seq"], row["tail_to_seq"]
+    with pytest.raises(AssertionError):
+        replay_certificates(report)
+
+
+def test_none_certificate_replay_rejects_a_candidate_that_is_a_bilimit():
+    # the recorded rows are recomputed from a cycle whose element x is a
+    # bilimit, so x's row agrees, and only the "none" verdict is wrong
+    report = failing_limits_report()
+    report["inputs"]["cycle"] = ["x"]
+    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
+    for row, tails in zip(bilimit["result"]["certificate"], [("1", "1"), ("1/2", "0")]):
+        row["tail_from_seq"], row["tail_to_seq"] = tails
+    with pytest.raises(AssertionError, match=r"\Ax\n"):
+        replay_certificates(report)
+
+
 # The text rendering (``--format text``) of failing runs: the line of each
 # failing row is followed by its witness, and a failing ``ccc`` row also by
 # its counterexample bundle's d values and violated inequality.
-CYCLE_SEQ = {"carrier": CHAIN2, "cycle": ["x", "y"]}  # hom(x,y) = 1/2: not Cauchy
 TEXT_CASES = {
     "exp-product-counterexample": (
         ["exp", "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],

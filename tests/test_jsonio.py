@@ -30,6 +30,7 @@ from tnormcat import (
 )
 from tnormcat.tnorms import FAMILIES, INTERVAL_COLLAPSE
 from tnormcat.jsonio import (
+    _load_json_file,
     bundle_to_dict,
     category_from_dict,
     category_to_dict,
@@ -79,6 +80,73 @@ class TestTNormSchema:
         with pytest.raises(InputError) as err:
             load_tnorm(path)
         assert "line 1" in str(err.value)
+
+
+def _loaded_or_error(load, path):
+    try:
+        return "value", load(path)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+# raw file contents that text mode reads differently from the bytes, or
+# rejects; each must load as ``oracles.load_json_file_reference`` loads it
+RAW_FILES = {
+    "crlf": b'{\r\n  "family": "minimum"\r\n}\r\n',
+    "cr": b'{\r  "family": "minimum"\r}\r',
+    "crlf-syntax-error": b'{\r\n  "family": "minimum",\r\n }\r\n',
+    "cr-syntax-error": b'{\r  "family": "minimum",\r }\r',
+    "mixed-endings-syntax-error": b'{\r\r\n\n\r "family": "minimum",\n\r\n }',
+    "cr-in-string": b'{"family": "mini\rmum"}',
+    "bom": b'\xef\xbb\xbf{"family": "minimum"}',
+    "invalid-byte": b'{"family": "m\xe9nimum"}',
+    "truncated-sequence": b'{"family": "minimum\xc3',
+    "utf-16-le": '{"family": "minimum"}'.encode("utf-16-le"),
+    "utf-16-bom": '{"family": "minimum"}'.encode("utf-16"),
+    "empty": b"",
+}
+
+
+class TestFileReading:
+    @pytest.mark.parametrize("name", RAW_FILES)
+    def test_raw_read_matches_text_mode(self, tmp_path, name):
+        path = tmp_path / "input.json"
+        path.write_bytes(RAW_FILES[name])
+        got = _loaded_or_error(_load_json_file, path)
+        assert got == _loaded_or_error(oracles.load_json_file_reference, path)
+        if name in ("crlf", "cr"):
+            assert got == ("value", {"family": "minimum"})
+        elif name.startswith("utf-16"):
+            assert got[0] == "InputError"  # UTF-16 and UTF-32 stay unread
+
+    @pytest.mark.parametrize("name", ["crlf-syntax-error", "cr-syntax-error"])
+    def test_syntax_error_position_counts_text_lines(self, tmp_path, name):
+        # without the newline translation the CR-only file is one line, and
+        # the error is reported at line 1, column 27
+        path = tmp_path / "input.json"
+        path.write_bytes(RAW_FILES[name])
+        with pytest.raises(InputError) as err:
+            _load_json_file(path)
+        assert str(err.value) == (f"{path}: malformed JSON at line 3, column 2: "
+                                  "Expecting property name enclosed in double quotes")
+
+    def test_missing_file_matches_text_mode(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            got = _loaded_or_error(_load_json_file, path)
+            assert got == _loaded_or_error(oracles.load_json_file_reference, path)
+            assert got[1].startswith(f"cannot read {path}: [Errno ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b" ", b"{", b"}", b"[", b"]",
+                                 b'"a"', b":", b",", b"1", b"\xc3", b"\xa9",
+                                 b"\xef\xbb\xbf", b"\x00"]), max_size=12))
+def test_raw_read_matches_text_mode_on_random_bytes(chunks):
+    with TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(b"".join(chunks))
+        assert _loaded_or_error(_load_json_file, path) == \
+            _loaded_or_error(oracles.load_json_file_reference, path)
 
 
 class TestCategorySchema:
