@@ -287,26 +287,26 @@ def _power_hom(base_hom, fiber_hom, f_images, g_images, top):
 
 
 class PowerObject(Record):
-    """Function space: all functors base -> fiber with the sup-hom d."""
+    """Function space: all functors base -> fiber with the sup-hom d.
+
+    ``labels`` holds each functor as its tuple of target labels, in base
+    element order; ``functors`` builds the ``RFunctor`` records on request.
+    """
 
     base: RCat
     fiber: RCat
-    functors: tuple[RFunctor, ...]
+    labels: tuple[tuple, ...]
     hom: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
-    def labels(self) -> tuple:
-        return tuple(f.mapping for f in self.functors)
-
-    @cached_property
-    def _rcat(self) -> RCat:
-        return RCat(self.labels, self.hom)
+    def functors(self) -> tuple[RFunctor, ...]:
+        return tuple(RFunctor(self.base, self.fiber, m) for m in self.labels)
 
     def as_rcat(self) -> RCat:
-        return self._rcat
+        return RCat(self.labels, self.hom)
 
     def __len__(self):
-        return len(self.functors)
+        return len(self.labels)
 
 
 def _require_valid(t: TNorm, base: RCat, fiber: RCat) -> None:
@@ -331,8 +331,8 @@ def exponential(t: TNorm, base: RCat, fiber: RCat, budget: int = DEFAULT_BUDGET)
         tuple(values[_power_hom(base_m, fiber_m, fi, gi, top)] for gi in images)
         for fi in images
     )
-    functors = tuple(RFunctor(base, fiber, tuple(fiber.elements[d] for d in im)) for im in images)
-    return PowerObject(base, fiber, functors, hom)
+    labels = tuple(tuple(fiber.elements[d] for d in im) for im in images)
+    return PowerObject(base, fiber, labels, hom)
 
 
 def _validate_power(t: TNorm, power: PowerObject) -> Witness | None:

@@ -245,13 +245,17 @@ def _render_text(report: RunReport) -> str:
         if isinstance(result, dict):
             # the row's witness: its result, when that is a Witness (exp's
             # power-validates, the cauchy rows of limits), else its witness
-            # key, else that of its C1 report (ccc-suite)
+            # key, else that of its C1 report (ccc-suite); a failing row
+            # without one (limits' bilimit) prints its certificate instead
             if result.keys() == set(Witness._fields):
                 witness = result
             else:
                 witness = result.get("witness") or (result.get("c1") or {}).get("witness")
             if witness:
                 lines.append(f"    witness: {json.dumps(witness, ensure_ascii=False)}")
+            elif not v["ok"] and result.get("certificate"):
+                certificate = json.dumps(result["certificate"], ensure_ascii=False)
+                lines.append(f"    certificate: {certificate}")
             bundle = result.get("bundle") or result  # ccc-suite nests it; counterexample is one
             if "d_fg" in bundle:
                 lines.append(

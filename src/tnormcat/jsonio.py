@@ -112,6 +112,8 @@ def category_from_dict(data, where: str = "category") -> RCat:
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise InputError(f"{where}: elements must be a list of strings")
     for k, e in enumerate(elements):
+        if elements.index(e) != k:  # a scan per label costs less than the n² hom entries
+            raise InputError(f"{where}: elements[{k}] repeats {e!r}")
         # json.loads accepts a lone surrogate such as "\ud800", but no
         # UTF-8 report could hold it
         try:
@@ -184,7 +186,7 @@ def power_to_dict(p: PowerObject) -> dict:
     return {
         "base": category_to_dict(p.base),
         "fiber": category_to_dict(p.fiber),
-        "functors": [functor_to_list(f) for f in p.functors],
+        "functors": [[label_text(lbl) for lbl in m] for m in p.labels],
         "d": [[format_rational(v) for v in row] for row in p.hom],
     }
 

@@ -19,14 +19,10 @@ ONE = Fraction(1)
 _EXPONENT = re.compile(r"e[-+]?\d", re.IGNORECASE)
 
 
-def is_unit(value: Fraction) -> bool:
-    num, den = value.as_integer_ratio()
-    return 0 <= num <= den
-
-
 def check_unit(value: Fraction, where: str = "value") -> Fraction:
     """Return value unchanged, or raise InputError if it lies outside [0,1]."""
-    if not is_unit(value):
+    num, den = value.as_integer_ratio()
+    if not 0 <= num <= den:
         raise InputError(f"{where} must lie in [0,1], got {value}")
     return value
 

@@ -410,9 +410,16 @@ class TestOtherCommands:
         (["limits", "--seq", "{input}"], {"carrier": 5, "cycle": ["x"]},
          '{input}: "carrier" must be a path or inline category'),
         (["limits", "--seq", "{input}"], [], "{input}: expected an object"),
+        (["exp", "--tnorm", "{minimum}", "--base", "{input}", "--fiber", "{chain}"],
+         {"elements": ["x", "y", "x"], "hom": [["1"] * 3] * 3},
+         "{input}: elements[2] repeats 'x'"),
+        (["exp", "--tnorm", "{minimum}", "--base", "{chain}", "--fiber", "{input}"],
+         {"elements": ["x", "x"], "hom": [["1", "1"], ["1", "1"]]},
+         "{input}: elements[1] repeats 'x'"),
     ], ids=["grid-0", "tnorm-list", "interval-single", "missing-file", "category-list",
             "category-no-hom", "category-int-labels", "category-short-row", "hom-true",
-            "hom-float", "sequence-carrier-int", "sequence-list"])
+            "hom-float", "sequence-carrier-int", "sequence-list", "base-repeated-label",
+            "fiber-repeated-label"])
     def test_malformed_input_exit_1(self, files, tmp_path, capsys, argv, payload, message):
         paths = {"minimum": files["minimum"], "chain": files["chain"],
                  "input": str(tmp_path / "input.json"), "missing": str(tmp_path / "missing.json")}

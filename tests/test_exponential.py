@@ -6,15 +6,18 @@ import pytest
 from tnormcat import (
     BudgetError,
     RCat,
+    RFunctor,
     canonical_grid,
     enumerate_functors,
     exponential,
     interval_collapse,
     minimum,
+    product,
     terminal,
     unit_interval_category,
     validate,
 )
+from tnormcat.jsonio import functor_to_list, power_to_dict
 
 from conftest import EIGHT_GRID, make_random_category
 from oracles import power_hom_bruteforce
@@ -105,3 +108,36 @@ class TestExponential:
         found = enumerate_functors(two_chain, dst)
         assert ("c", "d") not in found
         assert ("c", "c") in found and ("d", "d") in found
+
+
+class TestPowerRepresentation:
+    """A power holds its functors as label tuples and builds the
+    ``RFunctor`` records only on request."""
+
+    def test_exponential_builds_no_functor_records(self, two_chain, monkeypatch):
+        built = []
+        post_init = RFunctor.__post_init__
+
+        def counting(self):
+            built.append(self.mapping)
+            post_init(self)
+
+        monkeypatch.setattr(RFunctor, "__post_init__", counting)
+        power = exponential(minimum(), two_chain, two_chain)
+        assert built == [] and len(power) == 3
+        assert [f.mapping for f in power.functors] == list(power.labels)
+        assert len(built) == len(power)
+
+    def test_functors_rcat_and_json_read_the_labels(self, all_families, two_chain):
+        rng = random.Random(34)
+        pairs = [(make_random_category(rng, 3, EIGHT_GRID),
+                  make_random_category(rng, 3, EIGHT_GRID)) for _ in range(8)]
+        pairs += [(RCat((), ()), two_chain), (product(two_chain, terminal()), two_chain),
+                  (two_chain, product(two_chain, two_chain))]
+        for t in all_families.values():
+            for base, fiber in pairs:
+                power = exponential(t, base, fiber)
+                assert power.functors == tuple(RFunctor(base, fiber, m) for m in power.labels)
+                assert power.as_rcat() == RCat(power.labels, power.hom)
+                assert (power_to_dict(power)["functors"]
+                        == [functor_to_list(f) for f in power.functors])

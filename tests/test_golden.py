@@ -467,6 +467,19 @@ def test_failing_bilimit_certificate_replays():
     assert replay_certificates(report) == len(CHAIN2["elements"])
 
 
+def test_text_report_prints_the_failing_bilimit_certificate():
+    code, out, err = run_cli(["limits", "--seq", "seq", "--format", "text"], {"seq": CYCLE_SEQ})
+    assert (code, err) == (0, "")
+    prefix = "    certificate: "
+    line, = (line for line in out.splitlines() if line.startswith(prefix))
+    printed = json.loads(line[len(prefix):])
+    report = failing_limits_report()
+    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
+    assert printed == bilimit["result"]["certificate"]
+    bilimit["result"]["certificate"] = printed
+    assert replay_certificates(report) == len(CHAIN2["elements"])
+
+
 @pytest.mark.parametrize("element", CHAIN2["elements"])
 @pytest.mark.parametrize("side", ["tails", "homs"])
 def test_none_certificate_replay_rejects_a_row_that_agrees(element, side):
@@ -523,6 +536,10 @@ TEXT_CASES = {
          '    witness: {"values": ["x", "y"], "lhs": "1/2", "rhs": "1", '
          '"note": "forward-cauchy"}',
          "  bilimit: FAIL",
+         '    certificate: [{"element": "x", "hom_from_witness": "1", "tail_from_seq": "0", '
+         '"hom_to_witness": "1", "tail_to_seq": "1/2"}, {"element": "y", '
+         '"hom_from_witness": "1", "tail_from_seq": "1/2", "hom_to_witness": "1", '
+         '"tail_to_seq": "0"}]',
          "certified: True"],
     ),
 }
