@@ -64,7 +64,6 @@ from .completeness import (
     check_power_completeness,
     check_product_bilimit,
     check_yoneda_continuity,
-    enumerate_cycles,
     find_bilimit,
     find_yoneda_limit,
     is_bilimit,

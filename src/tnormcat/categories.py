@@ -230,11 +230,13 @@ def unit_interval_category(t: TNorm, points) -> RCat:
 def _functor_images(src: RCat, dst: RCat, budget: int):
     """The functors src -> dst as image tuples, with the ranks that chose them.
 
-    Returns ``(values, src_m, dst_m, images)``: ``values`` is the sorted set
-    of the hom values of both matrices and 1, ``src_m`` and ``dst_m`` are
-    the matrices as ranks in ``values``, and ``images`` lists, in
-    ``itertools.product`` order, the tuples of target indices (one per
-    source element) of the maps that never shrink a hom.  Ranks are
+    Returns ``(values, src_m, dst_m, images)``: ``values`` holds the
+    distinct hom values of both matrices and 1, ascending
+    (``_sorted_grid``, on integer pairs), ``src_m`` and ``dst_m`` are the
+    matrices as ranks in ``values``, looked up by ``as_integer_ratio()`` as
+    ``check_exponentiable`` does, so no Fraction is hashed, and ``images``
+    lists, in ``itertools.product`` order, the tuples of target indices
+    (one per source element) of the maps that never shrink a hom.  Ranks are
     injective and order-preserving, so comparing two ranks decides the
     comparison of their values.  The rank of 1 is ``len(values) - 1``,
     also for two empty categories.  ``BudgetError`` is raised where the
@@ -243,10 +245,10 @@ def _functor_images(src: RCat, dst: RCat, budget: int):
     count = len(dst) ** len(src)
     if count > budget:
         raise BudgetError(count, budget, "map enumeration")
-    values = sorted({ONE, *(v for row in src.hom + dst.hom for v in row)})
-    rank = {v: r for r, v in enumerate(values)}
-    src_m = [[rank[v] for v in row] for row in src.hom]
-    dst_m = [[rank[v] for v in row] for row in dst.hom]
+    values = _sorted_grid([ONE, *itertools.chain.from_iterable(src.hom + dst.hom)])
+    rank = {v.as_integer_ratio(): r for r, v in enumerate(values)}
+    src_m = [[rank[v.as_integer_ratio()] for v in row] for row in src.hom]
+    dst_m = [[rank[v.as_integer_ratio()] for v in row] for row in dst.hom]
     images = [
         im
         for im in itertools.product(range(len(dst)), repeat=len(src))
@@ -495,8 +497,7 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
     )
     if h_vals[1] != c1_rhs:
         raise InvariantError(f"h(y) = {h_vals[1]} differs from the C1 right side {c1_rhs}")
-    points = sorted(set(f_vals) | set(g_vals) | set(h_vals))
-    fiber = unit_interval_category(t, points)
+    fiber = unit_interval_category(t, f_vals + g_vals + h_vals)
 
     fs = []
     for name, vals in (("f", f_vals), ("g", g_vals), ("h", h_vals)):

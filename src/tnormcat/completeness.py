@@ -49,7 +49,7 @@ from fractions import Fraction
 from ._records import Record, replace
 from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, format_rational
-from .tnorms import _C1_VIOLATIONS, TNorm, Witness, _c1_holds_on_unit_interval, interval_collapse
+from .tnorms import _C1_FAILURES, TNorm, Witness, _c1_holds_on_unit_interval, interval_collapse
 from .categories import (
     RCat,
     RFunctor,
@@ -248,19 +248,14 @@ def _find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
     raise InvariantError(f"forward-Cauchy cycle {seq.cycle!r} has no Yoneda limit")
 
 
-def enumerate_cycles(cat: RCat, max_len: int):
-    """All element tuples of length 1..max_len, in deterministic order."""
-    for length in range(1, max_len + 1):
-        yield from itertools.product(cat.elements, repeat=length)
-
-
 def is_cauchy_complete(cat: RCat) -> Witness | None:
     """Every Cauchy cycle must have a bilimit.
 
     Gives the result, exception and message included, of running
-    ``find_bilimit`` on every Cauchy cycle of ``enumerate_cycles(cat, b)``
-    for any b >= 1, on any matrix, but runs it only on the first cycle (c,)
-    with hom(c, c) = 1:
+    ``find_bilimit`` on every Cauchy cycle of length 1..b, in the order of
+    ``enumerate_cycles(cat, b)`` in ``tests/oracles.py``, for any b >= 1,
+    on any matrix, but runs it only on the first cycle (c,) with
+    hom(c, c) = 1:
 
     * The sweep visits the cycles of length 1 first, in element order, and
       a Cauchy cycle needs hom(c, c) = 1 for each of its elements c.  So
@@ -341,11 +336,11 @@ def check_power_completeness(t: TNorm, base: RCat, fiber: RCat) -> Witness | Non
     Since no functor is enumerated, no budget applies.  The C1
     precondition is kept as the contract of the check, although the proof
     does not use it.  ``_c1_holds_on_unit_interval`` decides it, and the
-    error names the family's triple in ``tnorms._C1_VIOLATIONS``, the first
+    error names the family's triple in ``tnorms._C1_FAILURES``, the first
     C1 violation that ``check_c1`` finds on ``canonical_grid(t)``.
     """
     if not _c1_holds_on_unit_interval(t):
-        triple = ", ".join(map(format_rational, _C1_VIOLATIONS[t.family]))
+        triple = ", ".join(map(format_rational, _C1_FAILURES[t.family][0]))
         raise PreconditionError(f"t-norm {t.describe()} fails C1 at ({triple})")
     _require_valid(t, base, fiber)
     return None

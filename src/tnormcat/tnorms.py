@@ -553,13 +553,30 @@ def _c2_sweep(t: TNorm, pts, g, table, keys) -> ConditionReport:
     return ConditionReport("C2", True, certified=_c1_holds_on_unit_interval(t))
 
 
+# For each family that fails C1, the (p, q, u) of the first C1 violation and
+# the (p, u) of the first C2 violation that check_c1 and check_c2 find on
+# canonical_grid(t) (derivations in _c1_holds_on_unit_interval and
+# extract_intervals)
+_C1_FAILURES = {
+    PRODUCT: ((Fraction(1, 20), Fraction(1, 20), Fraction(1, 40)),
+              (Fraction(7, 40), Fraction(1, 40))),
+    LUKASIEWICZ: ((Fraction(1, 20), Fraction(39, 40), Fraction(1, 40)),
+                  (Fraction(21, 40), Fraction(1, 40))),
+    NILPOTENT_MINIMUM: ((Fraction(1, 20), Fraction(39, 40), Fraction(1, 40)),
+                        (Fraction(21, 40), Fraction(1, 40))),
+}
+
+
 def _c1_holds_on_unit_interval(t: TNorm) -> bool:
     """Whether C1 holds at every triple (p, q, u) of [0,1], not only on a grid.
 
     This is the one place that decides it.  A grid pass of ``check_c1`` is
     certified exactly when it holds, and so is one of ``check_c2``, the
     equivalent dominance law.  It holds for minimum and interval-collapse
-    and fails for the other three families.
+    and fails for the other three families, the keys of ``_C1_FAILURES``.
+    ``TNorm`` admits only ``FAMILIES``, so the families that the table
+    leaves out are exactly the two proved below; ``tests/test_tnorms.py``
+    pins that set.
 
     By the lemma of ``check_c1`` only the triples with u < p ∧ q need a
     proof, and there p ∧ u = q ∧ u = u, so C1 reads
@@ -583,11 +600,11 @@ def _c1_holds_on_unit_interval(t: TNorm) -> bool:
     (1/5, 0).  ``tests/test_tnorms.py`` checks these triples and that this
     predicate equals the verdict of ``check_c1`` on ``canonical_grid(t)``.
 
-    ``_C1_VIOLATIONS`` holds the first failing triple of ``check_c1`` on
-    ``canonical_grid(t)``, which is k/40 for k = 0..40 under these three
-    families.  The sweep runs in (p, q, u) order over u < p ∧ q, and u = 0
-    never fails (both sides are 0), so the first candidate is p = 1/20,
-    u = 1/40, with q ascending from 1/20:
+    The first item of each entry of ``_C1_FAILURES`` is the first failing
+    triple of ``check_c1`` on ``canonical_grid(t)``, which is k/40 for
+    k = 0..40 under these three families.  The sweep runs in (p, q, u)
+    order over u < p ∧ q, and u = 0 never fails (both sides are 0), so the
+    first candidate is p = 1/20, u = 1/40, with q ascending from 1/20:
 
     * Product: q = 1/20 fails, with sides (1/400, 1/800).
     * Łukasiewicz: u & q = max(q - 39/40, 0), p & u = 0 and
@@ -597,7 +614,7 @@ def _c1_holds_on_unit_interval(t: TNorm) -> bool:
       p & q = 0 up to q = 38/40 and 1/20 at q = 39/40, which fails, with
       sides (1/40, 0).
     """
-    return t.family in (MINIMUM, INTERVAL_COLLAPSE)
+    return t.family not in _C1_FAILURES
 
 
 class IntervalExtraction(Record):
@@ -609,22 +626,6 @@ class IntervalExtraction(Record):
     @property
     def ok(self) -> bool:
         return self.intervals is not None
-
-
-# (p, q, u) of the first C1 violation that check_c1 finds on canonical_grid(t),
-# for each family that fails C1 (derivation in _c1_holds_on_unit_interval)
-_C1_VIOLATIONS = {
-    PRODUCT: (Fraction(1, 20), Fraction(1, 20), Fraction(1, 40)),
-    LUKASIEWICZ: (Fraction(1, 20), Fraction(39, 40), Fraction(1, 40)),
-    NILPOTENT_MINIMUM: (Fraction(1, 20), Fraction(39, 40), Fraction(1, 40)),
-}
-
-# (p, u) of the C3-form witness of each family that fails C2
-_C2_VIOLATIONS = {
-    PRODUCT: (Fraction(7, 40), Fraction(1, 40)),
-    LUKASIEWICZ: (Fraction(21, 40), Fraction(1, 40)),
-    NILPOTENT_MINIMUM: (Fraction(21, 40), Fraction(1, 40)),
-}
 
 
 def extract_intervals(t: TNorm) -> IntervalExtraction:
@@ -639,11 +640,11 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
     family; a violating (p, u) pair is returned instead, with sides
     (u & p, u) from one ``apply`` call.  No grid is swept.
 
-    The pair is ``_C2_VIOLATIONS[t.family]``, the first C2 violation that
-    ``check_c2`` finds on ``canonical_grid(t)``.  That grid is k/40 for
-    k = 0..40 under the three families: their breakpoints 0, 1/2 and 1 and
-    the midpoints 1/4 and 3/4 all lie on it.  Take p = m/40 in ascending
-    order; u = 0 never fails, since 0 & p = 0.
+    The pair is the second item of ``_C1_FAILURES[t.family]``, the first
+    C2 violation that ``check_c2`` finds on ``canonical_grid(t)``.  That
+    grid is k/40 for k = 0..40 under the three families: their breakpoints
+    0, 1/2 and 1 and the midpoints 1/4 and 3/4 all lie on it.  Take
+    p = m/40 in ascending order; u = 0 never fails, since 0 & p = 0.
 
     * Product: p & p = m²/1600, and u = k/40 <= p & p iff 40·k <= m²;
       u & p = u·p = u fails for every u > 0 when p < 1.  So the first p
@@ -661,7 +662,7 @@ def extract_intervals(t: TNorm) -> IntervalExtraction:
     """
     if _c1_holds_on_unit_interval(t):
         return IntervalExtraction(t.intervals)
-    p, u = _C2_VIOLATIONS[t.family]
+    p, u = _C1_FAILURES[t.family][1]
     return IntervalExtraction(None, Witness((p, u), apply(t, u, p), u))
 
 

@@ -31,7 +31,6 @@ from tnormcat import (
     TNorm,
     Witness,
     apply,
-    enumerate_cycles,
     exponential,
     find_bilimit,
     find_yoneda_limit,
@@ -286,6 +285,12 @@ def tail_value_bruteforce(seq: TailSeq, x, direction: str, cycles: int = 3) -> F
         if best is None or inf > best:
             best = inf
     return best
+
+
+def enumerate_cycles(cat: RCat, max_len: int):
+    """All element tuples of length 1..max_len, in deterministic order."""
+    for length in range(1, max_len + 1):
+        yield from itertools.product(cat.elements, repeat=length)
 
 
 def cauchy_complete_sweep(cat: RCat, budget: int) -> Witness | None:

@@ -26,7 +26,6 @@ from tnormcat import (
     check_yoneda_continuity,
     counterexample,
     enumerate_categories,
-    enumerate_cycles,
     enumerate_functors,
     exponential,
     extract_intervals,
@@ -48,7 +47,7 @@ from tnormcat.completeness import FROM_SEQ, TO_SEQ, is_bilimit
 from tnormcat.cli import main as cli_main
 
 from conftest import EIGHT_GRID, make_random_category
-from oracles import c1_sides, power_hom_bruteforce, tail_value_bruteforce
+from oracles import c1_sides, enumerate_cycles, power_hom_bruteforce, tail_value_bruteforce
 
 F = Fraction
 

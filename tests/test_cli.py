@@ -570,35 +570,48 @@ class TestCommandLine:
         assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
+def replay_axioms(t, witness: dict, amp) -> None:
+    """Recompute both sides of an ``axioms`` witness from its strings with
+    ``amp(t, p, q)``, a & on Fractions: they must break the law its note
+    names and equal the recorded sides."""
+    values = tuple(Fraction(v) for v in witness["values"])
+    note = witness["note"]
+    if note == "unit":
+        one, p = values
+        assert one == 1
+        sides = amp(t, one, p), p
+    elif note == "commutativity":
+        p, q = values
+        sides = amp(t, p, q), amp(t, q, p)
+    elif note == "monotonicity":
+        p, p2, q = values
+        sides = amp(t, p, q), amp(t, p2, q)
+        assert p < p2 and sides[0] > sides[1]
+    elif note == "associativity":
+        p, q, u = values
+        sides = amp(t, amp(t, p, q), u), amp(t, p, amp(t, q, u))
+    else:
+        b, q = values
+        bps = breakpoints(t)
+        assert note == "left continuity" and b in bps
+        sides = oracles.left_limit(t, b, q, bps, amp=amp), amp(t, b, q)
+    assert sides[0] != sides[1]
+    assert sides == (Fraction(witness["lhs"]), Fraction(witness["rhs"]))
+
+
 def _replay(t, verdict):
     """Rebuild a failing witness from its strings and recompute both sides."""
     w = verdict["result"]["witness"]
+    if verdict["name"] == "axioms":
+        replay_axioms(t, w, tnorms.apply)
+        return
     values = tuple(Fraction(v) for v in w["values"])
     lhs, rhs = Fraction(w["lhs"]), Fraction(w["rhs"])
-    amp = lambda p, q: tnorms.apply(t, p, q)
-    name, note = verdict["name"], w["note"]
-    if name == "C1":
+    if verdict["name"] == "C1":
         assert oracles.c1_sides(t, *values) == (lhs, rhs)
-    elif name == "C2":
-        p, u = values
-        assert not oracles.c2_holds(t, p, u) and (amp(u, p), u) == (lhs, rhs)
-    elif note == "unit":
-        assert values[0] == 1 and (amp(*values), values[1]) == (lhs, rhs)
-    elif note == "commutativity":
-        p, q = values
-        assert (amp(p, q), amp(q, p)) == (lhs, rhs)
-    elif note == "monotonicity":
-        p, p2, q = values
-        assert p < p2 and (amp(p, q), amp(p2, q)) == (lhs, rhs) and lhs > rhs
-    elif note == "associativity":
-        p, q, u = values
-        assert (amp(amp(p, q), u), amp(p, amp(q, u))) == (lhs, rhs)
     else:
-        # the left limit (lhs) is recomputed by the left-continuity tests of
-        # test_tnorms.py; here only the value at the breakpoint is replayed
-        b, q = values
-        assert note == "left continuity" and b in breakpoints(t)
-        assert amp(b, q) == rhs
+        p, u = values
+        assert not oracles.c2_holds(t, p, u) and (tnorms.apply(t, u, p), u) == (lhs, rhs)
     assert lhs != rhs
 
 
@@ -626,6 +639,40 @@ def test_failing_witnesses_replay(t, grid, data):
         for verdict in parse_report(out.getvalue())["verdicts"]:
             if verdict["name"] in ("C1", "C2", "axioms") and not verdict["ok"]:
                 _replay(t, verdict)
+
+
+# for each law of the axioms sweep, a & that keeps the laws swept before it
+# on AXIOMS_GRID and breaks that one (left continuity at the breakpoint 1/2 of
+# the nilpotent minimum)
+BROKEN_LAWS = {
+    "unit": lambda t, p, q: p * q / 2,
+    "commutativity": lambda t, p, q: q if p == 1 else p * p * q,
+    "monotonicity": lambda t, p, q: (min(p, q) if 1 in (p, q) else
+                                     p * q if p + q <= 1 else Fraction(0)),
+    "associativity": lambda t, p, q: min(p, q) if 1 in (p, q) else (p * q) ** 2,
+    "left continuity": lambda t, p, q: min(p, q) if p + q >= 1 else Fraction(0),
+}
+AXIOMS_GRID = "0,1/4,1/2,3/4,1"
+
+
+@pytest.mark.parametrize("note", BROKEN_LAWS)
+def test_axioms_witness_replays_with_the_broken_and(note, tmp_path, capsys, monkeypatch):
+    t = nilpotent_minimum()
+    path = tmp_path / "tnorm.json"
+    path.write_text(json.dumps(jsonio.tnorm_to_dict(t)))
+    amp = BROKEN_LAWS[note]
+    with monkeypatch.context() as mp:
+        install_and(mp, amp)
+        code, out, _ = run(capsys, "check-tnorm", str(path), "--values", AXIOMS_GRID)
+    assert code == 0
+    verdict, = (v for v in parse_report(out)["verdicts"] if v["name"] == "axioms")
+    witness = verdict["result"]["witness"]
+    assert not verdict["ok"] and witness["note"] == note
+    replay_axioms(t, witness, amp)
+    for side in ("lhs", "rhs"):
+        changed = dict(witness, **{side: format_rational(Fraction(witness[side]) + 1)})
+        with pytest.raises(AssertionError):
+            replay_axioms(t, changed, amp)
 
 
 # a locale whose encoding is ASCII: open() without an encoding uses it

@@ -17,7 +17,6 @@ from tnormcat import (
     check_power_completeness,
     check_product_bilimit,
     check_yoneda_continuity,
-    enumerate_cycles,
     find_bilimit,
     find_yoneda_limit,
     interval_collapse,
@@ -35,6 +34,7 @@ from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
 from conftest import EIGHT_GRID, make_random_category
 from oracles import (
+    enumerate_cycles,
     keeps_category_laws,
     min_transitive_closure,
     pair_sequences,

@@ -128,6 +128,20 @@ class TestPowerRepresentation:
         assert [f.mapping for f in power.functors] == list(power.labels)
         assert len(built) == len(power)
 
+    def test_exponential_hashes_no_fraction(self, all_families, two_chain, monkeypatch):
+        # the hom values are ranked on integer pairs (``_sorted_grid``)
+        fiber = RCat(("a", "b", "c"), ((1, F(1, 3), F(1, 5)), (0, 1, F(1, 5)), (0, 0, 1)))
+        expected = {name: exponential(t, two_chain, fiber)
+                    for name, t in all_families.items()}
+
+        def no_hash(self):
+            raise AssertionError(f"hashed the Fraction {self}")
+
+        monkeypatch.setattr(Fraction, "__hash__", no_hash)
+        powers = {name: exponential(t, two_chain, fiber) for name, t in all_families.items()}
+        monkeypatch.undo()
+        assert powers == expected
+
     def test_functors_rcat_and_json_read_the_labels(self, all_families, two_chain):
         rng = random.Random(34)
         pairs = [(make_random_category(rng, 3, EIGHT_GRID),

@@ -700,9 +700,16 @@ class TestC1OnUnitInterval:
     @pytest.mark.parametrize("t", [product_tnorm(), lukasiewicz(), nilpotent_minimum()],
                              ids=["product", "lukasiewicz", "nilpotent"])
     def test_c1_violations_are_first_on_canonical_grid(self, t):
-        witness = check_c1(t, canonical_grid(t)).witness
-        assert tnorms._C1_VIOLATIONS[t.family] == witness.values
-        assert c1_sides(t, *witness.values) == (witness.lhs, witness.rhs)
+        grid = canonical_grid(t)
+        c1, c2 = check_c1(t, grid).witness, check_c2(t, grid).witness
+        assert tnorms._C1_FAILURES[t.family] == (c1.values, c2.values)
+        assert c1_sides(t, *c1.values) == (c1.lhs, c1.rhs)
+        assert not c2_holds(t, *c2.values)
+
+    def test_the_table_leaves_out_exactly_the_two_proved_families(self):
+        assert set(tnorms.FAMILIES) - set(tnorms._C1_FAILURES) == {
+            tnorms.MINIMUM, tnorms.INTERVAL_COLLAPSE}
+        assert set(tnorms._C1_FAILURES) <= set(tnorms.FAMILIES)
 
 
 class TestAxiomsReadOnGridOperandsFromTheTable:
