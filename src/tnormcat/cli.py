@@ -25,8 +25,10 @@ from .rationals import parse_rational
 from .tnorms import (
     DEFAULT_GRID_N,
     Witness,
+    _C1_FAILURES,
     _condition_sweeps,
     _sorted_grid,
+    apply,
     canonical_grid,
     extract_intervals,
 )
@@ -127,11 +129,17 @@ def cmd_check_tnorm(args) -> RunReport:
     # it does not downgrade the certification of the condition verdicts
     report.add("axioms", axioms, axioms.verdict)
     agree = c1.verdict == c2.verdict == extraction.ok
-    report.add(
-        "agreement",
-        {"C1": c1.verdict, "C2": c2.verdict, "C3-form": extraction.ok},
-        agree,
-    )
+    outcome = {"C1": c1.verdict, "C2": c2.verdict, "C3-form": extraction.ok}
+    if not agree and t.family in _C1_FAILURES:
+        # the family fails C1 on [0,1], where C1, C2 and C3-form agree: its
+        # first violation on the canonical grid shows it
+        p, q, u = triple = _C1_FAILURES[t.family][0]
+        where = "on" if all(v in grid for v in triple) else "outside"
+        outcome["witness"] = Witness(
+            triple, min(apply(t, p, q), u), max(apply(t, min(p, u), q), apply(t, p, min(q, u))),
+            f"C1 violation on [0,1], {where} the grid",
+        )
+    report.add("agreement", outcome, agree)
     return report
 
 
@@ -146,6 +154,7 @@ def cmd_product(args) -> RunReport:
     report.add("product", prod, True)
     if args.tnorm:
         t = jsonio.load_tnorm(args.tnorm)
+        report.inputs["tnorm"] = jsonio.tnorm_to_dict(t)
         for name, cat in (("left", left), ("right", right), ("product", prod)):
             w = validate(cat, t)
             report.add(f"validate-{name}", w, w is None)

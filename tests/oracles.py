@@ -3,7 +3,9 @@
 Everything here recomputes values from the defining formulas, deliberately
 avoiding the closed forms under test.
 
-``closed_form_apply`` is the one kernel-independent & of the tests.  The
+``closed_form_apply`` is the one kernel-independent & of the tests, the
+defining formula that ``tests/replay.py`` also replays reports with; the
+sup-hom, the sides of C1 and the left limit are that module's too.  The
 sweeps below take their & as an argument ``amp(t, p, q)``: by default
 ``tnorms.apply``, so that a & installed by ``conftest.install_and`` is
 seen, or ``closed_form_apply``, so that the sweep shares no code with the
@@ -43,6 +45,8 @@ from tnormcat import (
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.rationals import check_unit
 
+import replay
+
 
 def sorted_grid_reference(grid) -> list[Fraction]:
     """``tnorms._sorted_grid`` on Fraction comparisons: sort, then drop
@@ -66,41 +70,10 @@ def canonical_grid_reference(t: TNorm, n: int) -> tuple[Fraction, ...]:
     return tuple(sorted(pts))
 
 
-def interval_collapse_apply(intervals, p: Fraction, q: Fraction) -> Fraction:
-    """Definitional case split: collapse inside a shared interval, else min."""
-    for a, b in intervals:
-        if a <= p <= b and a <= q <= b:
-            return a
-    return min(p, q)
-
-
 def closed_form_apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     """p & q from the family's defining formula, with Fraction operators:
     the one & of the tests that does not reach ``tnorms._and_col``."""
-    if t.family == tnorms.MINIMUM:
-        return min(p, q)
-    if t.family == tnorms.PRODUCT:
-        return p * q
-    if t.family == tnorms.LUKASIEWICZ:
-        return max(p + q - 1, Fraction(0))
-    if t.family == tnorms.NILPOTENT_MINIMUM:
-        return min(p, q) if p + q > 1 else Fraction(0)
-    return interval_collapse_apply(t.intervals, p, q)
-
-
-def left_limit(t: TNorm, b: Fraction, q: Fraction, bps, amp=apply, step=None) -> Fraction:
-    """sup_{p<b} p & q, by the argument of ``tnorms._left_limit`` on
-    Fraction operators: extrapolate two samples of the affine piece (c, b),
-    at b - 2·step and b - step.
-
-    c is the largest of the breakpoints, q and 1 - q below b, and ``step``
-    defaults to (b - c)/3; a given ``step`` must keep both samples in (c, b).
-    """
-    if step is None:
-        step = (b - max(v for v in bps + (q, 1 - q) if v < b)) / 3
-    y1 = amp(t, b - 2 * step, q)
-    y2 = amp(t, b - step, q)
-    return 2 * y2 - y1
+    return replay.conjunction(t.family, t.intervals, p, q)
 
 
 def residuum_bruteforce(t: TNorm, p: Fraction, q: Fraction, n: int = 120) -> Fraction:
@@ -122,30 +95,11 @@ def residuum_bruteforce(t: TNorm, p: Fraction, q: Fraction, n: int = 120) -> Fra
     return best
 
 
-def power_hom_bruteforce(base: RCat, fiber: RCat, f_map, g_map, grid=()) -> Fraction:
-    """sup of q with q ∧ hom(x,y) <= hom(f(x), g(y)), scanned over candidates.
-
-    Candidates are the supplied grid extended with every hom value of both
-    categories (plus 0 and 1); the true supremum is always one of these.
-    """
-    candidates = {Fraction(0), Fraction(1)}
-    candidates.update(g for g in grid)
-    for cat in (base, fiber):
-        for row in cat.hom:
-            candidates.update(row)
-    fi = tuple(fiber.index(lbl) for lbl in f_map)
-    gi = tuple(fiber.index(lbl) for lbl in g_map)
-    best = Fraction(0)
-    n = len(base.elements)
-    for q in sorted(candidates):
-        ok = all(
-            min(q, base.hom[i][j]) <= fiber.hom[fi[i]][gi[j]]
-            for i in range(n)
-            for j in range(n)
-        )
-        if ok and q > best:
-            best = q
-    return best
+def power_hom_bruteforce(base: RCat, fiber: RCat, f_map, g_map) -> Fraction:
+    """sup of q with q ∧ hom(x,y) <= hom(f(x), g(y)), scanned over candidates
+    by ``replay.sup_hom``."""
+    return replay.sup_hom(base.hom, fiber.hom, [fiber.index(lbl) for lbl in f_map],
+                          [fiber.index(lbl) for lbl in g_map])
 
 
 def validate_reference(cat: RCat, t: TNorm, amp=apply) -> Witness | None:
@@ -431,9 +385,7 @@ def yoneda_continuity_reference(f: RFunctor, seqs) -> Witness | None:
 
 
 def c1_sides(t: TNorm, p, q, u):
-    lhs = min(apply(t, p, q), u)
-    rhs = max(apply(t, min(p, u), q), apply(t, p, min(q, u)))
-    return lhs, rhs
+    return replay.c1_sides(functools.partial(apply, t), p, q, u)
 
 
 def c1_sweep(t: TNorm, grid, amp=apply) -> ConditionReport:
@@ -446,8 +398,7 @@ def c1_sweep(t: TNorm, grid, amp=apply) -> ConditionReport:
     pts = sorted({Fraction(g) for g in grid})
     for p, q, u in itertools.product(pts, repeat=3):
         if u < min(p, q):
-            lhs = min(tand(p, q), u)
-            rhs = max(tand(min(p, u), q), tand(p, min(q, u)))
+            lhs, rhs = replay.c1_sides(tand, p, q, u)
             if lhs != rhs:
                 return ConditionReport("C1", False, Witness((p, q, u), lhs, rhs), True)
     return ConditionReport("C1", True, certified=tnorms._c1_holds_on_unit_interval(t))
@@ -507,8 +458,8 @@ def axioms_bruteforce(t: TNorm, grid, amp=apply, step=None) -> ConditionReport:
     """``verify_tnorm_axioms`` swept directly: one & per side at every tuple.
 
     The sweeps and their order are those of the docstring of
-    ``verify_tnorm_axioms``; left continuity compares ``left_limit`` (with
-    ``step``) with b & q.
+    ``verify_tnorm_axioms``; left continuity compares ``replay.left_limit``
+    (with ``step``) with b & q.
     """
     def fail(values, lhs, rhs, note):
         return ConditionReport("axioms", False, Witness(values, lhs, rhs, note), True)
@@ -535,7 +486,7 @@ def axioms_bruteforce(t: TNorm, grid, amp=apply, step=None) -> ConditionReport:
     bps = tnorms.breakpoints(t)
     for b in bps[1:]:
         for q in pts:
-            limit = left_limit(t, b, q, bps, amp, step)
+            limit = replay.left_limit(tand, b, q, bps, step)
             if limit != tand(b, q):
                 return fail((b, q), limit, tand(b, q), "left continuity")
     return ConditionReport(

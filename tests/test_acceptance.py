@@ -48,6 +48,7 @@ from tnormcat.cli import main as cli_main
 
 from conftest import EIGHT_GRID, make_random_category
 from oracles import c1_sides, enumerate_cycles, power_hom_bruteforce, tail_value_bruteforce
+from replay import replay
 
 F = Fraction
 
@@ -146,25 +147,19 @@ def test_criterion_3_counterexample_bundles(tmp_path, capsys):
             assert bundle.d_fg >= bundle.p and bundle.d_gh >= bundle.q
             assert apply(t, bundle.d_gh, bundle.d_fg) > bundle.d_fh
             assert bundle.capped_lhs > bundle.capped_rhs
-            # confirm every d value against the brute-force supremum oracle
-            for left, right, d in (
-                (bundle.f, bundle.g, bundle.d_fg),
-                (bundle.g, bundle.h, bundle.d_gh),
-                (bundle.f, bundle.h, bundle.d_fh),
-            ):
-                assert d == power_hom_bruteforce(
-                    bundle.base, bundle.fiber, left.mapping, right.mapping,
-                    canonical_grid(t),
-                )
-            # the CLI command emits the same bundle
+            # the CLI command emits the same bundle, and it replays: f, g and
+            # h are functors, and each d value is the brute-force supremum
             tn_path = tmp_path / f"{name}.json"
             tn_path.write_text(json.dumps({"family": name}))
             out_path = tmp_path / f"{name}-bundle.json"
             p, q, u = (str(v) for v in (bundle.p, bundle.q, bundle.u))
             assert cli_main(["counterexample", str(tn_path), p, q, u,
                              "-o", str(out_path)]) == 0
-            emitted = json.loads(out_path.read_text())["verdicts"][0]["result"]
-            assert emitted["d_fg"] == str(bundle.d_fg)
+            emitted = json.loads(out_path.read_text())
+            assert replay(emitted) == {"bundle": 1}
+            emitted = emitted["verdicts"][0]["result"]
+            assert [emitted[k] for k in ("d_fg", "d_gh", "d_fh")] == [
+                str(bundle.d_fg), str(bundle.d_gh), str(bundle.d_fh)]
             assert emitted["violated"]["lhs"] == str(bundle.capped_lhs)
 
         # reference Lukasiewicz triple with frozen, oracle-confirmed values
@@ -316,7 +311,6 @@ def test_criterion_8_power_completeness():
 def test_criterion_9_oracle_equivalence():
     rng = random.Random(7_777)
     with _Criterion(9, "oracle equivalence", 30):
-        grid = canonical_grid(minimum(), 12)
         pairs_checked = 0
         while pairs_checked < 1000:
             base = make_random_category(rng, 3, EIGHT_GRID)
@@ -328,7 +322,6 @@ def test_criterion_9_oracle_equivalence():
                 oracle = power_hom_bruteforce(
                     base, fiber,
                     power.functors[i].mapping, power.functors[j].mapping,
-                    grid,
                 )
                 assert power.hom[i][j] == oracle
                 pairs_checked += 1

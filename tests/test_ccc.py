@@ -126,14 +126,13 @@ class TestCounterexample:
         c1 = check_c1(t, canonical_grid(t))
         assert not c1.verdict
         b = counterexample(t, *c1.witness.values)
-        grid = canonical_grid(t)
         for left, right, d in (
             (b.f, b.g, b.d_fg),
             (b.g, b.h, b.d_gh),
             (b.f, b.h, b.d_fh),
         ):
             assert d == power_hom_bruteforce(
-                b.base, b.fiber, left.mapping, right.mapping, grid
+                b.base, b.fiber, left.mapping, right.mapping
             )
 
     def test_functors_are_functors(self):

@@ -41,6 +41,7 @@ from oracles import (
     tail_value_bruteforce,
     yoneda_continuity_reference,
 )
+from replay import keeps_hom
 
 F = Fraction
 
@@ -415,18 +416,12 @@ def _law_carrier(rng: random.Random) -> RCat:
     return RCat(tuple(f"v{i}" for i in range(n)), hom)
 
 
-def _is_functor_bruteforce(src: RCat, dst: RCat, mapping) -> bool:
-    return all(src.hom_of(a, b) <= dst.hom_of(fa, fb)
-               for a, fa in zip(src.elements, mapping)
-               for b, fb in zip(src.elements, mapping))
-
-
 def _continuity_outcome(rng: random.Random) -> str:
     """Compare ``check_yoneda_continuity`` with the reference on one case."""
     src = _law_carrier(rng)
     dst = _law_carrier(rng) if rng.random() < 0.8 else src
     maps = [tuple(m) for m in itertools.product(dst.elements, repeat=len(src))]
-    functors = [m for m in maps if _is_functor_bruteforce(src, dst, m)]
+    functors = [m for m in maps if keeps_hom(src.hom, dst.hom, list(map(dst.index, m)))]
     mapping = rng.choice(functors if functors and rng.random() < 0.7 else maps)
     f = RFunctor(src, dst, mapping)
     candidates = []

@@ -7,7 +7,6 @@ from tnormcat import (
     BudgetError,
     RCat,
     RFunctor,
-    canonical_grid,
     enumerate_functors,
     exponential,
     interval_collapse,
@@ -70,7 +69,6 @@ class TestExponential:
 
     def test_matches_bruteforce_oracle(self, all_families):
         rng = random.Random(11)
-        grid = canonical_grid(minimum(), 12)
         for _ in range(10):
             base = make_random_category(rng, 3, EIGHT_GRID)
             fiber = make_random_category(rng, 3, EIGHT_GRID)
@@ -82,7 +80,6 @@ class TestExponential:
                             base, fiber,
                             power.functors[i].mapping,
                             power.functors[j].mapping,
-                            grid,
                         )
                         assert power.hom[i][j] == oracle
 

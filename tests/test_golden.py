@@ -18,31 +18,26 @@ an empty base and fiber.
 
 The other files pin one run each of ``ccc-suite`` (passing under
 interval-collapse, and failing C1 under Łukasiewicz with its counterexample
-bundle and its non-ASCII ``∧``), ``counterexample``, ``limits`` and
-``product --tnorm`` on labels holding ``"``, ``\\``, ``,`` and ``é``.
-Every run also checks the raw report bytes against ``json.dumps`` with
-``indent=2, sort_keys=True, ensure_ascii=False`` and a trailing newline,
-the report format.
+bundle and its non-ASCII ``∧``), ``counterexample``, ``limits`` (on a
+Cauchy cycle, and on a cycle that is not Cauchy and has no bilimit),
+``product --tnorm`` on labels holding ``"``, ``\\``, ``,`` and ``é``, and
+on a carrier that is not transitive under product, and ``check-tnorm``
+under product at ``--values 0``, whose ``agreement`` row fails with a C1
+violation outside the grid, and at ``--values 0,1/40,1/20``, where it
+fails with one on the grid.  Every run also
+checks the raw report bytes against ``json.dumps`` with ``indent=2,
+sort_keys=True, ensure_ascii=False`` and a trailing newline, the report
+format.
 
 The files are also checked against the law, not only against earlier
-output: every C1 and C2 witness in them is replayed from the report's own
-t-norm with ``oracles.closed_form_apply``, which shares no code with the
-& kernel.  The triple or pair must violate the law, with the recorded
-sides.  The failing ``power-validates`` witness (f, g, h) of
-``exp-product-counterexample`` is replayed the same way: d(g,h), d(f,g)
-and d(f,h) are looked up in the report's own ``functors`` and ``d``, each
-is recomputed from the report's base and fiber with
-``oracles.power_hom_bruteforce``, and d(g,h) & d(f,g) must exceed d(f,h),
-with the recorded sides.  Every certificate row of ``limits`` is
-recomputed from the report's carrier and cycle: the homs with the witness
-and the cycle minima of the homs.  So is each row of the failing
-``bilimit`` verdict of a cycle with no bilimit, where one of the element's
-own tails must differ from its hom(x, x) = 1.  The counterexample bundles
-of ``counterexample-lukasiewicz`` and ``ccc-suite-lukasiewicz`` are
-replayed from their own base and fiber: f, g and h must be functors,
-d(f,g), d(g,h) and d(f,h) are recomputed with
-``oracles.power_hom_bruteforce``, and the interchange, transitivity and
-capped sides with ``oracles.closed_form_apply``.
+output: ``tests/replay.py`` replays every witness, certificate, bundle and
+power in them from the report's own inputs, with the defining formula of
+its t-norm, and one parametrized test pins how much it replays in each
+file, by kind.  Two more pin that the C1 and C2 witnesses do not replay
+under minimum, which satisfies both, and the capped sides of each bundle.
+Each mutation below of a recorded value, a dropped
+functor, a swapped t-norm or a failing row's evidence must make that
+replay fail.
 
 The text rendering of three failing runs is pinned line by line: in it,
 every failing row is followed by its witness.
@@ -53,19 +48,21 @@ when a report is meant to change:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ast
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import pytest
 
-from tnormcat import jsonio
 from tnormcat.cli import main
 
-from oracles import closed_form_apply, power_hom_bruteforce
+from replay import ReplayError, replay
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -113,6 +110,10 @@ POWER_CASES = {
 LABELS = {"elements": ['q"', "b\\s", "c,é"],
           "hom": [["1", "1/2", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
 SEQ = {"carrier": CHAIN2, "prefix": ["y"], "cycle": ["x"]}
+CYCLE_SEQ = {"carrier": CHAIN2, "cycle": ["x", "y"]}  # hom(x,y) = 1/2: not Cauchy
+# hom(x,y) & hom(y,z) = 1/4 > hom(x,z) = 0 under product
+NOT_TRANSITIVE = {"elements": ["x", "y", "z"],
+                  "hom": [["1", "1/2", "0"], ["0", "1", "1/2"], ["0", "0", "1"]]}
 LUKASIEWICZ = TNORMS["lukasiewicz"]
 # golden name -> (argv, inputs)
 OTHER_CASES = {
@@ -126,15 +127,28 @@ OTHER_CASES = {
                {"seq": SEQ, "tnorm": MINIMUM}),
     "product-labels": (["product", "left", "right", "--tnorm", "tnorm"],
                        {"left": LABELS, "right": CHAIN2, "tnorm": MINIMUM}),
+    "product-not-transitive": (["product", "left", "right", "--tnorm", "tnorm"],
+                               {"left": NOT_TRANSITIVE, "right": CHAIN2, "tnorm": PRODUCT}),
+    "check-tnorm-product-zero": (["check-tnorm", "tnorm", "--values", "0"], {"tnorm": PRODUCT}),
+    "check-tnorm-product-on-grid": (["check-tnorm", "tnorm", "--values", "0,1/40,1/20"],
+                                    {"tnorm": PRODUCT}),
+    "limits-not-cauchy": (["limits", "--seq", "seq"], {"seq": CYCLE_SEQ}),
 }
 
 
-def golden_path(name: str, grid: str) -> Path:
-    return GOLDEN / f"check-tnorm-{name}-{grid}.json"
+# golden name -> (argv, inputs) of the run that each golden file pins
+RUNS = {
+    **{f"check-tnorm-{name}-{grid}": (["check-tnorm", "tnorm", *GRIDS[grid]],
+                                      {"tnorm": TNORMS[name]}) for name, grid in CASES},
+    **{name: ([command, "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],
+              {"tnorm": tnorm, "base": base, "fiber": fiber})
+       for name, (command, tnorm, base, fiber) in POWER_CASES.items()},
+    **OTHER_CASES,
+}
 
 
-def case_golden_path(name: str) -> Path:
-    return GOLDEN / f"{name}.json"
+def golden_text(name: str) -> str:
+    return (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 def run_cli(argv, inputs: dict) -> tuple[int, str, str]:
@@ -151,232 +165,149 @@ def run_cli(argv, inputs: dict) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def masked(stdout: str) -> str:
-    """A JSON report without ``timing_ms``, as the CLI renders it; checks
-    first that the CLI wrote it in the report format."""
-    report = json.loads(stdout)
-    assert stdout == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+def case_output(argv, inputs: dict) -> str:
+    """The JSON report of a clean run without ``timing_ms``, as the CLI
+    renders it, after checking that the CLI wrote it in the report format;
+    else the run's exit code and stderr."""
+    code, out, err = run_cli(argv, inputs)
+    if code != 0 or err:
+        assert not out
+        return json.dumps({"exit": code, "stderr": err}, indent=2) + "\n"
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     del report["timing_ms"]
     return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def masked_report(name: str, grid: str) -> str:
-    """The JSON report of one ``check-tnorm`` run, without ``timing_ms``."""
-    code, out, _ = run_cli(["check-tnorm", "tnorm", *GRIDS[grid]], {"tnorm": TNORMS[name]})
-    assert code == 0
-    return masked(out)
-
-
-def power_output(name: str) -> str:
-    command, tnorm, base, fiber = POWER_CASES[name]
-    return case_output(
-        [command, "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],
-        {"tnorm": tnorm, "base": base, "fiber": fiber},
-    )
-
-
-def case_output(argv, inputs: dict) -> str:
-    """The masked report of a clean run, else its exit code and stderr."""
-    code, out, err = run_cli(argv, inputs)
-    if code == 0 and not err:
-        return masked(out)
-    assert not out
-    return json.dumps({"exit": code, "stderr": err}, indent=2) + "\n"
-
-
 @pytest.mark.parametrize("name, grid", CASES, ids=[f"{n}-{g}" for n, g in CASES])
 def test_check_tnorm_report_matches_golden(name, grid):
-    assert masked_report(name, grid) == golden_path(name, grid).read_text(encoding="utf-8")
+    golden = f"check-tnorm-{name}-{grid}"
+    assert case_output(*RUNS[golden]) == golden_text(golden)
 
 
 @pytest.mark.parametrize("name", POWER_CASES)
 def test_power_report_matches_golden(name):
-    assert power_output(name) == case_golden_path(name).read_text(encoding="utf-8")
+    assert case_output(*RUNS[name]) == golden_text(name)
 
 
 @pytest.mark.parametrize("name", OTHER_CASES)
 def test_other_report_matches_golden(name):
-    assert case_output(*OTHER_CASES[name]) == case_golden_path(name).read_text(encoding="utf-8")
-
-
-def condition_witnesses(node):
-    """Every failing C1 or C2 report of a JSON report, at any depth."""
-    if isinstance(node, list):
-        return [w for item in node for w in condition_witnesses(item)]
-    if not isinstance(node, dict):
-        return []
-    if node.get("condition") in ("C1", "C2") and node.get("witness") is not None:
-        return [node]
-    return [w for value in node.values() for w in condition_witnesses(value)]
-
-
-def replay(report: dict) -> int:
-    """Replay the C1 and C2 witnesses of a report on its own t-norm; the
-    number replayed.  Each must break the law with the recorded sides."""
-    t = jsonio.tnorm_from_dict(report["inputs"]["tnorm"])
-
-    def tand(p, q):
-        return closed_form_apply(t, p, q)
-
-    found = condition_witnesses(report)
-    for node in found:
-        w = node["witness"]
-        values = [Fraction(v) for v in w["values"]]
-        if node["condition"] == "C1":
-            p, q, u = values
-            lhs = min(tand(p, q), u)
-            rhs = max(tand(min(p, u), q), tand(p, min(q, u)))
-            assert lhs != rhs, values
-        else:
-            p, u = values
-            lhs, rhs = tand(u, p), u
-            assert u <= tand(p, p) and lhs != rhs, values
-        assert (lhs, rhs) == (Fraction(w["lhs"]), Fraction(w["rhs"])), values
-    return len(found)
+    assert case_output(*RUNS[name]) == golden_text(name)
 
 
 def golden_report(name: str) -> dict:
-    return json.loads(case_golden_path(name).read_text(encoding="utf-8"))
+    return json.loads(golden_text(name))
 
 
-WITNESS_FILES = sorted(path.stem for path in GOLDEN.glob("*.json")
-                       if condition_witnesses(json.loads(path.read_text(encoding="utf-8"))))
+def row_of(report: dict, name: str) -> dict:
+    row, = (v for v in report["verdicts"] if v["name"] == name)
+    return row
 
 
-def test_every_c1_failing_golden_run_has_a_witness_to_replay():
-    failing = {f"check-tnorm-{name}-{grid}" for name in ("product", "lukasiewicz",
-                                                        "nilpotent-minimum") for grid in GRIDS}
-    assert set(WITNESS_FILES) == failing | {"ccc-suite-lukasiewicz"}
-
-
-@pytest.mark.parametrize("name", WITNESS_FILES)
-def test_golden_c1_and_c2_witnesses_replay(name):
-    report = golden_report(name)
-    assert replay(report) == (1 if name.startswith("ccc-suite") else 2)
-
-
-@pytest.mark.parametrize("condition", ["C1", "C2"])
-@pytest.mark.parametrize("side", ["lhs", "rhs"])
-def test_replay_rejects_a_changed_side(condition, side):
-    report = golden_report("check-tnorm-product-values")
-    node, = (w for w in condition_witnesses(report) if w["condition"] == condition)
-    node["witness"][side] = str(Fraction(node["witness"][side]) / 2)
-    with pytest.raises(AssertionError):
+def rejects(report: dict, match: str | None = None) -> None:
+    with pytest.raises(ReplayError, match=match):
         replay(report)
 
 
-def replay_power_witness(report: dict) -> tuple[Fraction, Fraction]:
-    """Replay the failing ``power-validates`` row of an ``exp`` report from
-    its own ``functors`` and ``d``; the sides (d(g,h) & d(f,g), d(f,h))."""
-    inputs = report["inputs"]
-    t = jsonio.tnorm_from_dict(inputs["tnorm"])
-    base = jsonio.category_from_dict(inputs["base"])
-    fiber = jsonio.category_from_dict(inputs["fiber"])
-    power, w = (v["result"] for v in report["verdicts"])
-    functors = power["functors"]
-
-    def d(f, g):
-        value = Fraction(power["d"][functors.index(f)][functors.index(g)])
-        assert value == power_hom_bruteforce(base, fiber, f, g), (f, g)
-        return value
-
-    f, g, h = w["values"]
-    lhs, rhs = closed_form_apply(t, d(g, h), d(f, g)), d(f, h)
-    assert w["note"] == "transitivity" and lhs > rhs
-    assert (lhs, rhs) == (Fraction(w["lhs"]), Fraction(w["rhs"]))
-    return lhs, rhs
+GOLDEN_FILES = sorted(path.stem for path in GOLDEN.glob("*.json"))
+C1_FAILING = [f"check-tnorm-{name}-{grid}" for name in ("product", "lukasiewicz",
+                                                       "nilpotent-minimum") for grid in GRIDS]
+# golden name -> the evidence that ``replay`` replays in it, by kind; nothing
+# in the other files
+REPLAYED = {
+    **dict.fromkeys(C1_FAILING, {"C1": 1, "C2": 2}),  # C2 and C3-form
+    "check-tnorm-product-zero": {"C1": 1, "C2": 1},  # agreement and C3-form
+    "check-tnorm-product-on-grid": {"C1": 2, "C2": 1},  # C1, agreement and C3-form
+    "ccc-suite-lukasiewicz": {"C1": 1, "bundle": 1},
+    "counterexample-lukasiewicz": {"bundle": 1},
+    **dict.fromkeys(["exp-collapse", "exp-minimum"], {"d": 49}),
+    "exp-empty": {"d": 1},
+    "exp-product-counterexample": {"d": 576, "validate": 1},
+    "limits": {"certificate": 4},
+    "limits-not-cauchy": {"cauchy": 2, "certificate": 2},
+    "product-not-transitive": {"validate": 2},  # validate-left and validate-product
+}
 
 
-def replay_certificates(report: dict) -> int:
-    """Recompute every certificate row of a ``limits`` report from its carrier
-    and cycle; the number of rows replayed.  A bilimit or Yoneda limit must
-    agree with every row; under a "none" verdict each row's element is the
-    candidate, and one of its own tails must differ from its hom(x, x) = 1."""
-    carrier, cycle = report["inputs"]["carrier"], report["inputs"]["cycle"]
-    labels = carrier["elements"]
-    hom = {(x, y): Fraction(v)
-           for x, row in zip(labels, carrier["hom"]) for y, v in zip(labels, row)}
-    rows = 0
-    for verdict in report["verdicts"]:
-        result = verdict["result"]
-        if not result or "certificate" not in result:
-            continue
-        kind = result["kind"]
-        assert verdict["ok"] == (kind != "none")
-        assert (result["witness"] is None) == (kind == "none")
-        assert [row["element"] for row in result["certificate"]] == labels
-        for row in result["certificate"]:
-            x = row["element"]
-            a = x if kind == "none" else result["witness"]
-            from_seq = [hom[a, x], min(hom[c, x] for c in cycle)]
-            to_seq = [hom[x, a], min(hom[x, c] for c in cycle)]
-            agree = from_seq[0] == from_seq[1] and to_seq[0] == to_seq[1]
-            if kind == "none":
-                assert hom[x, x] == 1 and not agree, x
-            else:
-                assert agree, x
-            if kind == "yoneda-limit":
-                to_seq = [None, None]
-            recorded = [None if v is None else Fraction(v)
-                        for v in (row["hom_from_witness"], row["tail_from_seq"],
-                                  row["hom_to_witness"], row["tail_to_seq"])]
-            assert recorded == from_seq + to_seq, x
-            rows += 1
-    return rows
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+def test_golden_report_replays(name):
+    assert replay(golden_report(name)) == REPLAYED.get(name, {})
 
 
-def golden_bundle(name: str) -> tuple[dict, list]:
-    """The counterexample bundle of a golden report, with the triple that
-    the report names: ``counterexample``'s input, or ``ccc-suite``'s C1
-    witness."""
+def test_every_c1_failing_golden_run_has_a_witness_to_replay():
+    with_c1 = {name for name in GOLDEN_FILES if "C1" in replay(golden_report(name))}
+    # the failing agreement rows of product-zero and product-on-grid carry
+    # the C1 violation on [0,1]
+    assert with_c1 == {*C1_FAILING, "ccc-suite-lukasiewicz",
+                       "check-tnorm-product-zero", "check-tnorm-product-on-grid"}
+
+
+@pytest.mark.parametrize("name", [*C1_FAILING, "ccc-suite-lukasiewicz"])
+def test_golden_c1_and_c2_witnesses_replay(name):
     report = golden_report(name)
-    result = report["verdicts"][0]["result"]
-    if report["command"] == "counterexample":
-        return result, report["inputs"]["triple"]
-    return result["bundle"], result["c1"]["witness"]["values"]
+    counts = replay(report)
+    assert {kind: counts.get(kind) for kind in ("C1", "C2")} == (
+        {"C1": 1, "C2": None} if name.startswith("ccc-suite") else {"C1": 1, "C2": 2})
+    # minimum satisfies C1 and C2, so no recorded violation replays under it
+    with pytest.raises(ReplayError, match="breaks no C1"):
+        replay(report, amp=min)
 
 
-def replay_bundle(bundle: dict, triple: list) -> tuple[Fraction, Fraction]:
-    """Replay a counterexample bundle from its own t-norm, base, fiber and
-    functors; the capped sides ((d_fg & d_gh) ∧ u, d_fh ∧ u)."""
-    t = jsonio.tnorm_from_dict(bundle["tnorm"])
-    base = jsonio.category_from_dict(bundle["base"])
-    fiber = jsonio.category_from_dict(bundle["fiber"])
-
-    def tand(a, b):
-        return closed_form_apply(t, a, b)
-
-    def recorded(node):
-        return Fraction(node["lhs"]), Fraction(node["rhs"])
-
-    assert [bundle["p"], bundle["q"], bundle["u"]] == triple
-    p, q, u = map(Fraction, triple)
-    n = len(base.elements)
-    for name in "fgh":
-        image = bundle[name]
-        assert len(image) == n, name
-        assert all(base.hom[i][j] <= fiber.hom_of(image[i], image[j])
-                   for i in range(n) for j in range(n)), name
-    d = {}
-    for key, a, b in (("d_fg", "f", "g"), ("d_gh", "g", "h"), ("d_fh", "f", "h")):
-        d[key] = power_hom_bruteforce(base, fiber, bundle[a], bundle[b])
-        assert Fraction(bundle[key]) == d[key], key
-    interchange = (min(tand(p, q), u), max(tand(min(p, u), q), tand(p, min(q, u))))
-    assert interchange[0] != interchange[1] and recorded(bundle["interchange"]) == interchange
-    transitivity = (tand(d["d_fg"], d["d_gh"]), d["d_fh"])
-    assert recorded(bundle["transitivity"]) == transitivity
-    capped = (min(transitivity[0], u), min(transitivity[1], u))
-    assert capped[0] > capped[1] and recorded(bundle["violated"]) == capped
-    return capped
-
-
-BUNDLE_FILES = {"counterexample-lukasiewicz": (Fraction(1, 2), Fraction(2, 5)),
-                "ccc-suite-lukasiewicz": (Fraction(1, 4), Fraction(0))}
+# golden name -> the capped sides of its bundle's violated inequality
+BUNDLE_FILES = {"counterexample-lukasiewicz": ("1/2", "2/5"),
+                "ccc-suite-lukasiewicz": ("1/4", "0")}
 
 
 @pytest.mark.parametrize("name", BUNDLE_FILES)
 def test_golden_counterexample_bundle_replays(name):
-    assert replay_bundle(*golden_bundle(name)) == BUNDLE_FILES[name]
+    report = golden_report(name)
+    result = report["verdicts"][0]["result"]
+    violated = result.get("bundle", result)["violated"]  # ccc-suite nests it
+    assert (violated["lhs"], violated["rhs"]) == BUNDLE_FILES[name]
+    assert replay(report)["bundle"] == 1
+
+
+FAILING_ROWS = [(name, row) for name in GOLDEN_FILES
+                for row in golden_report(name).get("verdicts", ()) if not row["ok"]]
+# each row name that fails with a witness -> the first golden file where it
+# does (reversed, so that the first one is written last)
+WITNESS_ROWS = {row["name"]: name for name, row in reversed(FAILING_ROWS)
+                if "lhs" in (row["result"].get("witness") or row["result"])}
+
+
+@pytest.mark.parametrize("condition", WITNESS_ROWS)
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_replay_rejects_a_changed_side(condition, side):
+    report = golden_report(WITNESS_ROWS[condition])
+    result = row_of(report, condition)["result"]
+    witness = result.get("witness") or result
+    assert witness[side] != "1/3"
+    witness[side] = "1/3"
+    rejects(report)
+
+
+@pytest.mark.parametrize("name, row", [(name, row["name"]) for name, row in FAILING_ROWS],
+                         ids=[f"{name}-{row['name']}" for name, row in FAILING_ROWS])
+def test_replay_rejects_a_failing_row_without_evidence(name, row):
+    report = golden_report(name)
+    row_of(report, row)["result"] = None
+    rejects(report, "a failing row with nothing to replay")
+
+
+@pytest.mark.parametrize("name", ["exp-minimum", "exp-product-counterexample"])
+def test_replay_rejects_a_dropped_functor(name):
+    report = golden_report(name)
+    power = row_of(report, "power")["result"]
+    for row in [power["functors"], power["d"], *power["d"]]:
+        del row[3]
+    rejects(report, "functors are not the maps")
+
+
+@pytest.mark.parametrize("family", ["minimum", "lukasiewicz", "nilpotent-minimum"])
+def test_replay_rejects_a_validate_witness_under_another_tnorm(family):
+    report = golden_report("product-not-transitive")
+    report["inputs"]["tnorm"] = {"family": family}
+    rejects(report, "validate-left")
 
 
 # one recorded value of a bundle each; every d value and capped side of the
@@ -400,17 +331,13 @@ def mutate(bundle: dict, mutation: str) -> None:
 @pytest.mark.parametrize("mutation", BUNDLE_MUTATIONS)
 @pytest.mark.parametrize("name", BUNDLE_FILES)
 def test_bundle_replay_rejects_a_changed_value(name, mutation):
-    bundle, triple = golden_bundle(name)
+    report = golden_report(name)
+    result = report["verdicts"][0]["result"]
+    bundle = result.get("bundle", result)  # ccc-suite nests it; counterexample is one
     before = json.dumps(bundle)
     mutate(bundle, mutation)
     assert json.dumps(bundle) != before
-    with pytest.raises(AssertionError):
-        replay_bundle(bundle, triple)
-
-
-def test_golden_power_validates_witness_replays():
-    report = golden_report("exp-product-counterexample")
-    assert replay_power_witness(report) == (Fraction(1, 8), Fraction(1, 16))
+    rejects(report)
 
 
 @pytest.mark.parametrize("pair", [("g", "h"), ("f", "g"), ("f", "h")],
@@ -421,12 +348,7 @@ def test_power_witness_replay_rejects_a_changed_d_entry(pair):
     fgh = dict(zip("fgh", (power["functors"].index(v) for v in validates["values"])))
     row = power["d"][fgh[pair[0]]]
     row[fgh[pair[1]]] = str(Fraction(row[fgh[pair[1]]]) / 2)
-    with pytest.raises(AssertionError):
-        replay_power_witness(report)
-
-
-def test_golden_limit_certificates_replay():
-    assert replay_certificates(golden_report("limits")) == 4
+    rejects(report)
 
 
 # (verdict, element, field) of every value in the certificates of ``limits``
@@ -442,29 +364,10 @@ CERTIFICATE_VALUES = [
                          ids=["-".join(case) for case in CERTIFICATE_VALUES])
 def test_certificate_replay_rejects_a_changed_value(name, element, field):
     report = golden_report("limits")
-    verdict, = (v for v in report["verdicts"] if v["name"] == name)
-    row, = (r for r in verdict["result"]["certificate"] if r["element"] == element)
+    row, = (r for r in row_of(report, name)["result"]["certificate"] if r["element"] == element)
     assert row[field] != "1/3"
     row[field] = "1/3"
-    with pytest.raises(AssertionError):
-        replay_certificates(report)
-
-
-CYCLE_SEQ = {"carrier": CHAIN2, "cycle": ["x", "y"]}  # hom(x,y) = 1/2: not Cauchy
-
-
-def failing_limits_report() -> dict:
-    """The ``limits`` report of a cycle with no bilimit."""
-    code, out, _ = run_cli(["limits", "--seq", "seq"], {"seq": CYCLE_SEQ})
-    assert code == 0
-    return json.loads(out)
-
-
-def test_failing_bilimit_certificate_replays():
-    report = failing_limits_report()
-    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
-    assert bilimit["result"]["kind"] == "none"
-    assert replay_certificates(report) == len(CHAIN2["elements"])
+    rejects(report)
 
 
 def test_text_report_prints_the_failing_bilimit_certificate():
@@ -473,37 +376,61 @@ def test_text_report_prints_the_failing_bilimit_certificate():
     prefix = "    certificate: "
     line, = (line for line in out.splitlines() if line.startswith(prefix))
     printed = json.loads(line[len(prefix):])
-    report = failing_limits_report()
-    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
-    assert printed == bilimit["result"]["certificate"]
-    bilimit["result"]["certificate"] = printed
-    assert replay_certificates(report) == len(CHAIN2["elements"])
+    # the certificate of the golden report, which replays
+    assert printed == row_of(golden_report("limits-not-cauchy"), "bilimit")["result"]["certificate"]
 
 
 @pytest.mark.parametrize("element", CHAIN2["elements"])
 @pytest.mark.parametrize("side", ["tails", "homs"])
 def test_none_certificate_replay_rejects_a_row_that_agrees(element, side):
-    report = failing_limits_report()
-    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
-    row, = (r for r in bilimit["result"]["certificate"] if r["element"] == element)
+    report = golden_report("limits-not-cauchy")
+    row = row_of(report, "bilimit")["result"]["certificate"][CHAIN2["elements"].index(element)]
     if side == "tails":
         row["tail_from_seq"], row["tail_to_seq"] = row["hom_from_witness"], row["hom_to_witness"]
     else:
         row["hom_from_witness"], row["hom_to_witness"] = row["tail_from_seq"], row["tail_to_seq"]
-    with pytest.raises(AssertionError):
-        replay_certificates(report)
+    rejects(report)
 
 
 def test_none_certificate_replay_rejects_a_candidate_that_is_a_bilimit():
     # the recorded rows are recomputed from a cycle whose element x is a
     # bilimit, so x's row agrees, and only the "none" verdict is wrong
-    report = failing_limits_report()
+    report = golden_report("limits-not-cauchy")
     report["inputs"]["cycle"] = ["x"]
-    bilimit, = (v for v in report["verdicts"] if v["name"] == "bilimit")
+    bilimit = row_of(report, "bilimit")
+    report["verdicts"] = [bilimit]
     for row, tails in zip(bilimit["result"]["certificate"], [("1", "1"), ("1/2", "0")]):
         row["tail_from_seq"], row["tail_to_seq"] = tails
-    with pytest.raises(AssertionError, match=r"\Ax\n"):
-        replay_certificates(report)
+    rejects(report, "the row of 'x' contradicts the 'none' verdict")
+
+
+REPLAY_SCRIPT = Path(__file__).parent / "replay.py"
+
+
+def test_replay_module_imports_only_the_standard_library():
+    nodes = list(ast.walk(ast.parse(REPLAY_SCRIPT.read_text(encoding="utf-8"))))
+    modules = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in nodes if isinstance(n, ast.ImportFrom)]
+    assert modules and {m.split(".")[0] for m in modules} <= sys.stdlib_module_names
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_replay_command_line(flags, tmp_path):
+    # a row that no replay knows, and a witness value that is no rational
+    report = golden_report("check-tnorm-product-zero")
+    renamed, malformed = tmp_path / "renamed.json", tmp_path / "malformed.json"
+    row_of(report, "agreement")["name"] = "no-such-row"
+    renamed.write_text(json.dumps(report), encoding="utf-8")
+    row_of(report, "C3-form")["result"]["witness"]["lhs"] = "x"
+    malformed.write_text(json.dumps(report), encoding="utf-8")
+    proc = subprocess.run([sys.executable, *flags, str(REPLAY_SCRIPT), str(renamed), str(malformed),
+                           *map(str, sorted(GOLDEN.glob("*.json")))],
+                          capture_output=True, text=True, timeout=120)
+    # every golden file prints its counts, and each mutated one its failure
+    assert (proc.returncode, len(proc.stdout.splitlines())) == (1, len(GOLDEN_FILES))
+    first, second = proc.stderr.splitlines()
+    assert first == f"{renamed}: ReplayError: no-such-row: no replay for a row named 'no-such-row'"
+    assert second.startswith(f"{malformed}: ReplayError: C3-form: malformed evidence: ValueError(")
 
 
 # The text rendering (``--format text``) of failing runs: the line of each
@@ -557,9 +484,5 @@ def test_text_report_prints_the_witness_of_every_failing_row(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, grid in CASES:
-        golden_path(name, grid).write_text(masked_report(name, grid), encoding="utf-8")
-    for name in POWER_CASES:
-        case_golden_path(name).write_text(power_output(name), encoding="utf-8")
-    for name, case in OTHER_CASES.items():
-        case_golden_path(name).write_text(case_output(*case), encoding="utf-8")
+    for name, run in RUNS.items():
+        (GOLDEN / f"{name}.json").write_text(case_output(*run), encoding="utf-8")
