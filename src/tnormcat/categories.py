@@ -67,6 +67,13 @@ def label_text(label) -> str:
     return str(label)
 
 
+def _label_key(label):
+    """The key of ``label`` in ``RCat._index``: a Fraction or int by its
+    integer pair, so that no Fraction is hashed (equal numbers share a key,
+    as they share a hash), any other label by itself."""
+    return (Fraction, *label.as_integer_ratio()) if type(label) in (Fraction, int) else label
+
+
 class RCat(Record):
     """A finite [0,1]-enriched category: ordered labels + hom matrix."""
 
@@ -76,7 +83,7 @@ class RCat(Record):
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         n = len(self.elements)
-        if len(set(self.elements)) != n:
+        if len(self._index) != n:
             raise InputError("category elements must be distinct")
         if len(self.hom) != n or any(len(row) != n for row in self.hom):
             raise InputError("hom must be a square matrix matching the element count")
@@ -94,7 +101,7 @@ class RCat(Record):
 
     @cached_property
     def _index(self) -> dict:
-        return {x: i for i, x in enumerate(self.elements)}
+        return {_label_key(x): i for i, x in enumerate(self.elements)}
 
     @cached_property
     def _sorted_indices(self) -> tuple[int, ...]:
@@ -104,7 +111,7 @@ class RCat(Record):
 
     def index(self, label) -> int:
         try:
-            return self._index[label]
+            return self._index[_label_key(label)]
         except KeyError:
             raise InputError(f"unknown element {label_text(label)!r}") from None
 
@@ -218,11 +225,14 @@ def unit_interval_category(t: TNorm, points) -> RCat:
     """Finite substructure of [0,1] with hom(x,y) = residuum(x,y).
 
     Reflexivity and transitivity hold automatically for every left-continuous
-    t-norm, so the result always validates.
+    t-norm, so the result always validates.  The points are deduplicated and
+    sorted by ``_sorted_grid``, on integer pairs, and ``RCat`` indexes
+    Fraction labels by those pairs, so neither hashes a Fraction.
     """
-    pts = tuple(sorted({check_unit(Fraction(p), "point") for p in points}))
-    if not pts:
+    points = [check_unit(Fraction(p), "point") for p in points]
+    if not points:
         raise InputError("unit-interval category needs at least one point")
+    pts = tuple(_sorted_grid(points))
     hom = tuple(tuple(residuum(t, x, y) for y in pts) for x in pts)
     return RCat(pts, hom)
 

@@ -6,6 +6,13 @@ timing field, written by ``jsonio.dumps``) with a text renderer behind
 --format text.  Files are read, and reports written to -o or stdout, as
 UTF-8.
 
+A command line that starts with a subcommand is parsed from that
+subcommand's flat table (``_fast_args``) when it holds only exact option
+strings with separate values and positionals, none of which starts with
+``-``; every other command line, and every line the table does not accept
+whole, goes to argparse, which gives the same namespace or the same usage
+error.
+
 Exit codes: 0 clean run (or -h), 1 malformed command line, input or
 precondition error, or an unwritable -o path, 2 violation found while
 --fail-on-violation is set, 3 enumeration budget exceeded, 4 internal fault
@@ -17,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -204,7 +212,8 @@ def cmd_limits(args) -> RunReport:
     Both scans check the same reflexivity, and at each triple
     hom(j,k) T hom(i,j) = hom(j,k) D hom(i,j) <= hom(j,k) t hom(i,j)
     <= hom(i,k).  So no further scan can fail, and the two searches run
-    without one.
+    without one.  The report records the ``--tnorm`` t-norm in ``inputs``,
+    as ``product`` does, so that the scan under it can be replayed.
     """
     seq = jsonio.load_sequence(args.seq)
     report = RunReport(
@@ -217,6 +226,7 @@ def cmd_limits(args) -> RunReport:
     )
     if args.tnorm:
         t = jsonio.load_tnorm(args.tnorm)
+        report.inputs["tnorm"] = jsonio.tnorm_to_dict(t)
         w = validate(seq.carrier, t)
         if w is not None:
             raise InputError(
@@ -282,13 +292,19 @@ def _render_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the flags of open(path, "wb"); O_BINARY exists (and matters) on Windows only
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def _emit(report: RunReport, args) -> None:
     """Write the report as UTF-8 to ``-o``, or to stdout.
 
     The report is encoded before the file is opened, so a report that
-    cannot be encoded leaves no partial file.  Stdout gets the same UTF-8
-    bytes, through its binary ``buffer``, whatever the locale's encoding;
-    a stream without one (an ``io.StringIO``) gets the text.
+    cannot be encoded leaves no partial file.  The file is written by
+    ``os.write`` calls on a raw descriptor until every byte is out, with
+    no buffered file object.  Stdout gets the same UTF-8 bytes, through
+    its binary ``buffer``, whatever the locale's encoding; a stream
+    without one (an ``io.StringIO``) gets the text.
     """
     if args.format == "text":
         text = _render_text(report)
@@ -297,8 +313,13 @@ def _emit(report: RunReport, args) -> None:
         text = jsonio.dumps(vars(report)) + "\n"
     data = text.encode("utf-8")
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
+        fd = os.open(args.output, _WRITE_FLAGS, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         return
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
@@ -396,26 +417,118 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=cmd_power_completeness)
 
     parser.commands = subs.choices  # subcommand name -> its parser, for ``main``
+    for s in subs.choices.values():
+        s.table = _table(s)
     return parser
+
+
+def _table(sub: argparse.ArgumentParser) -> tuple | None:
+    """The flat table of ``sub``'s actions, or None if argparse alone parses it.
+
+    The table is ``(options, positionals, groups, required, defaults)``:
+    each option string with its action, the positional actions in order,
+    the actions of each mutually exclusive group, the actions that a
+    command line must give, and the namespace of an empty command line
+    (each action's default, then ``set_defaults``, the first one of a dest
+    winning, as argparse sets them).  It needs every action but ``-h`` to
+    be a one-value ``store`` or a ``store_true``, none with a string
+    default that argparse would pass through its ``type``, and no required
+    exclusive group.
+    """
+    options, positionals, defaults = {}, [], {}
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        plain = (type(action) is argparse._StoreAction and action.nargs is None
+                 or type(action) is argparse._StoreTrueAction)
+        if not plain or isinstance(action.default, str) and action.type is not None:
+            return None
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positionals.append(action)
+        if action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    groups = [group._group_actions for group in sub._mutually_exclusive_groups]
+    if any(group.required for group in sub._mutually_exclusive_groups):
+        return None
+    required = [action for action in sub._actions if action.required]
+    return options, positionals, groups, required, defaults
+
+
+def _fast_args(sub: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
+    """``sub.parse_args(argv)`` for a plain command line, else None.
+
+    The table of ``sub`` accepts a line of exact option strings, each with a
+    separate value that does not start with ``-`` or a ``store_true`` flag,
+    and of positionals that do not start with ``-``.  The line must give
+    every positional and required option and at most one member of each
+    exclusive group, and each value must pass its action's ``type`` and
+    ``choices``; a repeated option keeps its last value.  For such a line
+    argparse builds the same namespace.  Anything else (``-h``,
+    ``--opt=value``, an abbreviation, ``--``, a value that starts with
+    ``-``, an unknown flag, a bad value) returns None, and argparse parses
+    the line, with its usage errors.
+    """
+    if sub.table is None:
+        return None
+    options, positionals, groups, required, defaults = sub.table
+    values, seen = {}, set()
+    positionals = iter(positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-":
+            action = options.get(token)
+            if action is None:
+                return None
+            if action.nargs == 0:  # store_true
+                seen.add(action)
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value is rejected below
+            if token[:1] == "-":
+                return None
+        else:
+            action = next(positionals, None)
+            if action is None:
+                return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen.add(action)
+        values[action.dest] = value
+    if any(action not in seen for action in required):
+        return None
+    if any(sum(action in seen for action in group) > 1 for group in groups):
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` if ``argv`` is None); the exit code.
 
-    A command line that starts with a subcommand is parsed by that
-    subcommand's parser alone, which is what the top-level parser would
-    hand it; the top-level parser parses only command lines that name no
-    subcommand first (``-h``, an empty or unknown command, a leading
-    option).  So a usage error after a known subcommand prints that
+    A command line that starts with a subcommand is parsed from that
+    subcommand's table (``_fast_args``) or, if the table does not accept
+    it, by that subcommand's parser alone, which is what the top-level
+    parser would hand it; the top-level parser parses only command lines
+    that name no subcommand first (``-h``, an empty or unknown command, a
+    leading option).  So a usage error after a known subcommand prints that
     subcommand's usage line.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
-    try:
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage or the help
-        return 0 if exc.code == 0 else 1
+    args = _fast_args(command, argv[1:]) if command else None
+    if args is None:
+        try:
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has printed the usage or the help
+            return 0 if exc.code == 0 else 1
     start = time.perf_counter()
     try:
         report = args.handler(args)

@@ -29,7 +29,9 @@ The evidence, by kind (the keys of the counts that ``replay`` returns):
   category laws, three functors f, g and h between them, their d values by
   ``sup_hom``, and the interchange, transitivity and capped sides;
 * ``d``: one entry of the power of ``exp``, whose ``functors`` must be
-  exactly the maps from base to fiber that do not shrink hom.
+  exactly the maps from base to fiber that do not shrink hom;
+* ``laws``: the carrier of ``limits --tnorm``, which must keep
+  reflexivity and transitivity under ``inputs.tnorm`` (``keeps_laws``).
 
 A failing row with nothing to replay is a failure.  Every failure raises
 ``ReplayError``, an ``AssertionError``, by an explicit ``raise``, so the
@@ -103,18 +105,20 @@ def left_limit(amp, b: Fraction, q: Fraction, bps, step=None) -> Fraction:
     return 2 * amp(b - step, q) - amp(b - 2 * step, q)
 
 
-def sup_hom(base, fiber, f, g) -> Fraction:
+def sup_hom(base, fiber, f, g, bottom=ZERO, top=ONE) -> Fraction:
     """d(f, g) = sup{q : q ∧ base[i][j] <= fiber[f[i]][g[j]] for all i, j}.
 
     ``base`` and ``fiber`` are hom matrices, ``f`` and ``g`` the fiber
     indices of two maps.  Only the pairs with base[i][j] > fiber[f[i]][g[j]]
-    can bound q, so with none the supremum is 1.  Else it is the largest
-    candidate that every pair allows, among 0 and the fiber values of those
-    pairs, one of which is the supremum.
+    can bound q, so with none the supremum is 1 (``top``).  Else it is the
+    largest candidate that every pair allows, among 0 (``bottom``) and the
+    fiber values of those pairs, one of which is the supremum.  It only
+    compares values, so it also runs on their ranks, with ``bottom`` and
+    ``top`` the ranks of 0 and 1.
     """
     pairs = [(h, k) for i, fi in enumerate(f) for j, gj in enumerate(g)
              if (h := base[i][j]) > (k := fiber[fi][gj])]
-    candidates = [ZERO, *(k for _, k in pairs)] if pairs else [ONE]
+    candidates = [bottom, *(k for _, k in pairs)] if pairs else [top]
     return max(q for q in candidates if all(min(q, h) <= k for h, k in pairs))
 
 
@@ -231,13 +235,25 @@ def _bundle(bundle: dict, triple, tnorm: dict, amp) -> None:
 
 
 def _power(result: dict, inputs: dict) -> int:
-    """Check an ``exp`` power against its base and fiber; the d entries checked."""
+    """Check an ``exp`` power against its base and fiber; the d entries checked.
+
+    The check runs on the ranks of the base and fiber hom values, 0 and 1:
+    ``keeps_hom`` and ``sup_hom`` only compare values and return one of
+    them, so an order-preserving rank map commutes with both.  Each
+    distinct ``d`` string is parsed once, to its rank (-1 if no hom value,
+    0 or 1 equals it).
+    """
     (_, base, _), (targets, fiber, _) = _category(inputs["base"]), _category(inputs["fiber"])
+    values = sorted({ZERO, ONE, *itertools.chain(*base, *fiber)})
+    rank = {v: k for k, v in enumerate(values)}
+    base, fiber = ([[rank[v] for v in row] for row in m] for m in (base, fiber))
     functors = [tuple(targets.index(label) for label in image) for image in result["functors"]]
     _require(sorted(functors) == functor_images(base, fiber),
              "functors are not the maps that keep hom")
-    d = [[sup_hom(base, fiber, f, g) for g in functors] for f in functors]
-    _require([_fractions(row) for row in result["d"]] == d, "d is not the sup-hom")
+    d = [[sup_hom(base, fiber, f, g, 0, len(values) - 1) for g in functors] for f in functors]
+    recorded = {text: rank.get(Fraction(text), -1) for text in itertools.chain(*result["d"])}
+    _require([[recorded[text] for text in row] for row in result["d"]] == d,
+             "d is not the sup-hom")
     return len(d) ** 2
 
 
@@ -319,6 +335,10 @@ def replay(report: dict, amp=None) -> dict:
         intervals = [_fractions(pair) for pair in tnorm.get("intervals", ())]
         amp = functools.partial(conjunction, tnorm["family"], intervals)
     counts = Counter()
+    if report["command"] == "limits" and "tnorm" in inputs:
+        _require(keeps_laws(_category(inputs["carrier"])[1], amp),
+                 "carrier: no category under inputs.tnorm")
+        counts["laws"] = 1
     for row in report["verdicts"]:
         name = row["name"]
         try:

@@ -199,6 +199,14 @@ class TestUnitIntervalCategory:
         cat = unit_interval_category(minimum(), [F(1), F(0), F(1), F(1, 2)])
         assert cat.elements == (F(0), F(1, 2), F(1))
 
+    def test_numeric_labels_are_looked_up_by_value(self):
+        cat = unit_interval_category(minimum(), [F(0), F(1, 2), F(1)])
+        assert (cat.index(F(2, 4)), cat.index(0), cat.index(1)) == (1, 0, 2)
+        with pytest.raises(InputError, match="unknown element '1/2'"):
+            cat.index("1/2")
+        with pytest.raises(InputError, match="distinct"):
+            RCat((0, F(0)), ((1, 1), (1, 1)))
+
 
 class TestMinClosure:
     @settings(max_examples=300, deadline=None)

@@ -135,6 +135,23 @@ class TestCounterexample:
                 b.base, b.fiber, left.mapping, right.mapping
             )
 
+    def test_counterexample_hashes_no_fraction(self, all_families, monkeypatch):
+        # the fiber's points are ordered by ``_sorted_grid`` and its labels
+        # looked up by their integer pairs
+        reports = {name: check_c1(t, canonical_grid(t)) for name, t in all_families.items()}
+        triples = {name: c1.witness.values for name, c1 in reports.items() if not c1.verdict}
+        expected = {name: counterexample(all_families[name], *triple)
+                    for name, triple in triples.items()}
+
+        def no_hash(self):
+            raise AssertionError(f"hashed the Fraction {self}")
+
+        monkeypatch.setattr(Fraction, "__hash__", no_hash)
+        bundles = {name: counterexample(all_families[name], *triple)
+                   for name, triple in triples.items()}
+        monkeypatch.undo()
+        assert bundles == expected and len(bundles) == 3
+
     def test_functors_are_functors(self):
         b = counterexample(nilpotent_minimum(), F(3, 5), F(3, 5), F(3, 10))
         for fct in (b.f, b.g, b.h):

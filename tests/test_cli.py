@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -529,6 +530,28 @@ class TestCommandLine:
         got = capsys.readouterr()
         assert got.out == "" and usage_prog(got.err) == "tnormcat"
 
+    def test_output_file_is_truncated(self, files, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("x" * 100_000)
+        code, out, _ = run(capsys, *base_argv(files, "counterexample"), "-o", str(target))
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, *base_argv(files, "counterexample"))
+        assert {**json.loads(target.read_text()), "timing_ms": 0} == {
+            **parse_report(out), "timing_ms": 0}
+
+    def test_argparse_only_forms_give_the_same_report(self, files, capsys):
+        sub = cli.build_parser().commands["ccc-suite"]
+        reports = []
+        # ``--grid=4`` and the abbreviation ``--max`` are left to argparse
+        for flags, by_table in ((["--grid=4", "--max", "1"], False),
+                                (["--grid", "4", "--max-size", "1"], True)):
+            argv = [files["minimum"], *flags]
+            assert (cli._fast_args(sub, argv) is not None) == by_table
+            code, out, _ = run(capsys, "ccc-suite", *argv)
+            assert code == 0
+            reports.append({**parse_report(out), "timing_ms": 0})
+        assert reports[0] == reports[1] and reports[0]["inputs"]["max_size"] == 1
+
     def test_max_size_defaults(self, files, capsys):
         code, out, _ = run(capsys, *base_argv(files, "ccc-suite"), "--values", "0,1/4,1/2,1")
         assert code == 0 and parse_report(out)["inputs"]["max_size"] == 2
@@ -568,6 +591,85 @@ class TestCommandLine:
         code, out, err = run(capsys, "product", str(path), files["chain"])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+# the command-line shapes of the benchmark's jobs (``perfbench/jobs.py``)
+JOB_SHAPES = {
+    "ccc-sweep": ["ccc-suite", "in/ccc00-tnorm.json", "--values", "0,1/5,1/3,1",
+                  "--max-size", "2", "-o", "reports/job000.json"],
+    "check-tnorm": ["check-tnorm", "in/cond00-tnorm.json", "--grid", "19",
+                    "-o", "reports/job001.json"],
+    "ccc-suite-grid": ["ccc-suite", "in/cond01-tnorm.json", "--grid", "19", "--max-size", "2",
+                       "-o", "reports/job002.json"],
+    "exp": ["exp", "--tnorm", "in/pc-minimum-tnorm.json", "--base", "in/pc00-base.json",
+            "--fiber", "in/pc00-fiber.json", "-o", "reports/job003.json"],
+    "power-completeness": ["power-completeness", "--tnorm", "in/pc-minimum-tnorm.json",
+                           "--base", "in/pc00-base.json", "--fiber", "in/pc00-fiber.json",
+                           "--max-size", "3", "-o", "reports/job004.json"],
+}
+
+
+def argparse_args(sub, argv):
+    """``vars(sub.parse_args(argv))``, or None where argparse rejects ``argv``
+    (its usage or help text is swallowed)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(sub.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("shape", JOB_SHAPES)
+def test_benchmark_job_lines_take_the_table(shape):
+    command, *argv = JOB_SHAPES[shape]
+    sub = cli.build_parser().commands[command]
+    args = cli._fast_args(sub, argv)
+    assert args is not None and vars(args) == argparse_args(sub, argv)
+
+
+# tokens that argparse reads in its own ways (a negative number, the end of
+# options, an inline value, an abbreviation, help, a lone dash), an empty
+# word and a word that no type or choice takes
+ODD_TOKENS = ["-1", "--", "--grid=3", "--max", "-h", "-", "", "abc"]
+
+
+@st.composite
+def command_lines(draw, sub):
+    """Token lists for the subcommand parser ``sub``, from its own actions.
+
+    Each action but help is given 0-2 times (a required one mostly once):
+    an option by one of its option strings, with a value unless it is a
+    flag, a positional by a word.  A value or word is usually one that its
+    type and choices take, and one time in ten an odd token; one more token
+    (an option string or an odd token) may be added.  The units are then
+    shuffled.
+    """
+    units = []
+    for action in sub._actions:
+        if action.default is argparse.SUPPRESS:  # -h, --help
+            continue
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if action.required else [0, 0, 1, 2]))):
+            odd = draw(st.integers(0, 9)) == 0
+            value = draw(st.sampled_from(ODD_TOKENS if odd else ["3", "text", *(action.choices or ())]))
+            if not action.option_strings:
+                units.append([value])
+            else:
+                flag = draw(st.sampled_from(action.option_strings))
+                units.append([flag] if action.nargs == 0 else [flag, value])
+    options = [flag for action in sub._actions for flag in action.option_strings]
+    units += draw(st.lists(st.sampled_from(options + ODD_TOKENS).map(lambda t: [t]), max_size=1))
+    return [token for unit in draw(st.permutations(units)) for token in unit]
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fast_path_is_argparse(command, data):
+    """The table accepts only lines that argparse accepts, with its namespace."""
+    sub = cli.build_parser().commands[command]
+    argv = data.draw(command_lines(sub))
+    args = cli._fast_args(sub, argv)
+    assert args is None or vars(args) == argparse_args(sub, argv)
 
 
 @settings(max_examples=60, deadline=None)

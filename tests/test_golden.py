@@ -31,13 +31,13 @@ format.
 
 The files are also checked against the law, not only against earlier
 output: ``tests/replay.py`` replays every witness, certificate, bundle and
-power in them from the report's own inputs, with the defining formula of
-its t-norm, and one parametrized test pins how much it replays in each
-file, by kind.  Two more pin that the C1 and C2 witnesses do not replay
-under minimum, which satisfies both, and the capped sides of each bundle.
-Each mutation below of a recorded value, a dropped
-functor, a swapped t-norm or a failing row's evidence must make that
-replay fail.
+power in them, and the laws of the ``limits --tnorm`` carrier, from the
+report's own inputs, with the defining formula of its t-norm, and one
+parametrized test pins how much it replays in each file, by kind.  Two
+more pin that the C1 and C2 witnesses do not replay under minimum, which
+satisfies both, and the capped sides of each bundle.  Each mutation below
+of a recorded value, a dropped functor, a swapped t-norm, a carrier that
+breaks the laws or a failing row's evidence must make that replay fail.
 
 The text rendering of three failing runs is pinned line by line: in it,
 every failing row is followed by its witness.
@@ -223,7 +223,7 @@ REPLAYED = {
     **dict.fromkeys(["exp-collapse", "exp-minimum"], {"d": 49}),
     "exp-empty": {"d": 1},
     "exp-product-counterexample": {"d": 576, "validate": 1},
-    "limits": {"certificate": 4},
+    "limits": {"certificate": 4, "laws": 1},
     "limits-not-cauchy": {"cauchy": 2, "certificate": 2},
     "product-not-transitive": {"validate": 2},  # validate-left and validate-product
 }
@@ -292,6 +292,16 @@ def test_replay_rejects_a_failing_row_without_evidence(name, row):
     report = golden_report(name)
     row_of(report, row)["result"] = None
     rejects(report, "a failing row with nothing to replay")
+
+
+@pytest.mark.parametrize("carrier", [
+    {"elements": ["x", "y"], "hom": [["1/2", "1/2"], ["0", "1"]]},  # hom(x, x) < 1
+    NOT_TRANSITIVE,  # hom(y, z) ∧ hom(x, y) = 1/2 > hom(x, z) = 0
+], ids=["reflexivity", "transitivity"])
+def test_replay_rejects_a_carrier_that_breaks_the_laws(carrier):
+    report = golden_report("limits")
+    report["inputs"]["carrier"] = carrier
+    rejects(report, "carrier: no category under inputs.tnorm")
 
 
 @pytest.mark.parametrize("name", ["exp-minimum", "exp-product-counterexample"])
