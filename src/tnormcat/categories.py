@@ -302,17 +302,26 @@ class PowerObject(Record):
     """Function space: all functors base -> fiber with the sup-hom d.
 
     ``labels`` holds each functor as its tuple of target labels, in base
-    element order; ``functors`` builds the ``RFunctor`` records on request.
+    element order.  ``values`` holds the distinct hom values of base and
+    fiber and 1, ascending, and ``ranks[i][j]`` is the index in ``values``
+    of d(f_i, f_j).  ``functors`` and ``hom``, d as Fractions, are built on
+    request.
     """
 
     base: RCat
     fiber: RCat
     labels: tuple[tuple, ...]
-    hom: tuple[tuple[Fraction, ...], ...]
+    values: tuple[Fraction, ...]
+    ranks: tuple[tuple[int, ...], ...]
 
     @cached_property
     def functors(self) -> tuple[RFunctor, ...]:
         return tuple(RFunctor(self.base, self.fiber, m) for m in self.labels)
+
+    @cached_property
+    def hom(self) -> tuple[tuple[Fraction, ...], ...]:
+        values = self.values
+        return tuple(tuple(map(values.__getitem__, row)) for row in self.ranks)
 
     def as_rcat(self) -> RCat:
         return RCat(self.labels, self.hom)
@@ -333,18 +342,17 @@ def exponential(t: TNorm, base: RCat, fiber: RCat, budget: int = DEFAULT_BUDGET)
 
     The values of both homs are ranked once (``_functor_images``): the
     functors are filtered on the ranks, and d(f,g) is ``_power_hom`` on the
-    same ranks, mapped back through the sorted values.  1 is among them, so
+    same ranks, kept as a rank into the sorted values.  1 is among them, so
     an empty base still gets d = 1 for its one empty map.
     """
     _require_valid(t, base, fiber)
     values, base_m, fiber_m, images = _functor_images(base, fiber, budget)
     top = len(values) - 1
-    hom = tuple(
-        tuple(values[_power_hom(base_m, fiber_m, fi, gi, top)] for gi in images)
-        for fi in images
+    ranks = tuple(
+        tuple(_power_hom(base_m, fiber_m, fi, gi, top) for gi in images) for fi in images
     )
     labels = tuple(tuple(fiber.elements[d] for d in im) for im in images)
-    return PowerObject(base, fiber, labels, hom)
+    return PowerObject(base, fiber, labels, tuple(values), ranks)
 
 
 def _validate_power(t: TNorm, power: PowerObject) -> Witness | None:

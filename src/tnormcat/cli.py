@@ -100,9 +100,18 @@ def _parse_values(raw: str) -> list:
 
 
 def _grid_inputs(args, command: str):
-    """Load the t-norm and its grid; return them with the report that records them."""
+    """Load the t-norm and its grid; return them with the report that records them.
+
+    ``--grid`` defaults to None, not ``DEFAULT_GRID_N``: argparse counts an
+    exclusive option as given only when its value is not the default
+    object, and ``int("40")`` is the cached small int 40, so with that
+    default ``--grid 40 --values ...`` would get through.
+    """
     t = jsonio.load_tnorm(args.tnorm)
-    grid = _parse_values(args.values) if args.values is not None else canonical_grid(t, args.grid)
+    if args.values is not None:
+        grid = _parse_values(args.values)
+    else:
+        grid = canonical_grid(t, DEFAULT_GRID_N if args.grid is None else args.grid)
     report = RunReport(command, {"tnorm": jsonio.tnorm_to_dict(t), "grid_points": len(grid)})
     return t, grid, report
 
@@ -352,7 +361,7 @@ def _add_budget(sub):
 
 def _add_grid(sub):
     grid = sub.add_mutually_exclusive_group()
-    grid.add_argument("--grid", type=int, default=DEFAULT_GRID_N,
+    grid.add_argument("--grid", type=int, default=None,
                       help="uniform resolution of the canonical grid")
     grid.add_argument("--values", default=None,
                       help="comma-separated rationals used instead of the canonical grid")

@@ -124,15 +124,22 @@ def category_from_dict(data, where: str = "category") -> RCat:
             ) from None
     if not isinstance(hom, list) or len(hom) != len(elements):
         raise InputError(f"{where}: hom must have one row per element")
+    # each distinct string is parsed once, at its first entry in row-major
+    # order, so an invalid one fails where it did; other entries every time
+    parsed: dict[str, Fraction] = {}
     rows = []
     for i, row in enumerate(hom):
         if not isinstance(row, list) or len(row) != len(elements):
             raise InputError(f"{where}: hom[{i}] must have one entry per element")
-        rows.append(
-            tuple(
-                parse_rational(v, f"{where}: hom[{i}][{j}]") for j, v in enumerate(row)
-            )
-        )
+        values = []
+        for j, v in enumerate(row):
+            value = parsed.get(v) if type(v) is str else None
+            if value is None:
+                value = parse_rational(v, f"{where}: hom[{i}][{j}]")
+                if type(v) is str:
+                    parsed[v] = value
+            values.append(value)
+        rows.append(tuple(values))
     return RCat(tuple(elements), tuple(rows))
 
 
@@ -183,11 +190,13 @@ def functor_to_list(f: RFunctor) -> list:
 
 
 def power_to_dict(p: PowerObject) -> dict:
+    """The functors and ``d`` of a power; base and fiber are the report's
+    inputs.  Each value is formatted once and ``d`` indexes the strings by
+    rank."""
+    text = [format_rational(v) for v in p.values]
     return {
-        "base": category_to_dict(p.base),
-        "fiber": category_to_dict(p.fiber),
         "functors": [[label_text(lbl) for lbl in m] for m in p.labels],
-        "d": [[format_rational(v) for v in row] for row in p.hom],
+        "d": [list(map(text.__getitem__, row)) for row in p.ranks],
     }
 
 

@@ -43,7 +43,7 @@ from tnormcat import (
     validate,
 )
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
-from tnormcat.rationals import check_unit
+from tnormcat.rationals import check_unit, parse_rational
 
 import replay
 
@@ -525,3 +525,38 @@ def load_json_file_reference(path):
         ) from exc
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: cannot parse JSON: {exc}") from exc
+
+
+def category_from_dict_reference(data, where: str = "category") -> RCat:
+    """``jsonio.category_from_dict`` as it read before it parsed each
+    distinct hom string once: one ``parse_rational`` per hom entry."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected an object")
+    try:
+        elements = data["elements"]
+        hom = data["hom"]
+    except (KeyError, TypeError):
+        raise InputError(f'{where}: needs "elements" and "hom" keys') from None
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise InputError(f"{where}: elements must be a list of strings")
+    for k, e in enumerate(elements):
+        if elements.index(e) != k:
+            raise InputError(f"{where}: elements[{k}] repeats {e!r}")
+        try:
+            e.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(
+                f"{where}: elements[{k}] does not encode as UTF-8 ({exc.reason})"
+            ) from None
+    if not isinstance(hom, list) or len(hom) != len(elements):
+        raise InputError(f"{where}: hom must have one row per element")
+    rows = []
+    for i, row in enumerate(hom):
+        if not isinstance(row, list) or len(row) != len(elements):
+            raise InputError(f"{where}: hom[{i}] must have one entry per element")
+        rows.append(
+            tuple(
+                parse_rational(v, f"{where}: hom[{i}][{j}]") for j, v in enumerate(row)
+            )
+        )
+    return RCat(tuple(elements), tuple(rows))

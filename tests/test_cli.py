@@ -30,6 +30,7 @@ from tnormcat import (
 )
 from tnormcat.cli import main
 from tnormcat.rationals import format_rational
+from tnormcat.tnorms import DEFAULT_GRID_N
 
 from replay import ReplayError, replay
 
@@ -489,6 +490,23 @@ class TestCommandLine:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("grid", ["39", "40"])
+    def test_grid_at_its_default_resolution_is_exclusive_too(self, files, capsys, grid):
+        # argparse takes an exclusive option as given only when its value is
+        # not the default object, and int("40") is the cached DEFAULT_GRID_N
+        argv = base_argv(files, "check-tnorm") + ["--grid", grid, "--values", "0,1/2,1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "argument --values: not allowed with argument --grid" in err
+
+    def test_grid_defaults_to_its_default_resolution(self, files, capsys):
+        reports = []
+        for extra in ([], ["--grid", str(DEFAULT_GRID_N)]):
+            code, out, _ = run(capsys, *base_argv(files, "check-tnorm"), *extra)
+            reports.append({**parse_report(out), "timing_ms": 0})
+        assert reports[0] == reports[1]
+        assert reports[0]["inputs"]["grid_points"] == DEFAULT_GRID_N + 1
 
     # a usage error after a known subcommand shows that subcommand's usage
     # line; a command line that names no subcommand first shows the top

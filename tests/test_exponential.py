@@ -152,3 +152,34 @@ class TestPowerRepresentation:
                 assert power.as_rcat() == RCat(power.labels, power.hom)
                 assert (power_to_dict(power)["functors"]
                         == [functor_to_list(f) for f in power.functors])
+
+    def test_hom_is_the_bruteforce_sup_read_from_the_ranks(self, all_families, two_chain):
+        rng = random.Random(38)
+        pairs = [(make_random_category(rng, 3, EIGHT_GRID),
+                  make_random_category(rng, 3, EIGHT_GRID)) for _ in range(8)]
+        pairs += [(RCat((), ()), two_chain), (RCat((), ()), RCat((), ()))]
+        for t in all_families.values():
+            for base, fiber in pairs:
+                power = exponential(t, base, fiber)
+                hom_values = {v for cat in (base, fiber) for row in cat.hom for v in row}
+                assert list(power.values) == sorted(hom_values | {F(1)})
+                assert power.hom == tuple(
+                    tuple(power_hom_bruteforce(base, fiber, f, g) for g in power.labels)
+                    for f in power.labels)
+                assert all(type(v) is Fraction for row in power.hom for v in row)
+
+    def test_power_to_dict_formats_each_value_once(self, all_families, monkeypatch):
+        rng = random.Random(39)
+        to_text = Fraction.__str__
+        for t in all_families.values():
+            base = make_random_category(rng, 3, EIGHT_GRID)
+            fiber = make_random_category(rng, 3, EIGHT_GRID)
+            power = exponential(t, base, fiber)
+            expected = [[str(v) for v in row] for row in power.hom]
+            calls = []
+            monkeypatch.setattr(Fraction, "__str__",
+                                lambda self: calls.append(self) or to_text(self))
+            data = power_to_dict(power)
+            monkeypatch.undo()
+            assert len(calls) == len(power.values)
+            assert data["d"] == expected and set(data) == {"functors", "d"}

@@ -22,6 +22,7 @@ from tnormcat import (
     cli,
     extract_intervals,
     interval_collapse,
+    jsonio,
     label_text,
     lukasiewicz,
     minimum,
@@ -82,9 +83,9 @@ class TestTNormSchema:
         assert "line 1" in str(err.value)
 
 
-def _loaded_or_error(load, path):
+def _loaded_or_error(load, source):
     try:
-        return "value", load(path)
+        return "value", load(source)
     except InputError as exc:
         return "InputError", str(exc)
 
@@ -439,3 +440,46 @@ def test_parse_rational_long_integer_is_input_error():
     # int() refuses more than sys.get_int_max_str_digits() digits
     with pytest.raises(InputError, match="cannot parse rational.*Exceeds the limit"):
         parse_rational("1" * 5000, "v")
+
+
+# repeated strings, equal values spelled apart, whitespace, invalid and
+# out-of-range strings, ints, bools and other JSON values
+hom_entries = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "2/4", " 1/2 ", "1/2\t", "0.5", "1/3", "3/2", "1/0",
+                     "x", "1e-3", "", "-0"]),
+    rational_texts,
+    st.integers(-1, 2),
+    st.booleans(),
+    st.none(),
+    st.floats(0, 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 3), pool=st.lists(hom_entries, min_size=1, max_size=4), data=st.data())
+def test_category_from_dict_matches_the_per_entry_reference(n, pool, data):
+    hom = [[data.draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    payload = {"elements": [f"e{i}" for i in range(n)], "hom": hom}
+    assert _loaded_or_error(category_from_dict, payload) == \
+        _loaded_or_error(oracles.category_from_dict_reference, payload)
+
+
+def test_category_from_dict_parses_each_distinct_string_once(monkeypatch):
+    calls = []
+
+    def counting(text, where="rational"):
+        calls.append(text)
+        return parse_rational(text, where)
+
+    monkeypatch.setattr(jsonio, "parse_rational", counting)
+    hom = [["1", "1/2", 0], ["1/2", "1", True], [0, "1/2", "1"]]
+    with pytest.raises(InputError) as err:
+        category_from_dict({"elements": ["x", "y", "z"], "hom": hom})
+    # the bool fails where the per-entry loader fails, after one parse per string
+    assert str(err.value) == "category: hom[1][2]: expected a rational string, got True"
+    assert calls == ["1", "1/2", 0, True]
+    calls.clear()
+    hom[1][2] = 0
+    cat = category_from_dict({"elements": ["x", "y", "z"], "hom": hom})
+    assert calls == ["1", "1/2", 0, 0, 0] and cat == oracles.category_from_dict_reference(
+        {"elements": ["x", "y", "z"], "hom": hom})

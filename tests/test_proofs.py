@@ -33,7 +33,10 @@ nilpotent minimum, together with (f).  The counterexample powers, which are
 not categories, are its negative control.  The ``exp`` report and
 ``check_currying`` are compared with ``oracles.power_sweep`` on random
 categories under minimum and collapse norms, and on the counterexample
-powers of the other families.  Maps are enumerated with
+powers of the other families, and where C1 fails on [0,1] with
+``oracles.validate_reference`` on random pairs also under broken ``&``
+functions: under a & that is not monotone, C1 on the power's hom values
+does not decide it (a pinned example).  Maps are enumerated with
 itertools and d comes from the oracle, not from ``enumerate_functors`` or
 ``exponential``.
 
@@ -99,6 +102,7 @@ from tnormcat import (
     cli,
     counterexample,
     enumerate_categories,
+    exponential,
     interval_collapse,
     is_cauchy_complete,
     jsonio,
@@ -107,13 +111,13 @@ from tnormcat import (
     tnorms,
     validate,
 )
-from tnormcat import completeness
+from tnormcat import categories, completeness
 from tnormcat._records import replace
 from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
-from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and
+from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and, real_and
 from oracles import (
     c1_rank_sweep_reference,
     c1_sides,
@@ -394,6 +398,45 @@ def test_power_validation_keeps_the_witness_where_c1_fails(all_families, family)
     t = all_families[family]
     bundle = counterexample(t, *C1_VIOLATIONS[family])
     assert _expect_power_sweep(t, bundle.base, bundle.fiber) is not None
+
+
+def _power_outcomes(t, x, y) -> tuple:
+    """The ``power-validates`` verdict and ``oracles.validate_reference`` on the power."""
+    return (_outcome(lambda: categories._validate_power(t, exponential(t, x, y))),
+            _outcome(lambda: validate_reference(exponential(t, x, y).as_rcat(), t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(C1_VIOLATIONS)), data=st.data())
+def test_power_validation_matches_the_reference_under_broken_ands(all_families, family, data):
+    # t-closed pairs whose hom values may fail C1; a broken & may make the
+    # inputs or the power fail
+    t = all_families[family]
+    values = sorted({F(0), F(1), *data.draw(st.lists(UNITS, min_size=1, max_size=3))})
+    x, y = (_t_closure(t, data.draw(reflexive_matrices(values, 3))) for _ in range(2))
+    broken = data.draw(broken_ands(t, sorted({F(1), *itertools.chain(*x.hom, *y.hom)})))
+    with pytest.MonkeyPatch.context() as mp:
+        if broken is not None:
+            install_and(mp, broken)
+        new, reference = _power_outcomes(t, x, y)
+    assert new == reference
+
+
+def test_c1_on_the_power_values_needs_a_monotone_and(all_families, monkeypatch):
+    # Why ``_validate_power`` sweeps the power wherever C1 fails on [0,1],
+    # even where C1 holds on the hom values: the proof in ``check_ccc``
+    # needs a monotone &.  With 0 & 0 = 1, C1 holds on the values {0, 1} of
+    # the discrete two-element base and fiber, yet the power is not a
+    # category: d(g,h) & d(f,g) = 0 & 0 = 1 > 0 = d(f,h).
+    t = all_families["lukasiewicz"]
+    install_and(monkeypatch, lambda t, p, q: F(1) if p == q == 0 else real_and(t, p, q))
+    discrete = RCat(("a", "b"), ((1, 0), (0, 1)))
+    power = exponential(t, discrete, discrete)
+    assert power.values == (F(0), F(1))
+    assert tnorms._c1_sweep(t, power.values, *tnorms._rank_products(t, power.values)).verdict
+    new, reference = _power_outcomes(t, discrete, discrete)
+    assert new == reference == Witness((("a", "a"), ("a", "b"), ("b", "a")), F(1), F(0),
+                                       note="transitivity")
 
 
 @pytest.mark.parametrize("family", FAMILIES + ("interval-collapse-multi",))
