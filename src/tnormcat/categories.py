@@ -41,8 +41,8 @@ from . import tnorms
 from ._records import Record, replace
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, check_unit
-from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _c1_sweep,
-                     _failure, _rank_products, _sorted_grid, apply, residuum)
+from .tnorms import (ConditionReport, TNorm, Witness, _c1_holds_on_unit_interval, _c1_sides,
+                     _c1_sweep, _failure, _rank_products, _sorted_grid, apply, residuum)
 
 DEFAULT_BUDGET = 10**6
 
@@ -496,8 +496,7 @@ def counterexample(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> Counterex
     for name, v in (("p", p), ("q", q), ("u", u)):
         check_unit(Fraction(v), name)
     p, q, u = Fraction(p), Fraction(q), Fraction(u)
-    c1_lhs = min(apply(t, p, q), u)
-    c1_rhs = max(apply(t, min(p, u), q), apply(t, p, min(q, u)))
+    c1_lhs, c1_rhs = _c1_sides(t, p, q, u)
     if c1_lhs == c1_rhs:
         raise PreconditionError(
             f"triple ({p}, {q}, {u}) does not violate the interchange law C1"

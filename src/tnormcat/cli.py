@@ -28,15 +28,15 @@ import os
 import sys
 import time
 
+from ._records import replace
 from .errors import BudgetError, InputError, PreconditionError
 from .rationals import parse_rational
 from .tnorms import (
     DEFAULT_GRID_N,
     Witness,
-    _C1_FAILURES,
+    _c1_failure,
     _condition_sweeps,
     _sorted_grid,
-    apply,
     canonical_grid,
     extract_intervals,
 )
@@ -55,7 +55,6 @@ from .completeness import (
     _find_yoneda_limit,
     check_power_completeness,
     is_cauchy,
-    is_forward_cauchy,
 )
 from . import jsonio
 
@@ -147,15 +146,12 @@ def cmd_check_tnorm(args) -> RunReport:
     report.add("axioms", axioms, axioms.verdict)
     agree = c1.verdict == c2.verdict == extraction.ok
     outcome = {"C1": c1.verdict, "C2": c2.verdict, "C3-form": extraction.ok}
-    if not agree and t.family in _C1_FAILURES:
-        # the family fails C1 on [0,1], where C1, C2 and C3-form agree: its
-        # first violation on the canonical grid shows it
-        p, q, u = triple = _C1_FAILURES[t.family][0]
-        where = "on" if all(v in grid for v in triple) else "outside"
-        outcome["witness"] = Witness(
-            triple, min(apply(t, p, q), u), max(apply(t, min(p, u), q), apply(t, p, min(q, u))),
-            f"C1 violation on [0,1], {where} the grid",
-        )
+    # a family that fails C1 on [0,1], where C1, C2 and C3-form agree, shows
+    # it by its first violation on the canonical grid
+    witness = None if agree else _c1_failure(t)
+    if witness is not None:
+        where = "on" if all(v in grid for v in witness.values) else "outside"
+        outcome["witness"] = replace(witness, note=f"C1 violation on [0,1], {where} the grid")
     report.add("agreement", outcome, agree)
     return report
 
@@ -212,6 +208,11 @@ def cmd_counterexample(args) -> RunReport:
 def cmd_limits(args) -> RunReport:
     """Cauchy, bilimit and Yoneda-limit verdicts for one sequence.
 
+    The report has one ``cauchy`` row: for an eventually periodic sequence,
+    Cauchy and forward Cauchy coincide (proof in
+    ``completeness.is_forward_cauchy``), so a ``forward-cauchy`` row would
+    repeat it.  The ``yoneda-limit`` row is added when ``cauchy`` passes.
+
     The carrier's laws are scanned once: by ``validate`` under ``--tnorm``,
     else by ``_check_laws``, which ``find_bilimit`` and
     ``find_yoneda_limit`` would each run.  A carrier valid under the t-norm
@@ -245,11 +246,9 @@ def cmd_limits(args) -> RunReport:
         _check_laws(seq.carrier)
     cauchy = is_cauchy(seq)
     report.add("cauchy", cauchy, cauchy is None)
-    forward = is_forward_cauchy(seq)
-    report.add("forward-cauchy", forward, forward is None)
     bilimit = _find_bilimit(seq)
     report.add("bilimit", bilimit, bilimit.kind != "none")
-    if forward is None:
+    if cauchy is None:
         report.add("yoneda-limit", _find_yoneda_limit(seq), True)
     return report
 
@@ -272,7 +271,7 @@ def _render_text(report: RunReport) -> str:
         result = v["result"]
         if isinstance(result, dict):
             # the row's witness: its result, when that is a Witness (exp's
-            # power-validates, the cauchy rows of limits), else its witness
+            # power-validates, the cauchy row of limits), else its witness
             # key, else that of its C1 report (ccc-suite); a failing row
             # without one (limits' bilimit) prints its certificate instead
             if result.keys() == set(Witness._fields):
@@ -431,27 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table(sub: argparse.ArgumentParser) -> tuple | None:
-    """The flat table of ``sub``'s actions, or None if argparse alone parses it.
+def _table(sub: argparse.ArgumentParser) -> tuple:
+    """The flat table of ``sub``'s actions.
 
     The table is ``(options, positionals, groups, required, defaults)``:
     each option string with its action, the positional actions in order,
     the actions of each mutually exclusive group, the actions that a
     command line must give, and the namespace of an empty command line
     (each action's default, then ``set_defaults``, the first one of a dest
-    winning, as argparse sets them).  It needs every action but ``-h`` to
-    be a one-value ``store`` or a ``store_true``, none with a string
-    default that argparse would pass through its ``type``, and no required
-    exclusive group.
+    winning, as argparse sets them).  It is exact for the parsers that
+    ``build_parser`` builds: every action but ``-h`` is a one-value
+    ``store`` or a ``store_true``, none has a string default that argparse
+    would pass through its ``type``, and no exclusive group is required.
+    ``tests/test_cli.py`` pins that precondition on every subcommand.
     """
     options, positionals, defaults = {}, [], {}
     for action in sub._actions:
         if isinstance(action, argparse._HelpAction):
             continue
-        plain = (type(action) is argparse._StoreAction and action.nargs is None
-                 or type(action) is argparse._StoreTrueAction)
-        if not plain or isinstance(action.default, str) and action.type is not None:
-            return None
         if action.option_strings:
             options.update(dict.fromkeys(action.option_strings, action))
         else:
@@ -461,8 +457,6 @@ def _table(sub: argparse.ArgumentParser) -> tuple | None:
     for dest, value in sub._defaults.items():
         defaults.setdefault(dest, value)
     groups = [group._group_actions for group in sub._mutually_exclusive_groups]
-    if any(group.required for group in sub._mutually_exclusive_groups):
-        return None
     required = [action for action in sub._actions if action.required]
     return options, positionals, groups, required, defaults
 
@@ -479,10 +473,9 @@ def _fast_args(sub: argparse.ArgumentParser, argv) -> argparse.Namespace | None:
     argparse builds the same namespace.  Anything else (``-h``,
     ``--opt=value``, an abbreviation, ``--``, a value that starts with
     ``-``, an unknown flag, a bad value) returns None, and argparse parses
-    the line, with its usage errors.
+    the line, with its usage errors.  The table is exact only under the
+    precondition in ``_table``, which a test pins for every subcommand.
     """
-    if sub.table is None:
-        return None
     options, positionals, groups, required, defaults = sub.table
     values, seen = {}, set()
     positionals = iter(positionals)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from ._records import Record, replace
 from .errors import InputError, InvariantError, PreconditionError
 from .rationals import ONE, ZERO, format_rational
-from .tnorms import _C1_FAILURES, TNorm, Witness, _c1_holds_on_unit_interval, interval_collapse
+from .tnorms import TNorm, Witness, _c1_failure, interval_collapse
 from .categories import (
     RCat,
     RFunctor,
@@ -335,12 +335,13 @@ def check_power_completeness(t: TNorm, base: RCat, fiber: RCat) -> Witness | Non
 
     Since no functor is enumerated, no budget applies.  The C1
     precondition is kept as the contract of the check, although the proof
-    does not use it.  ``_c1_holds_on_unit_interval`` decides it, and the
-    error names the family's triple in ``tnorms._C1_FAILURES``, the first
-    C1 violation that ``check_c1`` finds on ``canonical_grid(t)``.
+    does not use it.  ``tnorms._c1_failure`` decides it, and the error
+    names the triple of its witness, the first C1 violation that
+    ``check_c1`` finds on ``canonical_grid(t)``.
     """
-    if not _c1_holds_on_unit_interval(t):
-        triple = ", ".join(map(format_rational, _C1_FAILURES[t.family][0]))
+    w = _c1_failure(t)
+    if w is not None:
+        triple = ", ".join(map(format_rational, w.values))
         raise PreconditionError(f"t-norm {t.describe()} fails C1 at ({triple})")
     _require_valid(t, base, fiber)
     return None

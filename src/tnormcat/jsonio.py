@@ -175,7 +175,10 @@ def sequence_from_dict(data, base_dir=None, where: str = "sequence") -> TailSeq:
         raise InputError(f'{where}: "cycle" must be a nonempty list')
     if not all(isinstance(lbl, str) for lbl in prefix + cycle):
         raise InputError(f'{where}: "prefix" and "cycle" labels must be strings')
-    return TailSeq(cat, tuple(prefix), tuple(cycle))
+    try:
+        return TailSeq(cat, tuple(prefix), tuple(cycle))
+    except InputError as exc:  # a label that is not in the carrier
+        raise InputError(f"{where}: {exc}") from None
 
 
 def load_sequence(path) -> TailSeq:

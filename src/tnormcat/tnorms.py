@@ -18,7 +18,8 @@ is ``_and_col(t, ps, q)``: it returns ``[p & q for p in ps]`` on
 ``(numerator, denominator)`` pairs in lowest terms, one call per fixed
 right operand q, and builds no Fraction.  ``apply`` wraps a one-element
 call and builds the Fraction of its value; ``extract_intervals``,
-``categories.counterexample`` and the test oracles call it.
+``_c1_sides`` (the two sides of C1, which ``categories.counterexample``
+and ``_c1_failure`` read) and the test oracles call it.
 ``_rank_products``, the unit check and left limits of ``_axioms_sweep``,
 the off-grid rows of ``_associativity_sweep`` and ``categories.validate``
 call the kernel directly on ``as_integer_ratio()`` pairs.  Every & in the
@@ -39,7 +40,10 @@ No table outlives the call that built it.  The module also decides three
 equivalent conditions on a t-norm (tags ``C1``, ``C2``, ``C3-form``) that
 characterize when the function-space construction on [0,1]-enriched
 categories behaves; each check either passes or returns a concrete
-violating tuple with both evaluated sides.
+violating tuple with both evaluated sides.  Whether C1 holds on all of
+[0,1], and each failing family's violation, are known here only:
+``_c1_failure`` hands that violation, with its sides, to the ``agreement``
+row of ``check-tnorm`` and to ``completeness.check_power_completeness``.
 """
 
 from __future__ import annotations
@@ -158,7 +162,7 @@ def apply(t: TNorm, p: Fraction, q: Fraction) -> Fraction:
     pair with right operand q's pair.  The kernel is looked up as a global
     at each call, so a & installed as ``_and_col`` is the & of ``apply``
     too, and of everything that calls it: ``extract_intervals``,
-    ``categories.counterexample`` and the test oracles.
+    ``_c1_sides`` and the test oracles.
     """
     key, = _and_col(t, [p.as_integer_ratio()], q.as_integer_ratio())
     return Fraction(*key)
@@ -615,6 +619,21 @@ def _c1_holds_on_unit_interval(t: TNorm) -> bool:
       sides (1/40, 0).
     """
     return t.family not in _C1_FAILURES
+
+
+def _c1_sides(t: TNorm, p: Fraction, q: Fraction, u: Fraction) -> tuple[Fraction, Fraction]:
+    """C1's two sides at (p, q, u): (p & q) ∧ u and ((p ∧ u) & q) ∨ (p & (q ∧ u))."""
+    return min(apply(t, p, q), u), max(apply(t, min(p, u), q), apply(t, p, min(q, u)))
+
+
+def _c1_failure(t: TNorm) -> Witness | None:
+    """The first C1 violation of ``t``'s family on ``canonical_grid(t)``
+    (the first item of its entry in ``_C1_FAILURES``), with its sides; None
+    where C1 holds on [0,1]."""
+    if _c1_holds_on_unit_interval(t):
+        return None
+    triple = _C1_FAILURES[t.family][0]
+    return Witness(triple, *_c1_sides(t, *triple))
 
 
 class IntervalExtraction(Record):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tnormcat import RCat, apply, interval_collapse, lukasiewicz, \
+from tnormcat import RCat, TailSeq, apply, interval_collapse, lukasiewicz, \
     minimum, nilpotent_minimum, product_tnorm, tnorms
 
 from oracles import min_transitive_closure
@@ -73,6 +73,17 @@ def make_random_category(rng: random.Random, max_n: int, grid) -> RCat:
 
 
 EIGHT_GRID = tuple(F(k, 7) for k in range(8))
+
+
+@st.composite
+def tail_seqs(draw, max_n=4):
+    """A sequence in a random category of 1 to ``max_n`` elements
+    (``make_random_category`` on ``EIGHT_GRID``): a prefix of 0-2 and a
+    cycle of 1-3 of its elements."""
+    cat = make_random_category(draw(st.randoms(use_true_random=False)), max_n, EIGHT_GRID)
+    labels = st.sampled_from(cat.elements)
+    return TailSeq(cat, draw(st.lists(labels, max_size=2)),
+                   draw(st.lists(labels, min_size=1, max_size=3)))
 
 
 UNITS = st.fractions(min_value=0, max_value=1, max_denominator=48)

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNITS, broken_ands, collapse_norms, install_and
+from conftest import UNITS, broken_ands, collapse_norms, install_and, tail_seqs
 from tnormcat import (
     ConditionReport,
     InvariantError,
     cli,
     completeness,
+    is_cauchy,
     jsonio,
     lukasiewicz,
     minimum,
@@ -222,6 +223,23 @@ class TestOtherCommands:
         assert by_name["bilimit"]["result"]["witness"] == "x"
         assert by_name["yoneda-limit"]["result"]["witness"] == "x"
 
+    @settings(max_examples=60, deadline=None)
+    @given(seq=tail_seqs())
+    def test_limits_rows_follow_the_cauchy_row(self, seq):
+        # one Cauchy row, since forward Cauchy coincides with it, and a
+        # Yoneda-limit row exactly when it passes
+        payload = {"carrier": jsonio.category_to_dict(seq.carrier),
+                   "prefix": list(seq.prefix), "cycle": list(seq.cycle)}
+        out = io.StringIO()
+        with TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            path = Path(tmp) / "seq.json"
+            path.write_text(json.dumps(payload))
+            assert main(["limits", "--seq", str(path)]) == 0
+        rows = parse_report(out.getvalue())["verdicts"]
+        cauchy = is_cauchy(seq) is None
+        assert [v["name"] for v in rows] == ["cauchy", "bilimit"] + ["yoneda-limit"] * cauchy
+        assert rows[0]["ok"] == cauchy
+
     @pytest.mark.parametrize("tnorm", [None, "minimum", "lukasiewicz"])
     def test_limits_scans_the_carrier_laws_once(self, files, capsys, monkeypatch, tnorm):
         # validate under --tnorm, else the law check of find_bilimit; the
@@ -412,6 +430,12 @@ class TestOtherCommands:
         (["limits", "--seq", "{input}"], {"carrier": 5, "cycle": ["x"]},
          '{input}: "carrier" must be a path or inline category'),
         (["limits", "--seq", "{input}"], [], "{input}: expected an object"),
+        (["limits", "--seq", "{input}"],
+         {"carrier": {"elements": ["x"], "hom": [["1"]]}, "prefix": ["q"], "cycle": ["x"]},
+         "{input}: unknown element 'q'"),
+        (["limits", "--seq", "{input}"],
+         {"carrier": {"elements": ["x"], "hom": [["1"]]}, "cycle": ["x", "q"]},
+         "{input}: unknown element 'q'"),
         (["exp", "--tnorm", "{minimum}", "--base", "{input}", "--fiber", "{chain}"],
          {"elements": ["x", "y", "x"], "hom": [["1"] * 3] * 3},
          "{input}: elements[2] repeats 'x'"),
@@ -420,7 +444,8 @@ class TestOtherCommands:
          "{input}: elements[1] repeats 'x'"),
     ], ids=["grid-0", "tnorm-list", "interval-single", "missing-file", "category-list",
             "category-no-hom", "category-int-labels", "category-short-row", "hom-true",
-            "hom-float", "sequence-carrier-int", "sequence-list", "base-repeated-label",
+            "hom-float", "sequence-carrier-int", "sequence-list", "sequence-prefix-label",
+            "sequence-cycle-label", "base-repeated-label",
             "fiber-repeated-label"])
     def test_malformed_input_exit_1(self, files, tmp_path, capsys, argv, payload, message):
         paths = {"minimum": files["minimum"], "chain": files["chain"],
@@ -688,6 +713,21 @@ def test_fast_path_is_argparse(command, data):
     argv = data.draw(command_lines(sub))
     args = cli._fast_args(sub, argv)
     assert args is None or vars(args) == argparse_args(sub, argv)
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser().commands))
+def test_every_parser_meets_the_table_precondition(command):
+    """``cli._table`` reads these parsers exactly: every action but ``-h``
+    is a one-value ``store`` or a ``store_true``, no typed action has a
+    string default, and no exclusive group is required."""
+    sub = cli.build_parser().commands[command]
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        assert (type(action) is argparse._StoreAction and action.nargs is None
+                or type(action) is argparse._StoreTrueAction), action
+        assert action.type is None or not isinstance(action.default, str), action
+    assert not any(group.required for group in sub._mutually_exclusive_groups)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,9 +30,10 @@ from tnormcat import (
     unit_interval_category,
 )
 from tnormcat import categories, completeness, tnorms
+from tnormcat._records import replace
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 
-from conftest import EIGHT_GRID, make_random_category
+from conftest import EIGHT_GRID, make_random_category, tail_seqs
 from oracles import (
     enumerate_cycles,
     keeps_category_laws,
@@ -124,14 +125,12 @@ class TestCauchyConditions:
         w = is_cauchy(TailSeq(cat, (), ("a", "b")))
         assert w is not None and w.values == ("b", "a") and w.lhs == F(1, 2)
 
-    def test_forward_cauchy_coincides(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            cat = make_random_category(rng, 4, EIGHT_GRID)
-            cycle = tuple(rng.choice(cat.elements)
-                          for _ in range(rng.randint(1, 3)))
-            seq = TailSeq(cat, (), cycle)
-            assert (is_cauchy(seq) is None) == (is_forward_cauchy(seq) is None)
+    @settings(max_examples=100, deadline=None)
+    @given(seq=tail_seqs())
+    def test_forward_cauchy_coincides(self, seq):
+        # the same witness, under its own note
+        w = is_cauchy(seq)
+        assert is_forward_cauchy(seq) == (w and replace(w, note="forward-cauchy"))
 
     def test_forward_witness_reachable_across_periods(self):
         cat = RCat(("a", "b"), ((1, 1), (F(1, 2), 1)))

@@ -224,7 +224,7 @@ REPLAYED = {
     "exp-empty": {"d": 1},
     "exp-product-counterexample": {"d": 576, "validate": 1},
     "limits": {"certificate": 4, "laws": 1},
-    "limits-not-cauchy": {"cauchy": 2, "certificate": 2},
+    "limits-not-cauchy": {"cauchy": 1, "certificate": 2},
     "product-not-transitive": {"validate": 2},  # validate-left and validate-product
 }
 
@@ -302,6 +302,34 @@ def test_replay_rejects_a_carrier_that_breaks_the_laws(carrier):
     report = golden_report("limits")
     report["inputs"]["carrier"] = carrier
     rejects(report, "carrier: no category under inputs.tnorm")
+
+
+def forward_cauchy_report() -> dict:
+    """``limits-not-cauchy`` with the ``forward-cauchy`` row that ``limits``
+    reports carried before it was dropped: the ``cauchy`` row under its own
+    name and note."""
+    report = golden_report("limits-not-cauchy")
+    cauchy = row_of(report, "cauchy")
+    report["verdicts"].insert(1, {**cauchy, "name": "forward-cauchy",
+                                  "result": {**cauchy["result"], "note": "forward-cauchy"}})
+    return report
+
+
+def test_replay_reads_a_forward_cauchy_row():
+    assert replay(forward_cauchy_report()) == {"cauchy": 2, "certificate": 2}
+
+
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_replay_rejects_a_changed_forward_cauchy_side(side):
+    report = forward_cauchy_report()
+    row_of(report, "forward-cauchy")["result"][side] = "1/3"
+    rejects(report)
+
+
+def test_replay_rejects_a_forward_cauchy_row_without_evidence():
+    report = forward_cauchy_report()
+    row_of(report, "forward-cauchy")["result"] = None
+    rejects(report, "a failing row with nothing to replay")
 
 
 @pytest.mark.parametrize("name", ["exp-minimum", "exp-product-counterexample"])
@@ -469,9 +497,6 @@ TEXT_CASES = {
         {"seq": CYCLE_SEQ},
         ["  cauchy: FAIL",
          '    witness: {"values": ["x", "y"], "lhs": "1/2", "rhs": "1", "note": "cauchy"}',
-         "  forward-cauchy: FAIL",
-         '    witness: {"values": ["x", "y"], "lhs": "1/2", "rhs": "1", '
-         '"note": "forward-cauchy"}',
          "  bilimit: FAIL",
          '    certificate: [{"element": "x", "hom_from_witness": "1", "tail_from_seq": "0", '
          '"hom_to_witness": "1", "tail_to_seq": "1/2"}, {"element": "y", '

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
@@ -91,3 +92,29 @@ def test_failing_condition_reports_are_built_only_by_failure():
         builders += [(path.name, owner.get(node, "<module>"))
                      for node in ast.walk(tree) if _builds_failing_report(node)]
     assert builders == [("tnorms.py", "_failure")]
+
+
+def test_c1_evidence_is_built_only_in_tnorms():
+    # the failing families' violations, and C1's two sides, have one home
+    names, right_sides = set(), []
+    for path in sorted(Path(tnormcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_C1_FAILURES" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                names.add(path.name)
+            if isinstance(node, ast.Call) and ast.unparse(node) == "apply(t, min(p, u), q)":
+                right_sides.append(path.name)
+    assert names == {"tnorms.py"}
+    assert right_sides == ["tnorms.py"]
+
+
+def test_every_traced_name_exists():
+    # perfbench/tracer.py looks each name up without a default, so a renamed
+    # function would break every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{layer}.{name}" for table in (tracer.SPANS, tracer.COUNTS)
+               for layer, names in table.items() for name in names
+               if not hasattr(importlib.import_module(f"tnormcat.{layer}"), name)]
+    assert tracer.SPANS and tracer.COUNTS and missing == []
