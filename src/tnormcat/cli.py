@@ -49,14 +49,8 @@ from .categories import (
     product,
     validate,
 )
-from .completeness import (
-    _check_laws,
-    _find_bilimit,
-    _find_yoneda_limit,
-    check_power_completeness,
-    is_cauchy,
-)
-from . import jsonio
+from .completeness import check_power_completeness
+from . import completeness, jsonio
 
 
 class RunReport:
@@ -212,18 +206,9 @@ def cmd_limits(args) -> RunReport:
     Cauchy and forward Cauchy coincide (proof in
     ``completeness.is_forward_cauchy``), so a ``forward-cauchy`` row would
     repeat it.  The ``yoneda-limit`` row is added when ``cauchy`` passes.
-
-    The carrier's laws are scanned once: by ``validate`` under ``--tnorm``,
-    else by ``_check_laws``, which ``find_bilimit`` and
-    ``find_yoneda_limit`` would each run.  A carrier valid under the t-norm
-    t passes ``_check_laws``: that is ``validate`` under a t-norm T which on
-    the hom values is the drastic t-norm D (x D y = min(x, y) if x or y is
-    1, else 0), the least t-norm, since x t 1 = x, 1 t y = y and x t y >= 0.
-    Both scans check the same reflexivity, and at each triple
-    hom(j,k) T hom(i,j) = hom(j,k) D hom(i,j) <= hom(j,k) t hom(i,j)
-    <= hom(i,k).  So no further scan can fail, and the two searches run
-    without one.  The report records the ``--tnorm`` t-norm in ``inputs``,
-    as ``product`` does, so that the scan under it can be replayed.
+    ``completeness._limit_verdicts`` scans the carrier's laws once, under
+    ``--tnorm`` if it is given; the report records that t-norm in
+    ``inputs``, as ``product`` does, so that the scan can be replayed.
     """
     seq = jsonio.load_sequence(args.seq)
     report = RunReport(
@@ -234,22 +219,15 @@ def cmd_limits(args) -> RunReport:
             "cycle": jsonio.to_jsonable(seq.cycle),
         },
     )
+    t = None
     if args.tnorm:
         t = jsonio.load_tnorm(args.tnorm)
         report.inputs["tnorm"] = jsonio.tnorm_to_dict(t)
-        w = validate(seq.carrier, t)
-        if w is not None:
-            raise InputError(
-                f"carrier is not a valid category at {w.values}: {w.note}"
-            )
-    else:
-        _check_laws(seq.carrier)
-    cauchy = is_cauchy(seq)
+    cauchy, bilimit, yoneda = completeness._limit_verdicts(seq, t)
     report.add("cauchy", cauchy, cauchy is None)
-    bilimit = _find_bilimit(seq)
     report.add("bilimit", bilimit, bilimit.kind != "none")
-    if cauchy is None:
-        report.add("yoneda-limit", _find_yoneda_limit(seq), True)
+    if yoneda is not None:
+        report.add("yoneda-limit", yoneda, True)
     return report
 
 

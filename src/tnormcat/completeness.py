@@ -162,10 +162,38 @@ def _check_laws(cat: RCat) -> None:
     distinct elements in ``permutations`` order, and its witness names the
     first law that breaks.
     """
-    b = max({ZERO, *itertools.chain.from_iterable(cat.hom)} - {ONE})
+    b = max((v for v in itertools.chain.from_iterable(cat.hom) if v != ONE), default=ZERO)
     w = validate(cat, interval_collapse([(ZERO, b)]))
     if w is not None:
         raise PreconditionError(f"carrier is not a valid category at {w.values}: {w.note}")
+
+
+def _limit_verdicts(seq: TailSeq, t: TNorm | None = None) -> tuple:
+    """The Cauchy witness, the bilimit verdict and the Yoneda verdict of ``seq``.
+
+    The Yoneda verdict is None unless the sequence is Cauchy.  The carrier's
+    laws are scanned once: by ``validate`` under ``t`` (a failure is an
+    ``InputError``), else by ``_check_laws``, which ``find_bilimit`` and
+    ``find_yoneda_limit`` would each run.  A carrier valid under t passes
+    ``_check_laws``: that is ``validate`` under a t-norm T which on the hom
+    values is the drastic t-norm D (x D y = min(x, y) if x or y is 1, else
+    0), the least t-norm, since x t 1 = x, 1 t y = y and x t y >= 0.  Both
+    scans check the same reflexivity, and at each triple hom(j,k) T hom(i,j)
+    = hom(j,k) D hom(i,j) <= hom(j,k) t hom(i,j) <= hom(i,k).  So no further
+    scan can fail, and the two searches run without one.  ``is_cauchy``
+    runs once: for an eventually periodic sequence it decides forward
+    Cauchy too (``is_forward_cauchy``), the precondition of the Yoneda
+    search.
+    """
+    if t is None:
+        _check_laws(seq.carrier)
+    else:
+        w = validate(seq.carrier, t)
+        if w is not None:
+            raise InputError(f"carrier is not a valid category at {w.values}: {w.note}")
+    cauchy = is_cauchy(seq)
+    bilimit = _find_bilimit(seq)
+    return cauchy, bilimit, None if cauchy is not None else _find_yoneda_limit(seq)
 
 
 def find_bilimit(seq: TailSeq) -> LimitVerdict:
@@ -231,12 +259,13 @@ def find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
     wrong.
     """
     _check_laws(seq.carrier)
+    _require_forward_cauchy(seq)
     return _find_yoneda_limit(seq)
 
 
 def _find_yoneda_limit(seq: TailSeq) -> LimitVerdict:
-    """``find_yoneda_limit`` on a carrier whose laws have been checked."""
-    _require_forward_cauchy(seq)
+    """``find_yoneda_limit`` on a carrier whose laws have been checked and
+    a forward-Cauchy sequence."""
     cat = seq.carrier
     tails = {x: tail_value(seq, x, FROM_SEQ) for x in cat.elements}
     for a in cat.elements:

@@ -1,7 +1,11 @@
+import contextlib
+import io
+import json
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import assume
@@ -11,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from tnormcat import RCat, TailSeq, apply, interval_collapse, lukasiewicz, \
     minimum, nilpotent_minimum, product_tnorm, tnorms
+from tnormcat.cli import main
 
 from oracles import min_transitive_closure
 
@@ -45,6 +50,20 @@ def install_and(mp, amp):
         return [amp(t, Fraction(*p), q).as_integer_ratio() for p in ps]
 
     mp.setattr(tnorms, "_and_col", kernel)
+
+
+def run_cli(argv, inputs: dict) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI run; ``inputs`` are written as
+    JSON files and their names in ``argv`` replaced by the paths."""
+    with TemporaryDirectory() as tmp:
+        paths = {}
+        for name, payload in inputs.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(paths.get(a, a)) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")

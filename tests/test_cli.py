@@ -8,18 +8,24 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNITS, broken_ands, collapse_norms, install_and, tail_seqs
+from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and, run_cli, \
+    tail_seqs
+from oracles import check_laws_scan, validate_reference
 from tnormcat import (
     ConditionReport,
     InvariantError,
+    PreconditionError,
+    RCat,
+    TailSeq,
     cli,
     completeness,
+    find_bilimit,
+    find_yoneda_limit,
     is_cauchy,
     jsonio,
     lukasiewicz,
@@ -230,12 +236,9 @@ class TestOtherCommands:
         # Yoneda-limit row exactly when it passes
         payload = {"carrier": jsonio.category_to_dict(seq.carrier),
                    "prefix": list(seq.prefix), "cycle": list(seq.cycle)}
-        out = io.StringIO()
-        with TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
-            path = Path(tmp) / "seq.json"
-            path.write_text(json.dumps(payload))
-            assert main(["limits", "--seq", str(path)]) == 0
-        rows = parse_report(out.getvalue())["verdicts"]
+        code, out, _ = run_cli(["limits", "--seq", "seq"], {"seq": payload})
+        assert code == 0
+        rows = parse_report(out)["verdicts"]
         cauchy = is_cauchy(seq) is None
         assert [v["name"] for v in rows] == ["cauchy", "bilimit"] + ["yoneda-limit"] * cauchy
         assert rows[0]["ok"] == cauchy
@@ -243,20 +246,30 @@ class TestOtherCommands:
     @pytest.mark.parametrize("tnorm", [None, "minimum", "lukasiewicz"])
     def test_limits_scans_the_carrier_laws_once(self, files, capsys, monkeypatch, tnorm):
         # validate under --tnorm, else the law check of find_bilimit; the
-        # sequence is forward Cauchy, so the Yoneda limit is searched too
-        scans = []
+        # sequence is forward Cauchy, so the Yoneda limit is searched too,
+        # and the cauchy row's scan decides its precondition
+        scans, cauchy_scans = [], []
 
         def counted(cat, t):
             scans.append(t)
             return validate(cat, t)
 
+        def counted_cauchy(seq):
+            cauchy_scans.append(seq)
+            return is_cauchy(seq)
+
         monkeypatch.setattr(cli, "validate", counted)
         monkeypatch.setattr(completeness, "validate", counted)
+        # every module that binds is_cauchy by name, as perfbench's tracer wraps it
+        for module in (cli, completeness):
+            if getattr(module, "is_cauchy", None) is is_cauchy:
+                monkeypatch.setattr(module, "is_cauchy", counted_cauchy)
         argv = ["limits", "--seq", files["seq"]] + (["--tnorm", files[tnorm]] if tnorm else [])
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert "yoneda-limit" in {v["name"] for v in parse_report(out)["verdicts"]}
         assert len(scans) == 1
+        assert len(cauchy_scans) == 1
 
     def test_power_completeness(self, files, capsys):
         code, out, _ = run(capsys, "power-completeness",
@@ -741,23 +754,87 @@ def test_every_parser_meets_the_table_precondition(command):
 )
 def test_failing_witnesses_replay(t, grid, data):
     broken = data.draw(broken_ands(t, sorted(grid)))
-    with TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         if broken is not None:
             install_and(mp, broken)
-        path = Path(tmp) / "tnorm.json"
-        path.write_text(json.dumps(jsonio.tnorm_to_dict(t)))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["check-tnorm", str(path),
-                         "--values", ",".join(map(format_rational, grid))])
+        code, out, _ = run_cli(["check-tnorm", "tnorm",
+                                "--values", ",".join(map(format_rational, grid))],
+                               {"tnorm": jsonio.tnorm_to_dict(t)})
         assert code == 0
-        report = parse_report(out.getvalue())
+        report = parse_report(out)
         if broken is not None:
             # only these rows witness the installed &; C3-form and agreement
             # name the family's violations, with the real &
             report["verdicts"] = [v for v in report["verdicts"]
                                   if v["name"] in ("C1", "C2", "axioms")]
         replay(report, broken and functools.partial(broken, t))
+
+
+@st.composite
+def limits_sequences(draw):
+    """A ``tail_seqs`` sequence whose carrier keeps the category laws, or
+    breaks reflexivity, or, on three or more elements, transitivity with a
+    factor 1."""
+    seq = draw(tail_seqs())
+    hom = [list(row) for row in seq.carrier.hom]
+    law = draw(st.sampled_from(["none", "reflexivity", "transitivity"]))
+    if law == "reflexivity":
+        i = draw(st.integers(0, len(hom) - 1))
+        hom[i][i] = draw(st.sampled_from(EIGHT_GRID[:-1]))
+    elif law == "transitivity" and len(hom) >= 3:
+        i, j, k = draw(st.permutations(range(len(hom))))[:3]
+        hom[i][j], hom[j][k] = Fraction(1), draw(st.sampled_from(EIGHT_GRID[1:]))
+        hom[i][k] = draw(st.sampled_from([v for v in EIGHT_GRID if v < hom[j][k]]))
+    return TailSeq(RCat(seq.carrier.elements, hom), seq.prefix, seq.cycle)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seq=limits_sequences(), t=st.one_of(
+    st.none(),
+    st.sampled_from([minimum(), product_tnorm(), lukasiewicz(), nilpotent_minimum()]),
+    collapse_norms(),
+))
+def test_limits_reports_replay(seq, t):
+    # every limits run exits 0, or 1 exactly where the oracle scan rejects
+    # the carrier; a clean report replays, its rows are those of the public
+    # searches, and in text each failing row is followed by its evidence
+    inputs = {"seq": {"carrier": jsonio.category_to_dict(seq.carrier),
+                      "prefix": list(seq.prefix), "cycle": list(seq.cycle)}}
+    argv = ["limits", "--seq", "seq"]
+    if t is None:
+        try:
+            check_laws_scan(seq.carrier)
+            rejected = None
+        except PreconditionError as exc:
+            rejected = str(exc)
+    else:
+        inputs["tnorm"] = jsonio.tnorm_to_dict(t)
+        argv += ["--tnorm", "tnorm"]
+        w = validate_reference(seq.carrier, t)
+        rejected = w and f"carrier is not a valid category at {w.values}: {w.note}"
+    code, out, err = run_cli(argv, inputs)
+    text = run_cli([*argv, "--format", "text"], inputs)
+    if rejected:
+        assert (code, out, err) == text == (1, "", f"error: {rejected}\n")
+        return
+    assert (code, err) == (text[0], text[2]) == (0, "")
+    report = parse_report(out)
+    replay(report)
+    cauchy = is_cauchy(seq)
+    rows = [("cauchy", cauchy is None, cauchy)]
+    bilimit = find_bilimit(seq)
+    rows.append(("bilimit", bilimit.kind != "none", bilimit))
+    if cauchy is None:
+        rows.append(("yoneda-limit", True, find_yoneda_limit(seq)))
+    assert report["verdicts"] == [
+        {"name": name, "ok": ok, "result": jsonio.to_jsonable(result)}
+        for name, ok, result in rows]
+    lines = text[1].splitlines()
+    assert [line for line in lines if line.startswith("  ") and line[2] != " "] == [
+        f"  {name}: {'PASS' if ok else 'FAIL'}" for name, ok, _ in rows]
+    for line, after in zip(lines, lines[1:]):
+        if line.endswith(": FAIL"):
+            assert after.startswith(("    witness: ", "    certificate: "))
 
 
 # for each law of the axioms sweep, a & that keeps the laws swept before it

@@ -206,6 +206,18 @@ class TestYonedaLimit:
         with pytest.raises(PreconditionError):
             find_yoneda_limit(TailSeq(cat, (), ("a", "b")))
 
+    def test_the_laws_are_checked_before_the_cauchy_condition(self):
+        # both sequences are not Cauchy; only the first carrier breaks a law
+        lawful = RCat(("a", "b"), ((1, 0), (0, 1)))
+        unlawful = RCat(("a", "b"), ((1, 0), (0, F(1, 2))))
+        for cat, message in (
+            (unlawful, "carrier is not a valid category at ('b',): reflexivity"),
+            (lawful, "sequence is not forward Cauchy: hom('a', 'b') = 0"),
+        ):
+            with pytest.raises(PreconditionError) as exc:
+                find_yoneda_limit(TailSeq(cat, (), ("a", "b")))
+            assert str(exc.value) == message
+
     def test_agrees_with_bilimit_on_cauchy_cycles(self):
         rng = random.Random(13)
         for _ in range(40):

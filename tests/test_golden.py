@@ -49,19 +49,15 @@ when a report is meant to change:
 """
 
 import ast
-import contextlib
-import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from tempfile import TemporaryDirectory
 
 import pytest
 
-from tnormcat.cli import main
-
+from conftest import run_cli
 from replay import ReplayError, replay
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,20 +145,6 @@ RUNS = {
 
 def golden_text(name: str) -> str:
     return (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-
-
-def run_cli(argv, inputs: dict) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one CLI run; ``inputs`` are written as
-    JSON files and their names in ``argv`` replaced by the paths."""
-    with TemporaryDirectory() as tmp:
-        paths = {}
-        for name, payload in inputs.items():
-            paths[name] = Path(tmp) / f"{name}.json"
-            paths[name].write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(paths.get(a, a)) for a in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 def case_output(argv, inputs: dict) -> str:

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import UNITS, collapse_norms
+from conftest import UNITS, collapse_norms, run_cli
 from tnormcat import (
     InputError,
     RCat,
@@ -19,7 +17,6 @@ from tnormcat import (
     check_c1,
     check_c2,
     check_ccc,
-    cli,
     extract_intervals,
     interval_collapse,
     jsonio,
@@ -282,27 +279,21 @@ VALID_CATEGORIES = categories(max_n=3).map(
     lambda cat: RCat(cat.elements, oracles.min_transitive_closure(cat.hom)))
 
 
-def _report(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    return json.loads(out.getvalue())
+def _report(argv, inputs):
+    code, out, _ = run_cli(argv, inputs)
+    assert code == 0
+    return json.loads(out)
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=NORMS, base=VALID_CATEGORIES, fiber=VALID_CATEGORIES, data=st.data())
 def test_exp_and_limits_reports_reload(t, base, fiber, data):
     cycle = data.draw(st.lists(st.sampled_from(fiber.elements), min_size=1, max_size=3))
-    with TemporaryDirectory() as tmp:
-        files = {}
-        for name, payload in (("t", tnorm_to_dict(t)), ("base", category_to_dict(base)),
-                              ("fiber", category_to_dict(fiber)),
-                              ("seq", {"carrier": category_to_dict(fiber), "cycle": cycle})):
-            files[name] = str(Path(tmp) / f"{name}.json")
-            Path(files[name]).write_text(json.dumps(payload))
-        exp = _report(["exp", "--tnorm", files["t"], "--base", files["base"],
-                       "--fiber", files["fiber"]])
-        limits = _report(["limits", "--seq", files["seq"]])
+    inputs = {"t": tnorm_to_dict(t), "base": category_to_dict(base),
+              "fiber": category_to_dict(fiber),
+              "seq": {"carrier": category_to_dict(fiber), "cycle": cycle}}
+    exp = _report(["exp", "--tnorm", "t", "--base", "base", "--fiber", "fiber"], inputs)
+    limits = _report(["limits", "--seq", "seq"], inputs)
     assert category_from_dict(exp["inputs"]["base"]) == base
     assert category_from_dict(exp["inputs"]["fiber"]) == fiber
     d = exp["verdicts"][0]["result"]["d"]
@@ -324,19 +315,13 @@ def _witness_values(result):
        grid=st.lists(UNITS, min_size=1, max_size=4, unique=True))
 def test_tnorm_product_ccc_and_power_completeness_reports_reload(t, left, right, grid):
     values = ",".join(str(v) for v in grid)
-    with TemporaryDirectory() as tmp:
-        files = {}
-        for name, payload in (("t", tnorm_to_dict(t)), ("left", category_to_dict(left)),
-                              ("right", category_to_dict(right))):
-            files[name] = str(Path(tmp) / f"{name}.json")
-            Path(files[name]).write_text(json.dumps(payload))
-        check = _report(["check-tnorm", files["t"], "--values", values])
-        prod = _report(["product", files["left"], files["right"], "--tnorm", files["t"]])
-        ccc = _report(["ccc-suite", files["t"], "--values", values, "--max-size", "2"])
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
-            code = cli.main(["power-completeness", "--tnorm", files["t"],
-                             "--base", files["left"], "--fiber", files["right"]])
+    inputs = {"t": tnorm_to_dict(t), "left": category_to_dict(left),
+              "right": category_to_dict(right)}
+    check = _report(["check-tnorm", "t", "--values", values], inputs)
+    prod = _report(["product", "left", "right", "--tnorm", "t"], inputs)
+    ccc = _report(["ccc-suite", "t", "--values", values, "--max-size", "2"], inputs)
+    code, out, err = run_cli(["power-completeness", "--tnorm", "t",
+                              "--base", "left", "--fiber", "right"], inputs)
     rows = {row["name"]: row["result"] for row in check["verdicts"]}
     assert tnorm_from_dict(check["inputs"]["tnorm"]) == t
     for name, report in (("C1", check_c1(t, grid)), ("C2", check_c2(t, grid))):
@@ -367,12 +352,12 @@ def test_tnorm_product_ccc_and_power_completeness_reports_reload(t, left, right,
         assert fiber.hom == expected.bundle.fiber.hom
 
     if code == 0:
-        report = json.loads(out.getvalue())
+        report = json.loads(out)
         assert tnorm_from_dict(report["inputs"]["tnorm"]) == t
         assert category_from_dict(report["inputs"]["base"]) == left
         assert category_from_dict(report["inputs"]["fiber"]) == right
     else:
-        assert code == 1 and "fails C1" in err.getvalue()
+        assert code == 1 and "fails C1" in err
 
 
 # JSON-native report trees: what RunReport holds when cli._emit writes it

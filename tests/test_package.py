@@ -118,3 +118,18 @@ def test_every_traced_name_exists():
                for layer, names in table.items() for name in names
                if not hasattr(importlib.import_module(f"tnormcat.{layer}"), name)]
     assert tracer.SPANS and tracer.COUNTS and missing == []
+
+
+def test_cli_reaches_into_no_private_search_of_completeness():
+    # completeness._limit_verdicts decides a limits run, its law scan and its
+    # Cauchy scan included; cli imports none of the searches it calls
+    tree = ast.parse((Path(tnormcat.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "completeness"
+                for alias in node.names]
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and getattr(node.value, "id", None) == "completeness"}
+    assert imported and not [name for name in imported if name.startswith("_")]
+    assert "is_cauchy" not in imported
+    assert private == {"_limit_verdicts"}

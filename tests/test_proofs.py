@@ -71,15 +71,11 @@ the t-norm-free category laws, which is ``validate`` under the carrier's
 weakest t-norm, with a scan of those laws, on any matrix.
 """
 
-import contextlib
 import functools
-import io
 import itertools
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
-from tempfile import TemporaryDirectory
 
 import pytest
 from hypothesis import assume, given, settings
@@ -99,7 +95,6 @@ from tnormcat import (
     check_exponentiable,
     check_power_completeness,
     check_product_bilimit,
-    cli,
     counterexample,
     enumerate_categories,
     exponential,
@@ -117,7 +112,8 @@ from tnormcat.categories import CccReport
 from tnormcat.completeness import FROM_SEQ, TO_SEQ
 from tnormcat.tnorms import FAMILIES
 
-from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and, real_and
+from conftest import EIGHT_GRID, UNITS, broken_ands, collapse_norms, install_and, real_and, \
+    run_cli
 from oracles import (
     c1_rank_sweep_reference,
     c1_sides,
@@ -248,12 +244,12 @@ def test_pointwise_limit_map_is_isomorphic_on_counterexamples(all_families, fami
 
 
 @pytest.mark.parametrize("family", sorted(C1_VIOLATIONS))
-def test_counterexample_bundle_replays_from_its_json(all_families, family, tmp_path, capsys):
-    path = tmp_path / "tnorm.json"
-    path.write_text(json.dumps(jsonio.tnorm_to_dict(all_families[family])))
+def test_counterexample_bundle_replays_from_its_json(all_families, family):
     triple = C1_VIOLATIONS[family]
-    assert cli.main(["counterexample", str(path), *(str(v) for v in triple)]) == 0
-    report = json.loads(capsys.readouterr().out)
+    code, out, _ = run_cli(["counterexample", "tnorm", *(str(v) for v in triple)],
+                           {"tnorm": jsonio.tnorm_to_dict(all_families[family])})
+    assert code == 0
+    report = json.loads(out)
     assert report["inputs"]["triple"] == [str(v) for v in triple]
     # f, g and h are functors, and the d values and sides are recomputed
     assert replay(report) == {"bundle": 1}
@@ -355,18 +351,12 @@ def test_powers_on_c1_grids_are_categories(all_families, family, grid, data):
 
 def _power_validates_row(t, base, fiber) -> dict:
     """The ``power-validates`` row of the ``exp`` report."""
-    with TemporaryDirectory() as tmp:
-        paths = []
-        for name, payload in (("tnorm", jsonio.tnorm_to_dict(t)),
-                              ("base", jsonio.category_to_dict(base)),
-                              ("fiber", jsonio.category_to_dict(fiber))):
-            paths.append(Path(tmp) / f"{name}.json")
-            paths[-1].write_text(json.dumps(payload))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["exp", "--tnorm", str(paths[0]), "--base", str(paths[1]),
-                             "--fiber", str(paths[2])]) == 0
-    rows = json.loads(out.getvalue())["verdicts"]
+    code, out, _ = run_cli(["exp", "--tnorm", "tnorm", "--base", "base", "--fiber", "fiber"],
+                           {"tnorm": jsonio.tnorm_to_dict(t),
+                            "base": jsonio.category_to_dict(base),
+                            "fiber": jsonio.category_to_dict(fiber)})
+    assert code == 0
+    rows = json.loads(out)["verdicts"]
     assert [row["name"] for row in rows] == ["power", "power-validates"]
     return rows[1]
 
